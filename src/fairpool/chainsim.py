@@ -5,6 +5,16 @@ epoch followed by alternating claim/demand epochs), draws workloads from
 a seeded generator, and annotates every call with abstract cost units
 from a configurable affine model.  Costs are annotations only; machine
 state never depends on them.
+
+The harness checks conservation against its own ledger of claimed
+shares.  Every block it checks, in O(m), what the call can change: the
+two pools plus the ledger's total must equal everything injected, and
+the caller's balance must equal its ledger entry.  On each epoch
+transition and on the last block it also recounts every balance, O(n),
+so a run costs O(m) per block averaged over an epoch.  A trace record's
+``snapshot`` holds the epoch, both pools, the cycle count and the
+caller's balance; on recount blocks it is the machine's full
+``snapshot()``, with every user's balance.
 """
 
 from __future__ import annotations
@@ -162,16 +172,6 @@ class CostModel:
 DEFAULT_COST_MODEL = CostModel()
 
 
-def cost_of_call(
-    kind: str,
-    m: int,
-    branch_events: int = 0,
-    model: CostModel = DEFAULT_COST_MODEL,
-) -> int:
-    """Stabilized (post-warm-up) cost of one call."""
-    return model.base_cost(kind, m, branch_events)
-
-
 @dataclass(frozen=True)
 class BlockTx:
     block: int
@@ -291,26 +291,65 @@ def _execute(
     txs: Iterable[BlockTx],
     cost_model: CostModel,
 ) -> tuple[list[TraceRecord], list[CostRecord]]:
+    """Run one call per block, checking conservation as it goes.
+
+    The harness keeps its own ledger from the calls' receipts: each
+    user's balance (a zero entry at registration, plus every claimed
+    share) and ``held``, their per-resource total.  A call can change
+    only the two pools, the epoch and cycle count, and the caller's
+    balance, so every block checks just those, in O(m):
+
+    * ``total_injected() == pool0 + pool1 + held``, component by
+      component;
+    * the caller's machine balance equals its ledger entry.
+
+    A full O(n) recount, ``accounting_gap`` plus a comparison of every
+    machine balance with the ledger, runs on each block where
+    ``update_state`` executed a transition and on the last block.  An
+    epoch spans two blocks per user, so this averages O(m) per block.
+    A fault inside a call (a wrong credit, a pool losing units) raises
+    at that block.  A non-caller's balance changed outside any call is
+    not seen per block; it raises at that user's next call, the next
+    transition or the final block, whichever comes first.  This is the
+    one fault a full recount on every block would catch sooner, on the
+    next block, at O(n) per block.
+
+    Each record's ``snapshot`` holds ``epoch``, ``reserves``,
+    ``cycle_count`` and the caller's ``balance`` (None on a block
+    without a caller); recount blocks hold the machine's full
+    ``snapshot()`` instead.  Comparing these per block, as ``replay``
+    does, still compares everything a full snapshot holds: by induction
+    on blocks, two runs that agree at a recount (or at the fresh start)
+    and on every later record agree on everything a call could have
+    changed since, and full snapshots are compared again at the next
+    recount.
+    """
+    txs = list(txs)
     m = machine.config.resource_count
     records: list[TraceRecord] = []
     costs: list[CostRecord] = []
     demand_calls: dict[int, int] = {}
     claim_calls: dict[int, int] = {}
     updates_executed = 0
-    for tx in txs:
+    ledger: dict[int, list[int]] = {}  # user -> balance, from receipts
+    held = [0] * m  # per-resource total of the ledger
+    for index, tx in enumerate(txs):
         vector: tuple[int, ...] | None = None
         task_count: int | None = None
         clamped = False
         cost_units = 0
+        transitioned = False
         try:
             if tx.kind == KIND_NOOP:
                 pass
             elif tx.kind == KIND_REGISTER:
                 assert tx.user is not None
                 machine.register_user(tx.user)
+                ledger[tx.user] = [0] * m
             elif tx.kind in (KIND_DEMAND, KIND_CLAIM):
                 assert tx.user is not None
                 if machine.update_state(tx.block):
+                    transitioned = True
                     updates_executed += 1
                     costs.append(
                         CostRecord(
@@ -340,6 +379,10 @@ def _execute(
                     vector = receipt.share.quantities
                     task_count = receipt.task_count
                     clamped = receipt.clamped
+                    entry = ledger[tx.user]
+                    for r, v in enumerate(vector):
+                        entry[r] += v
+                        held[r] += v
                     ordinal = claim_calls.get(tx.user, 0) + 1
                     claim_calls[tx.user] = ordinal
                     cost_units = cost_model.cost(KIND_CLAIM, m, 0, ordinal)
@@ -350,11 +393,35 @@ def _execute(
                 raise MachineError(f"unknown call kind {tx.kind!r}")
         except MachineError as exc:
             raise SimulationError(tx.block, str(exc)) from exc
-        gap = accounting_gap(machine)
-        if any(gap):
-            raise SimulationError(
-                tx.block, f"conservation identity violated: gap {gap}"
-            )
+        reserves = (
+            machine.reserve_pool(0).quantities,
+            machine.reserve_pool(1).quantities,
+        )
+        _check_gap(
+            tx.block,
+            tuple(
+                i - a - b - h
+                for i, a, b, h in zip(machine.total_injected(), *reserves, held)
+            ),
+        )
+        balance = None
+        if tx.kind != KIND_NOOP:
+            balance = machine.balance_of(tx.user).quantities
+            _check_balance(tx.block, tx.user, balance, ledger[tx.user])
+        if transitioned or index == len(txs) - 1:
+            _check_gap(tx.block, accounting_gap(machine))
+            snapshot = machine.snapshot()
+            for uid, machine_balance in snapshot["balances"].items():
+                _check_balance(
+                    tx.block, uid, machine_balance, ledger.get(uid, [0] * m)
+                )
+        else:
+            snapshot = {
+                "epoch": machine.epoch,
+                "reserves": reserves,
+                "cycle_count": machine.cycle_count,
+                "balance": balance,
+            }
         records.append(
             TraceRecord(
                 tx=tx,
@@ -363,10 +430,27 @@ def _execute(
                 task_count=task_count,
                 clamped=clamped,
                 cost_units=cost_units,
-                snapshot=machine.snapshot(),
+                snapshot=snapshot,
             )
         )
     return records, costs
+
+
+def _check_gap(block: int, gap: tuple[int, ...]) -> None:
+    if any(gap):
+        raise SimulationError(block, f"conservation identity violated: gap {gap}")
+
+
+def _check_balance(
+    block: int, user: int, balance: tuple[int, ...], expected: list[int]
+) -> None:
+    """The user's machine balance must equal the harness's ledger entry."""
+    if list(balance) != expected:
+        gap = tuple(e - b for e, b in zip(expected, balance))
+        raise SimulationError(
+            block,
+            f"conservation identity violated: gap {gap} in user {user}'s balance",
+        )
 
 
 def run_simulation(

@@ -331,12 +331,23 @@ def cmd_crosscheck(settings: Settings) -> int:
     return EXIT_OK if match_rate == 1.0 else EXIT_VIOLATION
 
 
-def _wald_interval(count: int, total: int) -> tuple[float, float]:
+def _wilson_interval(count: int, total: int) -> tuple[float, float]:
+    """95% Wilson score interval for the proportion count / total.
+
+    Unlike the Wald interval it keeps a positive width at a zero count:
+    0 of N gives [0, hi] with hi > 0.
+    """
     if total == 0:
-        return (0.0, 0.0)
-    p = count / total
-    half = 1.96 * math.sqrt(p * (1 - p) / total)
-    return (max(0.0, p - half), min(1.0, p + half))
+        return (0.0, 1.0)
+    z = 1.96
+    denom = total + z * z
+    center = (count + z * z / 2) / denom
+    half = z * math.sqrt(count * (total - count) / total + z * z / 4) / denom
+    # The ends are exactly 0 and 1 at count 0 and count total; clamp away
+    # the rounding error of center - half and center + half there.
+    lo = 0.0 if count == 0 else max(0.0, center - half)
+    hi = 1.0 if count == total else min(1.0, center + half)
+    return (lo, hi)
 
 
 def cmd_stats(settings: Settings) -> int:
@@ -381,12 +392,12 @@ def cmd_stats(settings: Settings) -> int:
         "under_by_one": {
             "count": under,
             "fraction": under / total if total else 0.0,
-            "ci95": list(_wald_interval(under, total)),
+            "ci95": list(_wilson_interval(under, total)),
         },
         "over": {
             "count": over,
             "fraction": over / total if total else 0.0,
-            "ci95": list(_wald_interval(over, total)),
+            "ci95": list(_wilson_interval(over, total)),
         },
         "exact": {
             "count": exact,

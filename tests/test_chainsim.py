@@ -1,15 +1,16 @@
+import collections
 import dataclasses
 import statistics
 
 import pytest
 
 from fairpool import (
+    AllocationMachine,
     CostModel,
     ResourceVector,
     SimConfig,
     SimulationError,
     build_schedule,
-    cost_of_call,
     crosscheck_trace,
     gen_demands,
     replay,
@@ -17,7 +18,9 @@ from fairpool import (
     write_cost_csv,
     write_trace_file,
 )
+from fairpool import chainsim
 from fairpool.chainsim import (
+    DEFAULT_COST_MODEL,
     KIND_CLAIM,
     KIND_DEMAND,
     KIND_REGISTER,
@@ -213,23 +216,137 @@ def test_no_clamps_on_standard_schedules():
         assert trace.clamp_count() == 0
 
 
+# --- conservation checks ------------------------------------------------------
+#
+# 4 users, 4 epochs: epoch e spans blocks 8e-7 .. 8e; its first four blocks
+# are claims (registrations in epoch 1), its last four demands.  Epoch
+# transitions run at blocks 9, 17 and 25; block 32 is the last.
+FAULT_CONFIG = SimConfig(users=4, resources=2, epochs=4, seed=15)
+
+
+def _corrupt_during(monkeypatch, method, at_block, corrupt):
+    """Make ``AllocationMachine.<method>`` call ``corrupt(machine, user)``
+    after the real call at block ``at_block``."""
+    original = getattr(AllocationMachine, method)
+
+    def faulty(self, user, *args):
+        result = original(self, user, *args)
+        if args[-1] == at_block:
+            corrupt(self, user)
+        return result
+
+    monkeypatch.setattr(AllocationMachine, method, faulty)
+
+
+def _credit(user):
+    """Credit one unit to ``user``, or to the caller if None."""
+
+    def corrupt(machine, caller):
+        machine._users[caller if user is None else user].balance[0] += 1
+
+    return corrupt
+
+
+def _drain_demand_pool(machine, caller):
+    machine._reserves[machine.demand_pool_parity()][0] -= 1
+
+
+@pytest.mark.parametrize(
+    "method, at_block, corrupt",
+    [
+        pytest.param("claim", 11, _credit(None), id="claimer-credited"),
+        pytest.param("claim", 11, _drain_demand_pool, id="pool-drained-in-claim"),
+        pytest.param("demand", 22, _drain_demand_pool, id="pool-drained-in-demand"),
+    ],
+)
+def test_fault_in_a_call_raises_at_that_block(monkeypatch, method, at_block, corrupt):
+    _corrupt_during(monkeypatch, method, at_block, corrupt)
+    with pytest.raises(SimulationError) as exc_info:
+        run_simulation(FAULT_CONFIG)
+    assert exc_info.value.block == at_block
+    assert "conservation identity violated" in str(exc_info.value)
+
+
+def _move_unit(machine, caller):
+    machine._users[1].balance[0] -= 1
+    machine._users[2].balance[0] += 1
+
+
+@pytest.mark.parametrize(
+    "at_block, corrupt, caught_at",
+    [
+        # user 1 demanded at block 14 and next calls at 18, after the
+        # transition at 17
+        pytest.param(15, _credit(1), 17, id="credited-before-transition"),
+        # user 0 demanded at block 29, its last call
+        pytest.param(30, _credit(0), 32, id="credited-before-last-block"),
+        # a unit moved between users 1 and 2 (next calls at 18 and 19)
+        # leaves every total intact; only the ledger sees it
+        pytest.param(16, _move_unit, 17, id="moved-between-users"),
+    ],
+)
+def test_non_caller_fault_raises_at_next_recount(
+    monkeypatch, at_block, corrupt, caught_at
+):
+    _corrupt_during(monkeypatch, "demand", at_block, corrupt)
+    with pytest.raises(SimulationError) as exc_info:
+        run_simulation(FAULT_CONFIG)
+    assert exc_info.value.block == caught_at
+    assert "conservation identity violated" in str(exc_info.value)
+
+
+def test_full_recount_runs_once_per_transition_and_at_the_end(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        chainsim, "accounting_gap", counted("accounting_gap", chainsim.accounting_gap)
+    )
+    monkeypatch.setattr(
+        AllocationMachine, "snapshot", counted("snapshot", AllocationMachine.snapshot)
+    )
+    for users in (20, 80):
+        calls.clear()
+        trace = run_simulation(SimConfig(users=users, resources=3, epochs=4, seed=16))
+        transitions = sum(1 for c in trace.costs if c.call_kind == KIND_UPDATE)
+        assert transitions == 3
+        assert calls == {"accounting_gap": transitions + 1, "snapshot": transitions + 1}
+
+
+def test_snapshot_holds_full_state_only_on_recount_blocks():
+    trace = run_simulation(FAULT_CONFIG)
+    full = [rec.tx.block for rec in trace.records if "balances" in rec.snapshot]
+    assert full == [9, 17, 25, 32]
+    claim = trace.records[10]  # block 11: user 2's first claim
+    assert claim.tx.user == 2
+    assert set(claim.snapshot) == {"epoch", "reserves", "cycle_count", "balance"}
+    assert claim.snapshot["balance"] == claim.vector
+
+
 # --- cost model -----------------------------------------------------------------
 
 
-def test_cost_of_call_defaults():
-    assert cost_of_call(KIND_CLAIM, 10) == 15_130 * 10 + 36_486
-    assert cost_of_call(KIND_DEMAND, 10) == 13_616 * 10 + 47_245
-    assert cost_of_call(KIND_UPDATE, 10) == 11_295 * 10 + 23_539
+def test_base_cost_defaults():
+    base_cost = DEFAULT_COST_MODEL.base_cost
+    assert base_cost(KIND_CLAIM, 10) == 15_130 * 10 + 36_486
+    assert base_cost(KIND_DEMAND, 10) == 13_616 * 10 + 47_245
+    assert base_cost(KIND_UPDATE, 10) == 11_295 * 10 + 23_539
 
 
-def test_cost_of_call_branch_surcharge():
+def test_base_cost_branch_surcharge():
     model = CostModel(branch_unit=500)
     assert (
-        cost_of_call(KIND_DEMAND, 5, branch_events=3, model=model)
+        model.base_cost(KIND_DEMAND, 5, branch_events=3)
         == 13_616 * 5 + 47_245 + 1500
     )
     with pytest.raises(ValueError):
-        cost_of_call("bogus", 5)
+        DEFAULT_COST_MODEL.base_cost("bogus", 5)
 
 
 def test_claim_costs_affine_exact_across_sweep():

@@ -1,6 +1,8 @@
 import json
 
-from fairpool.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+import pytest
+
+from fairpool.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _wilson_interval, main
 
 
 def run_cli(*argv):
@@ -87,6 +89,16 @@ def test_stats_writes_summary(tmp_path):
     lo, hi = summary["under_by_one"]["ci95"]
     assert lo <= summary["under_by_one"]["fraction"] <= hi
     assert summary["under_by_more"] == 0
+
+
+def test_wilson_interval_has_width_at_zero_count():
+    for total in (1, 10, 800, 10_000):
+        lo, hi = _wilson_interval(0, total)
+        assert lo == 0 < hi
+        lo, hi = _wilson_interval(total, total)
+        assert lo < hi == 1
+    assert _wilson_interval(0, 10)[1] == pytest.approx(1.96**2 / (10 + 1.96**2))
+    assert _wilson_interval(5, 10) == pytest.approx((0.2366, 0.7634), abs=1e-4)
 
 
 def test_stats_independent_reserve_mode(tmp_path):
