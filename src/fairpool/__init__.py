@@ -9,9 +9,6 @@ from .alloc import (
     drf_allocate,
     pdrf_allocate,
     progressive_filling,
-    weighted_dominant_share,
-    weighted_pdrf_allocate,
-    weighted_progressive_filling,
 )
 from .chainsim import (
     BlockTx,
@@ -89,9 +86,6 @@ __all__ = [
     "reference_task_counts",
     "replay",
     "run_simulation",
-    "weighted_dominant_share",
-    "weighted_pdrf_allocate",
-    "weighted_progressive_filling",
     "write_cost_csv",
     "write_trace_file",
 ]

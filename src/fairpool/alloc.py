@@ -1,14 +1,19 @@
-"""Exact-rational fair-allocation algorithms.
+"""Exact fair-allocation algorithms.
 
 Single-resource max-min filling, dominant-share allocation for multiple
 resource types, and the precomputed variant that replaces the task-by-task
-allocation loop with a closed-form cycle count.  Everything here computes
-with exact rationals so results are bit-reproducible and usable as ground
-truth for the fixed-point machine.
+allocation loop with a closed-form cycle count.  Each algorithm takes
+optional weights; unit weights, the default, give the unweighted form.
+Everything here is exact, so results are bit-reproducible and usable as
+ground truth for the fixed-point machine.  The multi-resource allocators
+compare ratios as integer pairs by cross-multiplication and build a
+``Fraction`` only for values they return; progressive filling splits
+rational amounts and computes in ``Fraction`` throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -51,43 +56,20 @@ def _as_fraction(value: Rational, what: str) -> Fraction:
 
 
 def progressive_filling(
-    demands: Sequence[Rational], reserve: Rational
+    demands: Sequence[Rational],
+    reserve: Rational,
+    weights: WeightVector | None = None,
 ) -> list[Fraction]:
     """Max-min fair split of a single divisible resource.
 
-    Each round reserves an equal share of what is left for every
-    unsatisfied user; users whose maximum demand fits their share are
-    paid in full and removed, and the residue is re-split.  When a round
-    satisfies nobody, everyone takes exactly their share and the reserve
-    is exhausted.
+    Each round offers every unsatisfied user a share of what is left in
+    proportion to its weight (1 per user when ``weights`` is omitted);
+    users whose maximum demand fits their share are paid in full and
+    removed, and the residue is re-split.  When a round satisfies
+    nobody, everyone takes exactly their share and the reserve is
+    exhausted.
     """
-    total = _as_fraction(reserve, "reserve")
-    wants = [_as_fraction(d, "demand") for d in demands]
-    allocs: list[Fraction] = [Fraction(0)] * len(wants)
-    active = [i for i, d in enumerate(wants) if d > 0]
-    while active and total > 0:
-        share = total / len(active)
-        satisfied = [i for i in active if wants[i] <= share]
-        if not satisfied:
-            for i in active:
-                allocs[i] = share
-            return allocs
-        for i in satisfied:
-            allocs[i] = wants[i]
-            total -= wants[i]
-        active = [i for i in active if i not in satisfied]
-    return allocs
-
-
-def weighted_progressive_filling(
-    demands: Sequence[Rational],
-    weights: WeightVector,
-    reserve: Rational,
-) -> list[Fraction]:
-    """Progressive filling with per-user shares proportional to weights.
-
-    Equal weights reduce to plain progressive_filling exactly.
-    """
+    weights = (1,) * len(demands) if weights is None else weights
     if len(weights) != len(demands):
         raise ValueError(
             f"need one weight per user: {len(weights)} weights, {len(demands)} users"
@@ -102,7 +84,7 @@ def weighted_progressive_filling(
         satisfied = [i for i in active if wants[i] <= shares[i]]
         if not satisfied:
             for i in active:
-                allocs[i] = min(wants[i], shares[i])
+                allocs[i] = shares[i]
             return allocs
         for i in satisfied:
             allocs[i] = wants[i]
@@ -112,61 +94,33 @@ def weighted_progressive_filling(
 
 
 def dominant_share(
-    demand: ResourceVector, reserves: ResourceVector
-) -> tuple[Fraction, int]:
-    """Highest demand-to-reserve ratio and the resource index attaining it.
-
-    Ties break toward the lowest resource index.
-    """
-    if len(demand) != len(reserves):
-        raise ValueError("demand and reserves must have the same resource count")
-    if demand.is_zero():
-        raise ValueError("demand must have a positive component")
-    best: Fraction | None = None
-    best_index = -1
-    for r, (d, res) in enumerate(zip(demand, reserves)):
-        if res == 0:
-            raise ValueError(f"reserve for resource {r} is zero")
-        ratio = Fraction(d, res)
-        if best is None or ratio > best:
-            best = ratio
-            best_index = r
-    assert best is not None
-    return best, best_index
-
-
-def weighted_dominant_share(
     demand: ResourceVector,
-    weights: WeightVector,
     reserves: ResourceVector,
+    weights: WeightVector | None = None,
 ) -> tuple[Fraction, int]:
-    """Dominant share with each reserve scaled by its weight.
+    """Highest ratio d_r / (w_r * reserve_r) and the resource index attaining it.
 
-    Unit weights reduce to dominant_share exactly.
+    ``weights`` holds one weight per resource and defaults to 1 each.
+    Each ratio is kept as the integer pair (d_r * w_r.denominator,
+    reserve_r * w_r.numerator) and compared by cross-multiplication; ties
+    break toward the lowest resource index.
     """
+    weights = (1,) * len(reserves) if weights is None else weights
     if len(weights) != len(reserves):
         raise ValueError("need one weight per resource")
     if len(demand) != len(reserves):
         raise ValueError("demand and reserves must have the same resource count")
     if demand.is_zero():
         raise ValueError("demand must have a positive component")
-    best: Fraction | None = None
-    best_index = -1
-    for r, (d, res) in enumerate(zip(demand, reserves)):
+    # -1/1 is below every ratio, so resource 0 always takes the lead.
+    best_num, best_den, best_index = -1, 1, -1
+    for r, (d, res, w) in enumerate(zip(demand, reserves, weights)):
         if res == 0:
             raise ValueError(f"reserve for resource {r} is zero")
-        ratio = Fraction(d) / (weights[r] * res)
-        if best is None or ratio > best:
-            best = ratio
-            best_index = r
-    assert best is not None
-    return best, best_index
-
-
-def _check_reserves_positive(reserves: ResourceVector) -> None:
-    for r, v in enumerate(reserves):
-        if v == 0:
-            raise ValueError(f"reserve for resource {r} is zero")
+        num, den = d * w.denominator, res * w.numerator
+        if num * best_den > best_num * den:
+            best_num, best_den, best_index = num, den, r
+    return Fraction(best_num, best_den), best_index
 
 
 def _drf_loop(
@@ -222,77 +176,57 @@ def drf_allocate(demands: DemandSet, reserves: ResourceVector) -> AllocationResu
     """
     if not len(demands):
         return AllocationResult((), (), reserves, Fraction(0))
-    _check_reserves_positive(reserves)
     vectors = demands.demands
     shares = [dominant_share(d, reserves)[0] for d in vectors]
     tasks, _ = _drf_loop(vectors, shares, reserves)
     return _result(vectors, tasks, reserves, Fraction(0))
 
 
-def _pdrf_counts(
-    demands: Sequence[ResourceVector],
-    shares: Sequence[Fraction],
+def pdrf_allocate(
+    demands: DemandSet,
     reserves: ResourceVector,
-) -> tuple[list[int], Fraction]:
-    """Closed-form cycle count and floored per-user task counts.
-
-    One cycle drains, per resource, the demand of every user scaled by
-    the ratio of the largest dominant share to her own; the cycle count
-    is the tightest reserve-to-drain ratio.
-    """
-    share_star = max(shares)
-    ratios = [share_star / s for s in shares]
-    cycles: Fraction | None = None
-    for r, reserve in enumerate(reserves):
-        drain = sum(ratios[i] * demands[i][r] for i in range(len(demands)))
-        if drain == 0:
-            continue
-        bound = Fraction(reserve) / drain
-        if cycles is None or bound < cycles:
-            cycles = bound
-    assert cycles is not None  # every demand has a positive component
-    tasks = [int(cycles * ratio) for ratio in ratios]
-    return tasks, cycles
-
-
-def pdrf_allocate(demands: DemandSet, reserves: ResourceVector) -> AllocationResult:
+    weights: Sequence[WeightVector] | None = None,
+) -> AllocationResult:
     """Precomputed dominant-resource-fair allocation.
 
     Computes how many whole task cycles fit before some resource depletes
-    and hands every user her floored cycle multiple in one step, with no
-    per-task loop.
+    and hands every user its floored cycle multiple in one step, with no
+    per-task loop.  ``weights`` holds one per-resource weight vector per
+    user (see dominant_share); omitting it means unit weights.
+
+    One cycle gives user i s*/s_i tasks, where s_i is its dominant share
+    and s* the largest.  All of it is integer arithmetic: with
+    s_i = a_i/b_i in lowest terms, let L = lcm(a_i) and
+    c_i = b_i * (L / a_i), an integer proportional to 1/s_i.  A cycle
+    drains resource r in proportion to N_r = sum_i c_i * d_ir.  The
+    binding resource minimises R_r / N_r (compared by cross-multiplication,
+    skipping N_r = 0), user i gets R_r * c_i // N_r tasks, and the cycle
+    count is R_r * L * b* / (N_r * a*) for s* = a*/b*, which is
+    R_r * c* / N_r with c* = min c_i.
     """
-    if not len(demands):
-        return AllocationResult((), (), reserves, Fraction(0))
-    _check_reserves_positive(reserves)
-    vectors = demands.demands
-    shares = [dominant_share(d, reserves)[0] for d in vectors]
-    tasks, cycles = _pdrf_counts(vectors, shares, reserves)
-    return _result(vectors, tasks, reserves, cycles)
-
-
-def weighted_pdrf_allocate(
-    demands: DemandSet,
-    weights: Sequence[WeightVector],
-    reserves: ResourceVector,
-) -> AllocationResult:
-    """Precomputed allocation with per-user per-resource weights.
-
-    Unit weights reproduce pdrf_allocate exactly.
-    """
-    if len(weights) != len(demands):
+    n = len(demands)
+    weights = [None] * n if weights is None else weights
+    if len(weights) != n:
         raise ValueError(
-            f"need one weight vector per user: {len(weights)} for {len(demands)} users"
+            f"need one weight vector per user: {len(weights)} for {n} users"
         )
-    if not len(demands):
+    if not n:
         return AllocationResult((), (), reserves, Fraction(0))
-    _check_reserves_positive(reserves)
     vectors = demands.demands
     shares = [
-        weighted_dominant_share(d, w, reserves)[0]
-        for d, w in zip(vectors, weights)
+        dominant_share(d, reserves, w)[0] for d, w in zip(vectors, weights)
     ]
-    tasks, cycles = _pdrf_counts(vectors, shares, reserves)
+    lcm = math.lcm(*(s.numerator for s in shares))
+    scales = [s.denominator * (lcm // s.numerator) for s in shares]
+    # 1/0 stands for an unbounded ratio, so the first drained resource binds.
+    bound_reserve, bound_drain = 1, 0
+    for r, reserve in enumerate(reserves):
+        drain = sum(c * d[r] for c, d in zip(scales, vectors))
+        if drain and reserve * bound_drain < bound_reserve * drain:
+            bound_reserve, bound_drain = reserve, drain
+    assert bound_drain  # every demand has a positive component
+    tasks = [bound_reserve * c // bound_drain for c in scales]
+    cycles = Fraction(bound_reserve * min(scales), bound_drain)
     return _result(vectors, tasks, reserves, cycles)
 
 

@@ -128,6 +128,7 @@ class AllocationMachine:
         self._max_recip: list[int] = [0, 0]
         self._k_prime = 0
         self._epoch = 1
+        self._last_block = config.offset
         self._reset_epoch = 0
         self._users: dict[int, _UserSlot] = {}
         self._transitions = 0
@@ -200,13 +201,19 @@ class AllocationMachine:
         On a transition: replenish the pool that will take the new
         epoch's demands, and recompute the cycle count for the pool the
         new epoch's claims will drain.  Returns True iff a transition
-        executed; calling again at the same block is a no-op.
+        executed; calling again at the same block is a no-op.  Blocks
+        never go back: a block below the last one seen raises.
         """
         cfg = self._cfg
         if block < cfg.offset:
             raise MachineError(
                 f"block {block} precedes the deployment offset {cfg.offset}"
             )
+        if block < self._last_block:
+            raise MachineError(
+                f"block {block} precedes the last block seen, {self._last_block}"
+            )
+        self._last_block = block
         epoch = (block - cfg.offset) // cfg.epoch_span + 1
         if epoch <= self._epoch:
             return False

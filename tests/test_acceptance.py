@@ -25,8 +25,6 @@ from fairpool import (
     progressive_filling,
     replay,
     run_simulation,
-    weighted_pdrf_allocate,
-    weighted_progressive_filling,
 )
 from fairpool.chainsim import KIND_CLAIM
 
@@ -215,7 +213,7 @@ def test_criterion_7_reduction_identities():
         demands = [rng.randint(0, 30) for _ in range(n)]
         reserve = rng.randint(0, 100)
         equal = WeightVector([rng.randint(1, 5)] * n)
-        if weighted_progressive_filling(demands, equal, reserve) == (
+        if progressive_filling(demands, reserve, equal) == (
             progressive_filling(demands, reserve)
         ):
             filling_ok += 1
@@ -231,7 +229,7 @@ def test_criterion_7_reduction_identities():
         )
         reserves = ResourceVector([rng.randint(10, 500) for _ in range(m)])
         weights = [WeightVector([1] * m) for _ in range(n)]
-        if weighted_pdrf_allocate(demands, weights, reserves) == pdrf_allocate(
+        if pdrf_allocate(demands, reserves, weights) == pdrf_allocate(
             demands, reserves
         ):
             precomputed_ok += 1

@@ -12,9 +12,6 @@ from fairpool import (
     drf_allocate,
     pdrf_allocate,
     progressive_filling,
-    weighted_dominant_share,
-    weighted_pdrf_allocate,
-    weighted_progressive_filling,
 )
 
 
@@ -57,22 +54,22 @@ def test_progressive_filling_exact_rationals():
 
 def test_weighted_filling_proportional_split():
     w = WeightVector([1, 1, 2])
-    assert weighted_progressive_filling([10, 10, 10], w, 8) == [2, 2, 4]
+    assert progressive_filling([10, 10, 10], 8, w) == [2, 2, 4]
 
 
 def test_weighted_filling_equal_weights_is_plain():
     w = WeightVector([1, 1, 1])
-    assert weighted_progressive_filling([2, 4, 6], w, 10) == [2, 4, 4]
+    assert progressive_filling([2, 4, 6], 10, w) == [2, 4, 4]
 
 
 def test_weighted_filling_residue_capped():
     w = WeightVector([3, 1])
-    assert weighted_progressive_filling([1, 9], w, 8) == [1, 7]
+    assert progressive_filling([1, 9], 8, w) == [1, 7]
 
 
 def test_weighted_filling_weight_count_mismatch():
     with pytest.raises(ValueError):
-        weighted_progressive_filling([1, 2], WeightVector([1]), 5)
+        progressive_filling([1, 2], 5, WeightVector([1]))
 
 
 def test_weighted_equals_plain_on_random_instances():
@@ -82,7 +79,7 @@ def test_weighted_equals_plain_on_random_instances():
         demands = [rng.randint(0, 20) for _ in range(n)]
         reserve = rng.randint(0, 60)
         w = WeightVector([1] * n)
-        assert weighted_progressive_filling(demands, w, reserve) == (
+        assert progressive_filling(demands, reserve, w) == (
             progressive_filling(demands, reserve)
         )
 
@@ -115,14 +112,14 @@ def test_dominant_share_rejects_zero_reserve_and_zero_demand():
 
 def test_weighted_dominant_share_examples():
     r = ResourceVector([9, 18])
-    assert weighted_dominant_share(
-        ResourceVector([1, 4]), WeightVector([1, 1]), r
+    assert dominant_share(
+        ResourceVector([1, 4]), r, WeightVector([1, 1])
     ) == (Fraction(2, 9), 1)
-    assert weighted_dominant_share(
-        ResourceVector([1, 4]), WeightVector([1, 2]), r
+    assert dominant_share(
+        ResourceVector([1, 4]), r, WeightVector([1, 2])
     ) == (Fraction(1, 9), 0)
-    assert weighted_dominant_share(
-        ResourceVector([2, 2]), WeightVector([2, 1]), ResourceVector([4, 4])
+    assert dominant_share(
+        ResourceVector([2, 2]), ResourceVector([4, 4]), WeightVector([2, 1])
     ) == (Fraction(1, 2), 1)
 
 
@@ -134,7 +131,7 @@ def test_weighted_dominant_share_unit_weights_reduce():
             [rng.randint(0, 9) for _ in range(m - 1)] + [rng.randint(1, 9)]
         )
         r = ResourceVector([rng.randint(1, 100) for _ in range(m)])
-        assert weighted_dominant_share(d, WeightVector([1] * m), r) == (
+        assert dominant_share(d, r, WeightVector([1] * m)) == (
             dominant_share(d, r)
         )
 
@@ -237,7 +234,7 @@ def test_pdrf_conservation_and_nonnegative_remaining():
         results = (
             drf_allocate(demands, reserves),
             pdrf_allocate(demands, reserves),
-            weighted_pdrf_allocate(demands, weights, reserves),
+            pdrf_allocate(demands, reserves, weights),
         )
         for result in results:
             used = ResourceVector.zeros(m)
@@ -283,20 +280,20 @@ def test_weighted_pdrf_unit_weights_match():
     demands = DemandSet.from_vectors([[1, 4], [3, 1]])
     reserves = ResourceVector([9, 18])
     weights = [WeightVector([1, 1]), WeightVector([1, 1])]
-    assert weighted_pdrf_allocate(demands, weights, reserves).task_counts == (3, 2)
+    assert pdrf_allocate(demands, reserves, weights).task_counts == (3, 2)
 
 
 def test_weighted_pdrf_symmetry():
     demands = DemandSet.from_vectors([[1, 1], [1, 1]])
     weights = [WeightVector([1, 1]), WeightVector([1, 1])]
-    result = weighted_pdrf_allocate(demands, weights, ResourceVector([4, 4]))
+    result = pdrf_allocate(demands, ResourceVector([4, 4]), weights)
     assert result.task_counts == (2, 2)
 
 
 def test_weighted_pdrf_doubled_weight_doubles_ratio():
     demands = DemandSet.from_vectors([[1, 1], [1, 1]])
     weights = [WeightVector([2, 2]), WeightVector([1, 1])]
-    result = weighted_pdrf_allocate(demands, weights, ResourceVector([6, 6]))
+    result = pdrf_allocate(demands, ResourceVector([6, 6]), weights)
     assert result.task_counts == (4, 2)
     assert result.remaining == ResourceVector([0, 0])
 
@@ -308,17 +305,17 @@ def test_weighted_pdrf_unit_weights_reduce_on_random_instances():
         m = rng.randint(1, 4)
         demands, reserves = _random_instance(rng, n, m)
         weights = [WeightVector([1] * m) for _ in range(n)]
-        assert weighted_pdrf_allocate(demands, weights, reserves) == (
+        assert pdrf_allocate(demands, reserves, weights) == (
             pdrf_allocate(demands, reserves)
         )
 
 
 def test_weighted_pdrf_weight_count_mismatch():
     with pytest.raises(ValueError):
-        weighted_pdrf_allocate(
+        pdrf_allocate(
             DemandSet.from_vectors([[1, 1], [2, 2]]),
-            [WeightVector([1, 1])],
             ResourceVector([5, 5]),
+            [WeightVector([1, 1])],
         )
 
 
@@ -356,3 +353,94 @@ def test_compare_soft_invariant_small_sample():
         stats = compare_pdrf_drf(demands, ResourceVector((shared,) * 4))
         under_more += stats.under_by_more
     assert under_more == 0
+
+
+# --- integer core against a Fraction oracle --------------------------------
+#
+# The oracle computes the same quantities directly in Fraction arithmetic:
+# each ratio is a Fraction, and the cycle count is the smallest
+# reserve-to-drain ratio over per-user cycle multiples s*/s_i.
+
+
+def _oracle_dominant_share(demand, weights, reserves):
+    best = None
+    best_index = -1
+    for r, (d, res) in enumerate(zip(demand, reserves)):
+        ratio = Fraction(d) / (weights[r] * res)
+        if best is None or ratio > best:
+            best = ratio
+            best_index = r
+    return best, best_index
+
+
+def _oracle_pdrf(demands, reserves, weights):
+    vectors = demands.demands
+    shares = [
+        _oracle_dominant_share(d, w, reserves)[0] for d, w in zip(vectors, weights)
+    ]
+    share_star = max(shares)
+    ratios = [share_star / s for s in shares]
+    cycles = None
+    for r, reserve in enumerate(reserves):
+        drain = sum(ratios[i] * vectors[i][r] for i in range(len(vectors)))
+        if drain == 0:
+            continue
+        bound = Fraction(reserve) / drain
+        if cycles is None or bound < cycles:
+            cycles = bound
+    tasks = [int(cycles * ratio) for ratio in ratios]
+    allocations = tuple(d.scale(t) for d, t in zip(vectors, tasks))
+    remaining = reserves
+    for a in allocations:
+        remaining = remaining - a
+    return tasks, allocations, remaining, cycles
+
+
+def _assert_matches_oracle(demands, reserves, weights=None):
+    """Omitted weights run pdrf_allocate's default path against unit
+    weights in the oracle."""
+    unit = [WeightVector([1] * len(reserves))] * len(demands)
+    oracle_weights = unit if weights is None else weights
+    for d, w in zip(demands.demands, oracle_weights):
+        assert dominant_share(d, reserves, w) == _oracle_dominant_share(
+            d, w, reserves
+        )
+    result = pdrf_allocate(demands, reserves, weights)
+    tasks, allocations, remaining, cycles = _oracle_pdrf(
+        demands, reserves, oracle_weights
+    )
+    assert result.task_counts == tuple(tasks)
+    assert result.allocations == allocations
+    assert result.remaining == remaining
+    assert result.cycles == cycles
+
+
+def test_pdrf_matches_fraction_oracle_on_criterion_4_stream():
+    rng = random.Random(0)
+    for _ in range(2000):
+        demands = DemandSet.from_vectors(
+            [[rng.randint(1, 10) for _ in range(4)] for _ in range(10)]
+        )
+        shared = rng.randint(100, 1000)
+        _assert_matches_oracle(demands, ResourceVector((shared,) * 4))
+
+
+def test_pdrf_matches_fraction_oracle_with_fractional_weights():
+    rng = random.Random(9)
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        m = rng.randint(1, 5)
+        vectors = []
+        for _ in range(n):
+            vector = [rng.randint(0, 9) for _ in range(m)]
+            vector[rng.randrange(m)] = rng.randint(1, 9)
+            vectors.append(vector)
+        demands = DemandSet.from_vectors(vectors)
+        reserves = ResourceVector([rng.randint(1, 300) for _ in range(m)])
+        weights = [
+            WeightVector(
+                [Fraction(rng.randint(1, 20), rng.randint(1, 10)) for _ in range(m)]
+            )
+            for _ in range(n)
+        ]
+        _assert_matches_oracle(demands, reserves, weights)

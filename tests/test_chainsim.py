@@ -179,6 +179,17 @@ def test_simulation_error_carries_block():
     assert "block 1" in str(exc_info.value)
 
 
+def test_decreasing_block_raises_at_that_block():
+    config = SimConfig(users=2, resources=2, epochs=2, seed=6)
+    txs = build_schedule(config)
+    # user 1's claim, block 6, restamped before user 0's claim at block 5
+    assert (txs[5].kind, txs[5].block) == (KIND_CLAIM, 6)
+    txs[5] = dataclasses.replace(txs[5], block=4)
+    with pytest.raises(SimulationError, match="precedes the last block") as info:
+        _execute(_make_machine(config), txs, CostModel())
+    assert info.value.block == 4
+
+
 def test_schedule_law_demand_then_claim_next_epoch():
     config = SimConfig(users=3, resources=2, epochs=5, seed=7)
     trace = run_simulation(config)

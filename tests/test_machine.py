@@ -120,6 +120,29 @@ def test_update_state_rejects_blocks_before_offset():
         machine.update_state(9)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda machine: machine.update_state(2),
+        lambda machine: machine.demand(0, ResourceVector([1, 1]), 2),
+        lambda machine: machine.claim(1, 2),
+    ],
+    ids=["update_state", "demand", "claim"],
+)
+def test_block_below_last_seen_rejected(call):
+    machine = make_machine()
+    machine.register_user(0)
+    machine.register_user(1)
+    machine.demand(1, ResourceVector([3, 1]), 1)
+    machine.update_state(5)  # epoch 2: user 1 may claim, user 0 demand
+    before = machine.snapshot()
+    with pytest.raises(MachineError, match="precedes the last block seen"):
+        call(machine)
+    assert machine.snapshot() == before
+    # the same block again is still a no-op
+    assert machine.update_state(5) is False
+
+
 def test_epoch_monotone_over_nondecreasing_blocks():
     machine = make_machine(es=3)
     seen = [machine.epoch]
