@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from heapq import heapify, heapreplace
+from operator import le, mul
+from typing import Iterable, Sequence
 
 from .vectors import DemandSet, Rational, ResourceVector, WeightVector
 
@@ -103,7 +105,9 @@ def dominant_share(
     ``weights`` holds one weight per resource and defaults to 1 each.
     Each ratio is kept as the integer pair (d_r * w_r.denominator,
     reserve_r * w_r.numerator) and compared by cross-multiplication; ties
-    break toward the lowest resource index.
+    break toward the lowest resource index.  Components the user does not
+    demand are skipped, so a zero reserve is an error only where the
+    demand is positive.
     """
     weights = (1,) * len(reserves) if weights is None else weights
     if len(weights) != len(reserves):
@@ -112,74 +116,132 @@ def dominant_share(
         raise ValueError("demand and reserves must have the same resource count")
     if demand.is_zero():
         raise ValueError("demand must have a positive component")
-    # -1/1 is below every ratio, so resource 0 always takes the lead.
+    # -1/1 is below every ratio, so the first demanded resource takes the lead.
     best_num, best_den, best_index = -1, 1, -1
     for r, (d, res, w) in enumerate(zip(demand, reserves, weights)):
+        if d == 0:
+            continue
         if res == 0:
-            raise ValueError(f"reserve for resource {r} is zero")
+            raise ValueError(
+                f"positive demand against a zero reserve for resource {r}"
+            )
         num, den = d * w.denominator, res * w.numerator
         if num * best_den > best_num * den:
             best_num, best_den, best_index = num, den, r
     return Fraction(best_num, best_den), best_index
 
 
-def _drf_loop(
-    demands: Sequence[ResourceVector],
-    shares: Sequence[Fraction],
-    reserves: ResourceVector,
-) -> tuple[list[int], list[int]]:
-    """Task-by-task allocation loop equalizing allocated dominant shares.
+def _remaining(
+    columns: Iterable[Sequence[int]],
+    tasks: Sequence[int],
+    reserves: Sequence[int],
+) -> list[int]:
+    """reserve_r - sum_i tasks_i * d_ir per resource; ``columns[r]`` holds d_ir."""
+    return [res - sum(map(mul, tasks, col)) for res, col in zip(reserves, columns)]
 
-    Repeatedly selects the user with the minimum allocated share (ties:
-    lowest position) and grants one task; stops the first time the
-    selected user's demand no longer fits the remaining reserves.
+
+def _drf_loop(
+    rows: Sequence[Sequence[int]],
+    shares: Sequence[Fraction],
+    reserves: Sequence[int],
+) -> tuple[list[int], list[int]]:
+    """Task counts and leftover reserves of the task-by-task DRF loop.
+
+    The loop repeatedly selects the user with the minimum allocated share
+    t_i * s_i (ties: lowest position) and grants one task; it stops the
+    first time the selected user's demand no longer fits the remaining
+    reserves.  This function returns the same counts without running the
+    loop task by task.
+
+    Integer keys: with D = lcm of the share denominators, k_i = s_i * D is
+    an integer and the loop grants, in order, the picks (t * k_i, i) for
+    t = 0, 1, ... over all users, smallest first.  Let F(K) be the total
+    demand of the picks with key below K; each user has ceil(K / k_i) of
+    them, and they are a prefix of the pick order.  Demands are
+    non-negative, so consumption only grows along the order: the loop
+    stops at the first pick whose cumulative total exceeds the reserves,
+    and any prefix with F(K) <= R is granted in full.  So the loop's stop
+    is a pick with key K*, the largest K with F(K) <= R.
+
+    Bracketing K*: ceil(K / k_i) lies in [K / k_i, K / k_i + 1), and with
+    pdrf's integers (L = lcm of the share numerators, c_i = b_i * L / a_i
+    for s_i = a_i / b_i, N_r = sum_i c_i * d_ir) sum_i d_ir / k_i is
+    N_r / (L * D).  Over resources with N_r > 0 (others are never
+    consumed), lo = min floor(max(0, R_r - sum_i d_ir) * L * D / N_r) thus
+    has F(lo) <= R, and K* <= hi = min floor(R_r * L * D / N_r).  The
+    bracket holds sum_i (hi // k_i - (lo - 1) // k_i) picks, at most n
+    once lo = hi.  While it holds more than 2n, testing F at its middle
+    halves it.  That takes at most log2(hi - lo) steps and is rare: the
+    jump to lo usually leaves a handful of picks, whatever the reserves.
+
+    From lo, a heap on (t_i * k_i, i) replays the loop's own picks until
+    the first one that does not fit, at most 2n + 1 of them.
     """
-    n = len(demands)
-    m = len(reserves)
-    # Compare t_a*s_a < t_b*s_b by integer cross-multiplication.
-    nums = [s.numerator for s in shares]
-    dens = [s.denominator for s in shares]
-    tasks = [0] * n
-    remaining = list(reserves)
+    columns = list(zip(*rows))
+    ratios = [s.as_integer_ratio() for s in shares]
+    nums, dens = zip(*ratios)
+    num, den = math.lcm(*nums), math.lcm(*dens)  # L and D
+    keys = [a * (den // b) for a, b in ratios]  # k_i
+    scales = [b * (num // a) for a, b in ratios]  # c_i
+    scale = num * den
+    # (R_r, sum_i d_ir, N_r) for the resources with N_r > 0.
+    drains = [
+        (res, sum(col), drain)
+        for res, col in zip(reserves, columns)
+        if (drain := sum(map(mul, scales, col)))
+    ]
+    lo = min(max(0, res - total) * scale // drain for res, total, drain in drains)
+    hi = min(res * scale // drain for res, _, drain in drains)
+    while lo < hi and sum(hi // k - (lo - 1) // k for k in keys) > 2 * len(keys):
+        mid = (lo + hi + 1) // 2
+        if min(_remaining(columns, [-(-mid // k) for k in keys], reserves)) >= 0:
+            lo = mid
+        else:
+            hi = mid - 1
+    tasks = [-(-lo // k) for k in keys]
+    remaining = _remaining(columns, tasks, reserves)
+    assert min(remaining) >= 0
+    heap = [(t * k, i) for i, (t, k) in enumerate(zip(tasks, keys))]
+    heapify(heap)
     while True:
-        pick = 0
-        for i in range(1, n):
-            if tasks[i] * nums[i] * dens[pick] < tasks[pick] * nums[pick] * dens[i]:
-                pick = i
-        d = demands[pick]
-        if any(d[r] > remaining[r] for r in range(m)):
-            break
-        for r in range(m):
-            remaining[r] -= d[r]
-        tasks[pick] += 1
-    return tasks, remaining
+        key, i = heap[0]
+        d = rows[i]
+        if not all(map(le, d, remaining)):
+            return tasks, remaining
+        remaining = [a - b for a, b in zip(remaining, d)]
+        tasks[i] += 1
+        heapreplace(heap, (key + keys[i], i))
 
 
 def _result(
     demands: Sequence[ResourceVector],
     tasks: Sequence[int],
-    reserves: ResourceVector,
+    remaining: Sequence[int],
     cycles: Fraction,
 ) -> AllocationResult:
     allocations = tuple(d.scale(t) for d, t in zip(demands, tasks))
-    remaining = reserves
-    for a in allocations:
-        remaining = remaining - a
-    return AllocationResult(tuple(tasks), allocations, remaining, cycles)
+    # The constructor rejects a negative component.
+    return AllocationResult(
+        tuple(tasks), allocations, ResourceVector(remaining), cycles
+    )
 
 
 def drf_allocate(demands: DemandSet, reserves: ResourceVector) -> AllocationResult:
-    """Dominant-resource-fair allocation by the task-by-task loop.
+    """Dominant-resource-fair allocation: the task-by-task loop's result.
 
     This is the reference ground truth the precomputed allocator is
-    measured against.
+    measured against.  ``_drf_loop`` reaches the loop's stopping point
+    without granting tasks one at a time, so the cost does not depend on
+    the reserve size, apart from a rarely needed search logarithmic in it.
     """
     if not len(demands):
         return AllocationResult((), (), reserves, Fraction(0))
     vectors = demands.demands
     shares = [dominant_share(d, reserves)[0] for d in vectors]
-    tasks, _ = _drf_loop(vectors, shares, reserves)
-    return _result(vectors, tasks, reserves, Fraction(0))
+    tasks, remaining = _drf_loop(
+        [d.quantities for d in vectors], shares, reserves.quantities
+    )
+    return _result(vectors, tasks, remaining, Fraction(0))
 
 
 def pdrf_allocate(
@@ -227,7 +289,9 @@ def pdrf_allocate(
     assert bound_drain  # every demand has a positive component
     tasks = [bound_reserve * c // bound_drain for c in scales]
     cycles = Fraction(bound_reserve * min(scales), bound_drain)
-    return _result(vectors, tasks, reserves, cycles)
+    columns = zip(*(d.quantities for d in vectors))
+    remaining = _remaining(columns, tasks, reserves.quantities)
+    return _result(vectors, tasks, remaining, cycles)
 
 
 def compare_pdrf_drf(demands: DemandSet, reserves: ResourceVector) -> DiffStats:

@@ -12,6 +12,7 @@ from fairpool import (
     drf_allocate,
     pdrf_allocate,
     progressive_filling,
+    reference_task_counts,
 )
 
 
@@ -193,6 +194,134 @@ def test_drf_sharing_incentive_identical_demands():
         assert max(counts) - min(counts) <= 1
         # ties break toward the lowest id, so counts never increase with id
         assert all(counts[i] >= counts[i + 1] for i in range(n - 1))
+
+
+def test_zero_reserve_nobody_demands_is_skipped():
+    demands = DemandSet.from_vectors([[3, 0], [5, 0]])
+    reserves = ResourceVector([100, 0])
+    assert dominant_share(demands.demands[0], reserves) == (Fraction(3, 100), 0)
+    assert reference_task_counts({0: (3, 0), 1: (5, 0)}, (100, 0)) == {
+        0: 16,
+        1: 10,
+    }
+    for allocate in (drf_allocate, pdrf_allocate):
+        result = allocate(demands, reserves)
+        assert result.task_counts == (16, 10)
+        assert result.remaining == ResourceVector([2, 0])
+
+
+# --- DRF loop against a linear-scan oracle ---------------------------------
+#
+# The oracle is the task-by-task loop itself: every step scans all users
+# for the minimum allocated share t_i * s_i (ties: lowest position) and
+# grants one task, until the selected user's demand does not fit.
+
+
+def _scan_drf_loop(demands, shares, reserves):
+    n = len(demands)
+    m = len(reserves)
+    nums = [s.numerator for s in shares]
+    dens = [s.denominator for s in shares]
+    tasks = [0] * n
+    remaining = list(reserves)
+    while True:
+        pick = 0
+        for i in range(1, n):
+            if tasks[i] * nums[i] * dens[pick] < tasks[pick] * nums[pick] * dens[i]:
+                pick = i
+        d = demands[pick]
+        if any(d[r] > remaining[r] for r in range(m)):
+            break
+        for r in range(m):
+            remaining[r] -= d[r]
+        tasks[pick] += 1
+    return tasks, remaining
+
+
+def _assert_matches_scan(demands, reserves):
+    vectors = demands.demands
+    shares = [dominant_share(d, reserves)[0] for d in vectors]
+    tasks, remaining = _scan_drf_loop(vectors, shares, reserves)
+    result = drf_allocate(demands, reserves)
+    assert result.task_counts == tuple(tasks)
+    assert result.allocations == tuple(d.scale(t) for d, t in zip(vectors, tasks))
+    assert result.remaining == ResourceVector(remaining)
+
+
+def test_drf_matches_scan_oracle_on_criterion_4_stream():
+    rng = random.Random(0)
+    for _ in range(2000):
+        demands = DemandSet.from_vectors(
+            [[rng.randint(1, 10) for _ in range(4)] for _ in range(10)]
+        )
+        shared = rng.randint(100, 1000)
+        _assert_matches_scan(demands, ResourceVector((shared,) * 4))
+
+
+def test_drf_matches_scan_oracle_on_random_instances():
+    # Zero demand components, independent reserves (zero where nobody
+    # demands), single users and duplicated rows, so that ties occur.
+    # In one instance in five, user 0 is alone on a resource that its
+    # first task drains; the others then take many tasks before the loop
+    # stops, so the jump lands far below the stop.
+    rng = random.Random(11)
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        m = rng.randint(1, 5)
+        rows = []
+        for _ in range(n):
+            row = [rng.randint(0, 9) for _ in range(m)]
+            row[rng.randrange(m)] = rng.randint(1, 9)
+            rows.append(row)
+        for i in range(1, n):
+            if rng.random() < 0.3:
+                rows[i] = list(rows[rng.randrange(i)])
+        reserves = [rng.randint(1, rng.choice([30, 300, 3000])) for _ in range(m)]
+        if m > 1 and rng.random() < 0.2:
+            lone = rng.randrange(m)
+            for row in rows[1:]:
+                row[lone] = 0
+                if not any(row):
+                    row[(lone + 1) % m] = 1
+            rows[0][lone] = reserves[lone]
+        for r in range(m):
+            if not any(row[r] for row in rows):
+                reserves[r] = rng.choice([0, reserves[r]])
+        _assert_matches_scan(DemandSet.from_vectors(rows), ResourceVector(reserves))
+
+
+def test_drf_stopping_certificate_at_huge_reserves():
+    # The scan would need ~1e11 steps here.  The certificate pins the
+    # loop's result: the allocation fits, the next pick in (t_i * s_i, i)
+    # order does not, and every granted pick precedes every next pick.
+    rng = random.Random(12)
+    instances = [
+        (DemandSet.from_vectors([[1000, 0], [0, 1]]), ResourceVector([1000, 10**12]))
+    ]
+    for _ in range(5):
+        m = rng.randint(1, 4)
+        demands = DemandSet.from_vectors(
+            [[rng.randint(1, 10) for _ in range(m)] for _ in range(rng.randint(1, 9))]
+        )
+        reserves = ResourceVector(rng.randint(10**12, 2 * 10**12) for _ in range(m))
+        instances.append((demands, reserves))
+    for demands, reserves in instances:
+        vectors = demands.demands
+        shares = [dominant_share(d, reserves)[0] for d in vectors]
+        tasks = drf_allocate(demands, reserves).task_counts
+        assert sum(tasks) > 10**10
+        used = [
+            sum(t * d[r] for d, t in zip(vectors, tasks)) for r in range(len(reserves))
+        ]
+        assert all(u <= res for u, res in zip(used, reserves))
+        nexts = [(t * s, i) for i, (t, s) in enumerate(zip(tasks, shares))]
+        _, pick = min(nexts)
+        assert any(
+            u + d > res for u, d, res in zip(used, vectors[pick], reserves)
+        )
+        for i, (t, s) in enumerate(zip(tasks, shares)):
+            if t:
+                assert all(((t - 1) * s, i) < nxt for nxt in nexts)
 
 
 # --- precomputed allocation ----------------------------------------------
