@@ -82,7 +82,7 @@ class MachineConfig:
             raise ValueError("precision must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClaimReceipt:
     user: int
     epoch: int
@@ -91,7 +91,7 @@ class ClaimReceipt:
     clamped: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DemandRecord:
     """Echo of an accepted demand.
 
@@ -132,6 +132,7 @@ class AllocationMachine:
         self._reset_epoch = 0
         self._users: dict[int, _UserSlot] = {}
         self._transitions = 0
+        self._injected = config.epoch_reserve  # total_injected() before any transition
 
     @property
     def config(self) -> MachineConfig:
@@ -169,8 +170,13 @@ class AllocationMachine:
         return self._epoch % 2
 
     def total_injected(self) -> ResourceVector:
-        """Deployment reserve plus every replenishment so far."""
-        return self._cfg.epoch_reserve.scale(1 + self._transitions)
+        """Deployment reserve plus every replenishment so far.
+
+        Derived from the transition count when a transition executes,
+        not summed alongside the refills, so ``accounting_gap`` still
+        audits the refill arithmetic.
+        """
+        return self._injected
 
     def snapshot(self) -> dict:
         """Self-describing state record; stable across identical call sequences."""
@@ -203,6 +209,11 @@ class AllocationMachine:
         new epoch's claims will drain.  Returns True iff a transition
         executed; calling again at the same block is a no-op.  Blocks
         never go back: a block below the last one seen raises.
+
+        Idle epochs do not replenish: a block that skips epochs (epoch 1
+        straight to epoch 5) executes one transition and one refill, so
+        there is exactly one refill per executed transition
+        (``test_replenishment_once_per_transition_even_after_idle_epochs``).
         """
         cfg = self._cfg
         if block < cfg.offset:
@@ -219,6 +230,7 @@ class AllocationMachine:
             return False
         self._epoch = epoch
         self._transitions += 1
+        self._injected = cfg.epoch_reserve.scale(1 + self._transitions)
         s = epoch % 2
         refill = self._reserves[1 - s]
         for r, er in enumerate(cfg.epoch_reserve):

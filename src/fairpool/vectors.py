@@ -18,7 +18,9 @@ class ResourceVector:
         if not q:
             raise ValueError("resource vector must have at least one component")
         for v in q:
-            if not isinstance(v, int) or isinstance(v, bool):
+            # ``type(v) is int`` settles the common case; the full test
+            # still admits int subclasses other than bool.
+            if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
                 raise ValueError(f"resource quantity must be an integer, got {v!r}")
             if v < 0:
                 raise ValueError(f"resource quantity must be non-negative, got {v}")

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import statistics
 
 import pytest
@@ -134,6 +135,66 @@ def test_no_demand_epoch_gives_zero_cycles():
     machine.register_user(0)
     machine.update_state(2 * config.users)
     assert machine.cycle_count == 0
+
+
+# The seeded schedule and everything the run derives from it, pinned so
+# that a change to the draw order or to a record cannot go unnoticed.
+GOLDEN_CONFIG = SimConfig(users=8, resources=5, epochs=3, seed=3)
+GOLDEN_TRACE_SHA256 = "61c1317d5acca177ac1aa1c04bf0a2984babd2524e468c309b5072876b2715d1"
+GOLDEN_RECORDS = ((1, None, None, False, 0),) * 8 + (
+    # (epoch, vector, task_count, clamped, cost_units) of every later block
+    (1, (4, 10, 9, 3, 6), None, False, 115825),
+    (1, (10, 8, 10, 2, 10), None, False, 115325),
+    (1, (1, 8, 5, 9, 4), None, False, 116325),
+    (1, (4, 8, 9, 9, 8), None, False, 116325),
+    (1, (7, 3, 4, 3, 9), None, False, 115825),
+    (1, (7, 1, 2, 3, 10), None, False, 115825),
+    (1, (1, 5, 1, 5, 8), None, False, 116325),
+    (1, (10, 7, 7, 7, 10), None, False, 115325),
+    (2, (68, 170, 153, 51, 102), 17, False, 112136),
+    (2, (170, 136, 170, 34, 170), 17, False, 112136),
+    (2, (19, 152, 95, 171, 76), 19, False, 112136),
+    (2, (76, 152, 171, 171, 152), 19, False, 112136),
+    (2, (133, 57, 76, 57, 171), 19, False, 112136),
+    (2, (119, 17, 34, 51, 170), 17, False, 112136),
+    (2, (21, 105, 21, 105, 168), 21, False, 112136),
+    (2, (170, 119, 119, 119, 170), 17, False, 112136),
+    (2, (8, 3, 6, 2, 1), None, False, 115325),
+    (2, (3, 8, 4, 5, 7), None, False, 115825),
+    (2, (5, 7, 9, 7, 10), None, False, 116825),
+    (2, (6, 9, 10, 7, 10), None, False, 116325),
+    (2, (4, 6, 1, 5, 10), None, False, 116325),
+    (2, (3, 6, 9, 10, 10), None, False, 116825),
+    (2, (2, 4, 10, 5, 5), None, False, 116325),
+    (2, (2, 2, 8, 8, 2), None, False, 115825),
+    (3, (192, 72, 144, 48, 24), 24, False, 112136),
+    (3, (72, 192, 96, 120, 168), 24, False, 112136),
+    (3, (95, 133, 171, 133, 190), 19, False, 112136),
+    (3, (114, 171, 190, 133, 190), 19, False, 112136),
+    (3, (76, 114, 19, 95, 190), 19, False, 112136),
+    (3, (57, 114, 171, 190, 190), 19, False, 112136),
+    (3, (38, 76, 190, 95, 95), 19, False, 112136),
+    (3, (48, 48, 192, 192, 48), 24, False, 112136),
+    (3, (6, 2, 7, 3, 1), None, False, 115825),
+    (3, (5, 7, 7, 2, 1), None, False, 115825),
+    (3, (10, 10, 1, 7, 10), None, False, 116325),
+    (3, (6, 9, 5, 9, 4), None, False, 115825),
+    (3, (1, 5, 1, 2, 2), None, False, 115825),
+    (3, (10, 9, 1, 4, 7), None, False, 115325),
+    (3, (5, 10, 5, 3, 1), None, False, 115825),
+    (3, (6, 6, 6, 3, 7), None, False, 116325),
+)
+
+
+def test_golden_trace(tmp_path):
+    trace = run_simulation(GOLDEN_CONFIG)
+    assert tuple(
+        (r.epoch, r.vector, r.task_count, r.clamped, r.cost_units)
+        for r in trace.records
+    ) == GOLDEN_RECORDS
+    path = tmp_path / "golden.txt"
+    write_trace_file(trace, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256
 
 
 def test_trace_determinism_and_replay():

@@ -385,6 +385,53 @@ def test_accounting_identity_random_sequences():
     assert clamp_events == 0
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_stored_total_injected_tracks_transition_count(seed):
+    # total_injected() is stored at each transition; after every call,
+    # valid or rejected, it must equal the reserve times (1 + transitions)
+    # and the pools plus balances must account for all of it.
+    rng = random.Random(seed)
+    n, m, es = 4, 3, 8
+    er = tuple(rng.randint(20, 60) for _ in range(m))
+    machine = make_machine(m=m, es=es, er=er)
+
+    def check():
+        expected = ResourceVector(er).scale(1 + machine.transitions)
+        assert machine.total_injected() == expected
+        assert accounting_gap(machine) == (0,) * m
+
+    check()
+    for u in range(n):
+        machine.register_user(u)
+        check()
+    block = 0
+    for u in range(n):
+        machine.demand(u, ResourceVector([rng.randint(1, 5) for _ in range(m)]), block)
+        block += 1
+        check()
+    # idle epochs 2-4: jump from epoch 1 straight to epoch 5
+    block = 4 * es
+    assert machine.update_state(block)
+    assert (machine.epoch, machine.transitions) == (5, 1)
+    check()
+    for _ in range(300):
+        block += rng.choice((0, 1, 1, 2, 3, es, 3 * es))
+        u = rng.randrange(n)
+        kind = rng.choice(("demand", "claim", "update_state"))
+        try:
+            if kind == "demand":
+                vec = [rng.randint(0, 4) for _ in range(m - 1)] + [rng.randint(1, 4)]
+                machine.demand(u, ResourceVector(vec), block)
+            elif kind == "claim":
+                machine.claim(u, block)
+            else:
+                machine.update_state(block)
+        except MachineError:
+            pass  # duplicate, late or unbacked calls are rejected
+        check()
+    assert machine.transitions > 10
+
+
 def test_snapshot_fields():
     machine = run_worked_epoch()
     snap = machine.snapshot()

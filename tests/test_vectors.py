@@ -1,3 +1,5 @@
+import enum
+
 import pytest
 
 from fairpool import DemandSet, ResourceVector, WeightVector
@@ -22,6 +24,43 @@ def test_resource_vector_rejects_bad_components():
         ResourceVector([1.5, 2])
     with pytest.raises(ValueError):
         ResourceVector([True, 2])
+
+
+class _Units(enum.IntEnum):
+    TWO = 2
+
+
+class _Int(int):
+    pass
+
+
+def test_resource_vector_accepts_int_subclasses_but_not_bool():
+    assert ResourceVector([_Int(3), 0]).quantities == (3, 0)
+    assert ResourceVector([_Units.TWO, 1]) == ResourceVector([2, 1])
+    for flag in (False, True):
+        with pytest.raises(ValueError) as info:
+            ResourceVector([1, flag])
+        assert str(info.value) == f"resource quantity must be an integer, got {flag}"
+
+
+@pytest.mark.parametrize(
+    "components, message",
+    [
+        ([-1], "resource quantity must be non-negative, got -1"),
+        ([_Int(-2)], "resource quantity must be non-negative, got -2"),
+        ([1.0], "resource quantity must be an integer, got 1.0"),
+        (["1"], "resource quantity must be an integer, got '1'"),
+        ([None], "resource quantity must be an integer, got None"),
+        # components are checked in order, each for type then sign
+        ([2, -1, "x"], "resource quantity must be non-negative, got -1"),
+        ([2, "x", -1], "resource quantity must be an integer, got 'x'"),
+        ([], "resource vector must have at least one component"),
+    ],
+)
+def test_resource_vector_rejection_messages(components, message):
+    with pytest.raises(ValueError) as info:
+        ResourceVector(components)
+    assert str(info.value) == message
 
 
 def test_resource_vector_arithmetic():
