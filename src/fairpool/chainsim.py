@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import add, sub
 from typing import Iterable, Mapping
 
@@ -38,7 +38,6 @@ KIND_REGISTER = "register"
 KIND_DEMAND = "demand"
 KIND_CLAIM = "claim"
 KIND_UPDATE = "update_state"
-KIND_NOOP = "noop"
 
 
 class SimulationError(Exception):
@@ -78,16 +77,17 @@ class SimConfig:
         per_resource = self.users * self.per_user_reserve
         return ResourceVector((per_resource,) * self.resources)
 
-    def as_dict(self) -> dict:
-        return {
-            "users": self.users,
-            "resources": self.resources,
-            "epochs": self.epochs,
-            "demand_low": self.demand_low,
-            "demand_high": self.demand_high,
-            "per_user_reserve": self.per_user_reserve,
-            "seed": self.seed,
-        }
+
+# Override key -> the CostModel fields it sets, slope before intercept.
+_COEFFICIENTS = {
+    "claim": ("claim_slope", "claim_intercept"),
+    "demand": ("demand_slope", "demand_intercept"),
+    "update_state": ("update_slope", "update_intercept"),
+    "branch_unit": ("branch_unit",),
+    "demand_setup": ("demand_setup",),
+    "claim_setup": ("claim_setup",),
+    "update_setup": ("update_setup",),
+}
 
 
 @dataclass(frozen=True)
@@ -139,34 +139,34 @@ class CostModel:
         return total
 
     def as_dict(self) -> dict:
-        return {
-            "claim": [self.claim_slope, self.claim_intercept],
-            "demand": [self.demand_slope, self.demand_intercept],
-            "update_state": [self.update_slope, self.update_intercept],
-            "branch_unit": self.branch_unit,
-            "demand_setup": self.demand_setup,
-            "claim_setup": self.claim_setup,
-            "update_setup": self.update_setup,
-        }
+        """Coefficients by override key: a [slope, intercept] pair per call
+        kind, a plain integer for each surcharge."""
+        out: dict = {}
+        for key, fields in _COEFFICIENTS.items():
+            values = [getattr(self, name) for name in fields]
+            out[key] = values if len(values) == 2 else values[0]
+        return out
 
     @classmethod
-    def from_overrides(cls, overrides: Mapping[str, object]) -> "CostModel":
+    def from_overrides(cls, overrides: object) -> "CostModel":
+        """Defaults with ``overrides`` (keyed as in ``as_dict``) applied.
+
+        Raises ValueError unless ``overrides`` is an object whose values
+        are integers, or two-integer pairs for the per-kind keys.
+        """
+        if not isinstance(overrides, Mapping):
+            raise ValueError(f"cost coefficients must be an object, got {overrides!r}")
         kwargs: dict[str, int] = {}
-        pairs = {
-            "claim": ("claim_slope", "claim_intercept"),
-            "demand": ("demand_slope", "demand_intercept"),
-            "update_state": ("update_slope", "update_intercept"),
-        }
         for key, value in overrides.items():
-            if key in pairs:
-                slope_field, intercept_field = pairs[key]
-                slope, intercept = value  # type: ignore[misc]
-                kwargs[slope_field] = int(slope)
-                kwargs[intercept_field] = int(intercept)
-            elif key in ("branch_unit", "demand_setup", "claim_setup", "update_setup"):
-                kwargs[key] = int(value)  # type: ignore[arg-type]
-            else:
+            if key not in _COEFFICIENTS:
                 raise ValueError(f"unknown cost coefficient {key!r}")
+            fields = _COEFFICIENTS[key]
+            values = value if len(fields) == 2 else [value]
+            shaped = isinstance(values, (list, tuple)) and len(values) == len(fields)
+            if not shaped or any(type(v) is not int for v in values):
+                want = "a pair of integers" if len(fields) == 2 else "an integer"
+                raise ValueError(f"cost coefficient {key!r} must be {want}: {value!r}")
+            kwargs.update(zip(fields, values))
         return cls(**kwargs)
 
 
@@ -177,7 +177,7 @@ DEFAULT_COST_MODEL = CostModel()
 class BlockTx:
     block: int
     kind: str
-    user: int | None = None
+    user: int
     vector: tuple[int, ...] | None = None
 
 
@@ -224,20 +224,6 @@ class ReplayResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def gen_demands(
-    n: int, m: int, low: int, high: int, seed: int
-) -> list[ResourceVector]:
-    """n demand vectors with i.i.d. uniform components on [low, high]."""
-    if low > high:
-        raise ValueError("low must be <= high")
-    if low < 1:
-        raise ValueError("low must be at least 1")
-    rng = random.Random(seed)
-    return [
-        ResourceVector(rng.randint(low, high) for _ in range(m)) for _ in range(n)
-    ]
 
 
 def build_schedule(config: SimConfig) -> list[BlockTx]:
@@ -309,14 +295,13 @@ def _execute(
     next block, at O(n) per block.
 
     Each record's ``snapshot`` holds ``epoch``, ``reserves``,
-    ``cycle_count`` and the caller's ``balance`` (None on a block
-    without a caller); recount blocks hold the machine's full
-    ``snapshot()`` instead.  Comparing these per block, as ``replay``
-    does, still compares everything a full snapshot holds: by induction
-    on blocks, two runs that agree at a recount (or at the fresh start)
-    and on every later record agree on everything a call could have
-    changed since, and full snapshots are compared again at the next
-    recount.
+    ``cycle_count`` and the caller's ``balance``; recount blocks hold
+    the machine's full ``snapshot()`` instead.  Comparing these per
+    block, as ``replay`` does, still compares everything a full snapshot
+    holds: by induction on blocks, two runs that agree at a recount (or
+    at the fresh start) and on every later record agree on everything a
+    call could have changed since, and full snapshots are compared again
+    at the next recount.
     """
     txs = list(txs)
     m = machine.config.resource_count
@@ -334,14 +319,10 @@ def _execute(
         cost_units = 0
         transitioned = False
         try:
-            if tx.kind == KIND_NOOP:
-                pass
-            elif tx.kind == KIND_REGISTER:
-                assert tx.user is not None
+            if tx.kind == KIND_REGISTER:
                 machine.register_user(tx.user)
                 ledger[tx.user] = [0] * m
             elif tx.kind in (KIND_DEMAND, KIND_CLAIM):
-                assert tx.user is not None
                 if machine.update_state(tx.block):
                     transitioned = True
                     updates_executed += 1
@@ -395,10 +376,8 @@ def _execute(
         accounted = tuple(map(add, map(add, *reserves), held))
         if injected != accounted:
             _check_gap(tx.block, tuple(map(sub, injected, accounted)))
-        balance = None
-        if tx.kind != KIND_NOOP:
-            balance = machine.balance_of(tx.user).quantities
-            _check_balance(tx.block, tx.user, balance, ledger[tx.user])
+        balance = machine.balance_of(tx.user).quantities
+        _check_balance(tx.block, tx.user, balance, ledger[tx.user])
         if transitioned or index == len(txs) - 1:
             _check_gap(tx.block, accounting_gap(machine))
             snapshot = machine.snapshot()
@@ -454,7 +433,7 @@ def run_simulation(
     header = {
         "format": TRACE_FORMAT,
         "generator": GENERATOR_ID,
-        "config": config.as_dict(),
+        "config": asdict(config),
         "cost_model": cost_model.as_dict(),
     }
     return Trace(header=header, records=tuple(records), costs=tuple(costs))
@@ -519,14 +498,14 @@ def crosscheck_trace(trace: Trace) -> CrosscheckReport:
     claims_by_epoch: dict[int, dict[int, int]] = {}
     for rec in trace.records:
         if rec.tx.kind == KIND_DEMAND:
-            assert rec.tx.user is not None and rec.vector is not None
+            assert rec.vector is not None
             per_user = demands_by_epoch.setdefault(rec.epoch, {})
             per_user[rec.tx.user] = rec.vector
             if rec.epoch not in pool_by_epoch:
                 parity = (rec.epoch + 1) % 2
                 pool_by_epoch[rec.epoch] = rec.snapshot["reserves"][parity]
         elif rec.tx.kind == KIND_CLAIM:
-            assert rec.tx.user is not None and rec.task_count is not None
+            assert rec.task_count is not None
             claims_by_epoch.setdefault(rec.epoch, {})[rec.tx.user] = rec.task_count
 
     epochs_checked = 0
@@ -571,9 +550,8 @@ def write_trace_file(trace: Trace, path: str) -> None:
         fh.write("# " + json.dumps(trace.header, sort_keys=True) + "\n")
         for rec in trace.records:
             vec = ",".join(str(v) for v in rec.vector) if rec.vector else "-"
-            user = rec.tx.user if rec.tx.user is not None else "-"
             fh.write(
-                f"{rec.tx.block} {rec.epoch} {rec.tx.kind} {user} {vec} "
+                f"{rec.tx.block} {rec.epoch} {rec.tx.kind} {rec.tx.user} {vec} "
                 f"{rec.cost_units} {int(rec.clamped)}\n"
             )
 

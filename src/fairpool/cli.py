@@ -8,12 +8,12 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .alloc import compare_pdrf_drf
 from .chainsim import (
+    DEFAULT_COST_MODEL,
     KIND_CLAIM,
     KIND_DEMAND,
     KIND_UPDATE,
@@ -34,20 +34,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
-_DEFAULTS = {
-    "users": 10,
-    "resources": 2,
-    "epochs": 11,
-    "demand_range": (1, 10),
-    "per_user_reserve": 150,
-    "seed": 0,
-    "trials": 1,
-    "sweep": None,
-    "out": "out",
-    "reserve_range": (100, 1000),
-    "independent_reserves": False,
-    "coefficients": {},
-}
+# A config-file list for one of these flags is joined into the flag's text.
+_SEPARATORS = {"demand_range": ":", "reserve_range": ":", "sweep": ","}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,38 +47,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
-class Settings:
-    users: int
-    resources: int
-    epochs: int
-    demand_range: tuple[int, int]
-    per_user_reserve: int
-    seed: int
-    trials: int
-    sweep: list[int] | None
-    out: str
-    reserve_range: tuple[int, int]
-    independent_reserves: bool
-    coefficients: dict
-
-    def sim_config(self, resources: int, seed: int) -> SimConfig:
-        low, high = self.demand_range
-        return SimConfig(
-            users=self.users,
-            resources=resources,
-            epochs=self.epochs,
-            demand_low=low,
-            demand_high=high,
-            per_user_reserve=self.per_user_reserve,
-            seed=seed,
-        )
-
-    def cost_model(self) -> CostModel:
-        return CostModel.from_overrides(self.coefficients)
-
-    def sweep_values(self) -> list[int]:
-        return list(self.sweep) if self.sweep else [self.resources]
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -98,46 +58,24 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo_text, hi_text = text.split(":")
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
-        raise ValueError(f"expected LO:HI, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
     if lo > hi:
-        raise ValueError(f"range low {lo} exceeds high {hi}")
+        raise argparse.ArgumentTypeError(f"range low {lo} exceeds high {hi}")
     return lo, hi
 
 
 def _parse_sweep(text: str) -> list[int]:
-    values = [int(part) for part in text.split(",") if part]
-    if not values:
-        raise ValueError("sweep list is empty")
+    values = [_positive_int(part) for part in text.split(",")]
     if len(set(values)) != len(values):
-        raise ValueError("sweep values must be distinct")
-    if any(v < 1 for v in values):
-        raise ValueError("sweep values must be at least 1")
+        raise argparse.ArgumentTypeError("sweep values must be distinct")
     return values
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--users", type=int, help="number of registered users")
-    sub.add_argument("--resources", type=int, help="number of resource types")
-    sub.add_argument("--epochs", type=int, help="number of epochs to simulate")
-    sub.add_argument(
-        "--demand-range",
-        metavar="LO:HI",
-        help="inclusive bounds for demand components",
-    )
-    sub.add_argument(
-        "--per-user-reserve",
-        type=int,
-        help="replenished units per user per resource per epoch",
-    )
-    sub.add_argument("--seed", type=int, help="base seed for the generator")
-    sub.add_argument("--trials", type=int, help="independent runs or instances")
-    sub.add_argument(
-        "--sweep",
-        metavar="M1,M2,...",
-        help="resource counts to sweep (overrides --resources)",
-    )
-    sub.add_argument("--config", metavar="PATH", help="JSON config file")
-    sub.add_argument("--out", metavar="DIR", help="output directory")
+def _parse_cost_model(text: str) -> CostModel:
+    try:
+        return CostModel.from_overrides(json.loads(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> _Parser:
@@ -149,46 +87,88 @@ def build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     run = sub.add_parser("run", help="run simulations, write traces and cost CSV")
-    _add_common_flags(run)
-
     cross = sub.add_parser(
         "crosscheck",
         help="recompute every claim with the fixed-point and exact references",
     )
-    _add_common_flags(cross)
-
     stats = sub.add_parser(
         "stats",
         help="Monte-Carlo comparison of loop vs precomputed allocation",
     )
-    _add_common_flags(stats)
+    for cmd in (run, cross, stats):
+        cmd.add_argument("--users", type=_positive_int, default=10, help="user count")
+        cmd.add_argument(
+            "--resources", type=_positive_int, default=2, help="resource type count"
+        )
+        cmd.add_argument(
+            "--demand-range",
+            type=_parse_range,
+            default=(1, 10),
+            metavar="LO:HI",
+            help="inclusive bounds for demand components",
+        )
+        cmd.add_argument("--seed", type=int, default=0, help="base generator seed")
+        cmd.add_argument(
+            "--trials", type=_positive_int, default=1, help="runs or instances"
+        )
+        cmd.add_argument(
+            "--config", metavar="PATH", help="JSON config file; explicit flags win"
+        )
+        cmd.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    for cmd in (run, cross):
+        cmd.add_argument(
+            "--epochs", type=_positive_int, default=11, help="epochs to simulate"
+        )
+        cmd.add_argument(
+            "--per-user-reserve",
+            type=int,
+            default=150,
+            help="replenished units per user per resource per epoch",
+        )
+        cmd.add_argument(
+            "--sweep",
+            type=_parse_sweep,
+            metavar="M1,M2,...",
+            help="resource counts to sweep (overrides --resources)",
+        )
+    run.add_argument(
+        "--coefficients",
+        type=_parse_cost_model,
+        default=DEFAULT_COST_MODEL,
+        metavar="JSON",
+        help='cost-model overrides, e.g. \'{"branch_unit": 0, "claim": [1, 2]}\'',
+    )
     stats.add_argument(
         "--reserve-range",
+        type=_parse_range,
+        default=(100, 1000),
         metavar="LO:HI",
         help="inclusive bounds for per-instance reserves",
     )
     stats.add_argument(
         "--independent-reserves",
-        action="store_true",
-        default=None,
+        action=argparse.BooleanOptionalAction,
+        default=False,
         help="draw each resource's reserve independently "
         "(default: one shared draw per instance)",
     )
 
-    costfit = sub.add_parser(
-        "costfit", help="fit cost-vs-resources lines from a cost CSV"
-    )
+    costfit = sub.add_parser("costfit", help="fit cost-vs-resources lines to costs.csv")
     costfit.add_argument("csv_path", metavar="COSTS.CSV")
     costfit.add_argument("--out", metavar="DIR", help="output directory")
 
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The config file's settings as flags of the same subcommand, for the
+    flags' own parsers to check.  Keys are flag names with ``_`` for ``-``.
+    ``true``/``false`` become ``--flag``/``--no-flag``; a list for a range
+    or a sweep is joined with that flag's separator; other lists and
+    objects pass as JSON text, strings and numbers as the flag's text."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from exc
@@ -196,74 +176,47 @@ def _load_config_file(path: str) -> dict:
         raise ValueError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(raw) - set(_DEFAULTS)
+    unknown = raw.keys() - (vars(args).keys() - {"command", "config"})
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return raw
+        raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    flags = []
+    for key, value in raw.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            flags.append(flag if value else "--no-" + flag[2:])
+            continue
+        if isinstance(value, list) and key in _SEPARATORS:
+            value = _SEPARATORS[key].join(map(str, value))
+        elif not isinstance(value, str):
+            value = json.dumps(value)
+        flags.append(f"{flag}={value}")
+    return flags
 
 
-def _merge_settings(args: argparse.Namespace) -> Settings:
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-
-    def pick(name: str):
-        cli_value = getattr(args, name, None)
-        if cli_value is not None:
-            return cli_value
-        if name in file_values:
-            return file_values[name]
-        return _DEFAULTS[name]
-
-    demand_range = pick("demand_range")
-    if isinstance(demand_range, str):
-        demand_range = _parse_range(demand_range)
-    reserve_range = pick("reserve_range")
-    if isinstance(reserve_range, str):
-        reserve_range = _parse_range(reserve_range)
-    sweep = pick("sweep")
-    if isinstance(sweep, str):
-        sweep = _parse_sweep(sweep)
-
-    settings = Settings(
-        users=int(pick("users")),
-        resources=int(pick("resources")),
-        epochs=int(pick("epochs")),
-        demand_range=(int(demand_range[0]), int(demand_range[1])),
-        per_user_reserve=int(pick("per_user_reserve")),
-        seed=int(pick("seed")),
-        trials=int(pick("trials")),
-        sweep=list(sweep) if sweep else None,
-        out=str(pick("out")),
-        reserve_range=(int(reserve_range[0]), int(reserve_range[1])),
-        independent_reserves=bool(pick("independent_reserves")),
-        coefficients=dict(pick("coefficients")),
-    )
-    if settings.demand_range[0] > settings.demand_range[1]:
-        raise ValueError("demand range low exceeds high")
-    if settings.reserve_range[0] > settings.reserve_range[1]:
-        raise ValueError("reserve range low exceeds high")
-    if settings.trials < 1:
-        raise ValueError("trials must be at least 1")
-    return settings
-
-
-def _run_all(settings: Settings):
+def _run_all(args: argparse.Namespace, model: CostModel):
     """Yield (resources, trial, trace) over the sweep/trial grid."""
-    model = settings.cost_model()
-    for m in settings.sweep_values():
-        for trial in range(settings.trials):
-            config = settings.sim_config(m, settings.seed + trial)
+    low, high = args.demand_range
+    for m in args.sweep or [args.resources]:
+        for trial in range(args.trials):
+            config = SimConfig(
+                users=args.users,
+                resources=m,
+                epochs=args.epochs,
+                demand_low=low,
+                demand_high=high,
+                per_user_reserve=args.per_user_reserve,
+                seed=args.seed + trial,
+            )
             yield m, trial, run_simulation(config, model)
 
 
-def cmd_run(settings: Settings) -> int:
-    os.makedirs(settings.out, exist_ok=True)
+def cmd_run(args: argparse.Namespace) -> int:
+    os.makedirs(args.out, exist_ok=True)
     all_costs: list[CostRecord] = []
     n_traces = 0
     try:
-        for m, trial, trace in _run_all(settings):
-            path = os.path.join(settings.out, f"trace_m{m}_trial{trial}.txt")
+        for m, trial, trace in _run_all(args, args.coefficients):
+            path = os.path.join(args.out, f"trace_m{m}_trial{trial}.txt")
             write_trace_file(trace, path)
             all_costs.extend(trace.costs)
             n_traces += 1
@@ -271,22 +224,22 @@ def cmd_run(settings: Settings) -> int:
     except SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    csv_path = os.path.join(settings.out, "costs.csv")
+    csv_path = os.path.join(args.out, "costs.csv")
     write_cost_csv(all_costs, csv_path)
     print(f"wrote {csv_path} ({len(all_costs)} cost records)")
     print(f"{n_traces} trace(s) complete")
     return EXIT_OK
 
 
-def cmd_crosscheck(settings: Settings) -> int:
-    os.makedirs(settings.out, exist_ok=True)
+def cmd_crosscheck(args: argparse.Namespace) -> int:
+    os.makedirs(args.out, exist_ok=True)
     total_claims = 0
     total_matches = 0
     total_epochs = 0
     delta_counts: dict[int, int] = {}
     clamp_events = 0
     try:
-        for m, trial, trace in _run_all(settings):
+        for m, trial, trace in _run_all(args, DEFAULT_COST_MODEL):
             report = crosscheck_trace(trace)
             clamp_events += trace.clamp_count()
             total_claims += report.claims_checked
@@ -315,11 +268,9 @@ def cmd_crosscheck(settings: Settings) -> int:
         "fixed_minus_rational_histogram": {
             str(k): v for k, v in sorted(delta_counts.items())
         },
-        "max_abs_fixed_minus_rational": max(
-            (abs(d) for d in delta_counts), default=0
-        ),
+        "max_abs_fixed_minus_rational": max(map(abs, delta_counts), default=0),
     }
-    path = os.path.join(settings.out, "crosscheck.json")
+    path = os.path.join(args.out, "crosscheck.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
     print(
@@ -350,26 +301,21 @@ def _wilson_interval(count: int, total: int) -> tuple[float, float]:
     return (lo, hi)
 
 
-def cmd_stats(settings: Settings) -> int:
-    os.makedirs(settings.out, exist_ok=True)
-    rng = random.Random(settings.seed)
-    low, high = settings.demand_range
-    r_low, r_high = settings.reserve_range
-    n = settings.users
-    m = settings.resources
+def cmd_stats(args: argparse.Namespace) -> int:
+    os.makedirs(args.out, exist_ok=True)
+    rng = random.Random(args.seed)
+    low, high = args.demand_range
+    r_low, r_high = args.reserve_range
+    n = args.users
+    m = args.resources
     total = under = over = exact = under_more = 0
     histogram: dict[int, int] = {}
-    for _ in range(settings.trials):
+    for _ in range(args.trials):
         demands = DemandSet.from_vectors(
-            [
-                [rng.randint(low, high) for _ in range(m)]
-                for _ in range(n)
-            ]
+            [[rng.randint(low, high) for _ in range(m)] for _ in range(n)]
         )
-        if settings.independent_reserves:
-            reserves = ResourceVector(
-                rng.randint(r_low, r_high) for _ in range(m)
-            )
+        if args.independent_reserves:
+            reserves = ResourceVector(rng.randint(r_low, r_high) for _ in range(m))
         else:
             shared = rng.randint(r_low, r_high)
             reserves = ResourceVector((shared,) * m)
@@ -382,12 +328,12 @@ def cmd_stats(settings: Settings) -> int:
         for delta in stats.deltas:
             histogram[delta] = histogram.get(delta, 0) + 1
     summary = {
-        "trials": settings.trials,
+        "trials": args.trials,
         "users": n,
         "resources": m,
-        "demand_range": list(settings.demand_range),
-        "reserve_range": list(settings.reserve_range),
-        "reserve_mode": "independent" if settings.independent_reserves else "shared",
+        "demand_range": list(args.demand_range),
+        "reserve_range": list(args.reserve_range),
+        "reserve_mode": "independent" if args.independent_reserves else "shared",
         "user_samples": total,
         "under_by_one": {
             "count": under,
@@ -406,11 +352,11 @@ def cmd_stats(settings: Settings) -> int:
         "under_by_more": under_more,
         "delta_histogram": {str(k): v for k, v in sorted(histogram.items())},
     }
-    path = os.path.join(settings.out, "stats.json")
+    path = os.path.join(args.out, "stats.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
     print(
-        f"{settings.trials} instances, {total} user samples: "
+        f"{args.trials} instances, {total} user samples: "
         f"under-by-one {summary['under_by_one']['fraction']:.4f} "
         f"(95% CI {summary['under_by_one']['ci95']}), "
         f"over {summary['over']['fraction']:.6f}, "
@@ -426,61 +372,38 @@ def cmd_stats(settings: Settings) -> int:
 _WARMUP_MAX_EPOCH = {KIND_DEMAND: 2, KIND_CLAIM: 2, KIND_UPDATE: 3}
 
 
-def _fit_or_none(points: list[tuple[int, int]]) -> RegressionFit | None:
+def cmd_costfit(args: argparse.Namespace) -> int:
     try:
-        return fit_linear(points)
-    except ValueError:
-        return None
-
-
-def costfit_from_records(
-    records: Sequence[CostRecord],
-) -> dict[str, dict[str, RegressionFit]]:
-    """Per-kind fits on stabilized records: raw points and per-m means."""
-    fits: dict[str, dict[str, RegressionFit]] = {}
-    for kind in (KIND_DEMAND, KIND_CLAIM, KIND_UPDATE):
-        stable = [
-            rec
-            for rec in records
-            if rec.call_kind == kind and rec.epoch > _WARMUP_MAX_EPOCH[kind]
-        ]
-        if not stable:
-            continue
-        points = [(rec.m, rec.cost_units) for rec in stable]
-        by_m: dict[int, list[int]] = {}
-        for rec in stable:
-            by_m.setdefault(rec.m, []).append(rec.cost_units)
-        mean_points = [
-            (m, Fraction(sum(costs), len(costs))) for m, costs in sorted(by_m.items())
-        ]
-        raw_fit = _fit_or_none(points)
-        mean_fit = _fit_or_none(mean_points)
-        if raw_fit is None or mean_fit is None:
-            raise ValueError(
-                f"{kind}: need records at two or more distinct resource counts"
-            )
-        fits[kind] = {"records": raw_fit, "means": mean_fit}
-    return fits
-
-
-def cmd_costfit(csv_path: str, out: str | None) -> int:
-    try:
-        records = read_cost_csv(csv_path)
+        records = read_cost_csv(args.csv_path)
     except (OSError, ValueError) as exc:
-        print(f"cannot load {csv_path}: {exc}", file=sys.stderr)
+        print(f"cannot load {args.csv_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        fits = costfit_from_records(records)
-    except ValueError as exc:
-        print(f"cannot fit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # Per kind, on stabilized records: a fit of the raw points and one of
+    # the per-m means.
+    fits: dict[str, tuple[RegressionFit, RegressionFit]] = {}
+    for kind in (KIND_DEMAND, KIND_CLAIM, KIND_UPDATE):
+        by_m: dict[int, list[int]] = {}
+        for rec in records:
+            if rec.call_kind == kind and rec.epoch > _WARMUP_MAX_EPOCH[kind]:
+                by_m.setdefault(rec.m, []).append(rec.cost_units)
+        if not by_m:
+            continue
+        points = [(m, cost) for m, costs in by_m.items() for cost in costs]
+        means = [(m, Fraction(sum(costs), len(costs))) for m, costs in by_m.items()]
+        try:
+            fits[kind] = fit_linear(points), fit_linear(means)
+        except ValueError:
+            print(
+                f"cannot fit: {kind}: need records at two or more distinct "
+                "resource counts",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     if not fits:
         print("no stabilized cost records found", file=sys.stderr)
         return EXIT_USAGE
     payload: dict[str, dict] = {}
-    for kind, pair in fits.items():
-        fit = pair["records"]
-        mean_fit = pair["means"]
+    for kind, (fit, mean_fit) in fits.items():
         print(
             f"{kind}: cost = {float(fit.slope):.3f} * m + "
             f"{float(fit.intercept):.3f}  (R^2 = {float(fit.r_squared):.8f}; "
@@ -494,38 +417,42 @@ def cmd_costfit(csv_path: str, out: str | None) -> int:
             "mean_slope": float(mean_fit.slope),
             "mean_intercept": float(mean_fit.intercept),
         }
-    if out:
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, "costfit.json")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, "costfit.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
         print(f"wrote {path}")
     return EXIT_OK
 
 
+_COMMANDS = {
+    "run": cmd_run,
+    "crosscheck": cmd_crosscheck,
+    "stats": cmd_stats,
+    "costfit": cmd_costfit,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # The config's flags go right after the subcommand, ahead of
+            # the command line's, so explicit flags win.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_flags(args), *argv[at:]])
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        if args.command == "costfit":
-            return cmd_costfit(args.csv_path, args.out)
-        settings = _merge_settings(args)
-        if args.command == "run":
-            return cmd_run(settings)
-        if args.command == "crosscheck":
-            return cmd_crosscheck(settings)
-        if args.command == "stats":
-            return cmd_stats(settings)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

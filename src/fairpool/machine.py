@@ -165,10 +165,6 @@ class AllocationMachine:
         """Pool index demands registered now would be stored against."""
         return (self._epoch + 1) % 2
 
-    def claim_pool_parity(self) -> int:
-        """Pool index claims made now would drain."""
-        return self._epoch % 2
-
     def total_injected(self) -> ResourceVector:
         """Deployment reserve plus every replenishment so far.
 
@@ -295,21 +291,24 @@ class AllocationMachine:
                 "demand exceeds the precision-scaled reserve; reciprocal "
                 "share would be zero"
             )
+        # Every new value is computed and checked before any is stored, so
+        # a MachineOverflowError leaves the state as it was.
+        max_recip = recip
+        if self._reset_epoch == e:
+            # Later demands of the epoch add to its sums; the minimum
+            # reciprocal is the largest dominant share.
+            sds = [a + d * recip for a, d in zip(self._sds[s], vector)]
+            if self._max_recip[s] < recip:
+                max_recip = self._max_recip[s]
+        else:
+            # The first demand of the epoch overwrites last round's sums.
+            sds = [d * recip for d in vector]
+        _checked(max(sds))  # each sum bounds its non-negative terms
+        self._sds[s] = sds
+        self._max_recip[s] = max_recip
+        self._reset_epoch = e
         slot.demand[s] = vector
         slot.recip[s] = recip
-        scaled = [_checked(d * recip) for d in vector]
-        if self._reset_epoch < e:
-            # First demand of the epoch overwrites last round's sums.
-            self._sds[s] = scaled
-            self._max_recip[s] = recip
-            self._reset_epoch = e
-        else:
-            sds = self._sds[s]
-            for r, v in enumerate(scaled):
-                sds[r] = _checked(sds[r] + v)
-            # Minimum reciprocal corresponds to the largest dominant share.
-            if recip < self._max_recip[s]:
-                self._max_recip[s] = recip
         slot.last_demand_epoch = e
         return DemandRecord(user, e, vector, recip, updates)
 
@@ -331,15 +330,18 @@ class AllocationMachine:
         demand_vec = slot.demand[s]
         assert demand_vec is not None
         pool = self._reserves[s]
+        balance = slot.balance
         share = [_checked(task_count * d) for d in demand_vec]
         clamped = False
         for r in range(len(share)):
             if share[r] > pool[r]:
                 share[r] = pool[r]
                 clamped = True
+            # Checked before any unit moves, so an overflow changes nothing.
+            _checked(balance[r] + share[r])
         for r in range(len(share)):
             pool[r] -= share[r]
-            slot.balance[r] = _checked(slot.balance[r] + share[r])
+            balance[r] += share[r]
         slot.last_claim_epoch = e
         return ClaimReceipt(user, e, task_count, ResourceVector(share), clamped)
 

@@ -26,10 +26,6 @@ class ResourceVector:
                 raise ValueError(f"resource quantity must be non-negative, got {v}")
         self._q = q
 
-    @classmethod
-    def zeros(cls, m: int) -> "ResourceVector":
-        return cls((0,) * m)
-
     @property
     def quantities(self) -> tuple[int, ...]:
         return self._q
@@ -54,33 +50,13 @@ class ResourceVector:
     def __repr__(self) -> str:
         return f"ResourceVector({list(self._q)})"
 
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        self._check_length(other)
-        return ResourceVector(a + b for a, b in zip(self._q, other._q))
-
-    def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        # Raises through the constructor if any component would go negative.
-        self._check_length(other)
-        return ResourceVector(a - b for a, b in zip(self._q, other._q))
-
     def scale(self, count: int) -> "ResourceVector":
         if count < 0:
             raise ValueError("scale count must be non-negative")
         return ResourceVector(v * count for v in self._q)
 
-    def fits_within(self, other: "ResourceVector") -> bool:
-        """True when every component is <= the corresponding component of other."""
-        self._check_length(other)
-        return all(a <= b for a, b in zip(self._q, other._q))
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self._q)
-
-    def _check_length(self, other: "ResourceVector") -> None:
-        if len(self._q) != len(other._q):
-            raise ValueError(
-                f"resource count mismatch: {len(self._q)} vs {len(other._q)}"
-            )
 
 
 class DemandSet:
@@ -116,10 +92,6 @@ class DemandSet:
     @property
     def entries(self) -> tuple[tuple[int, ResourceVector], ...]:
         return self._entries
-
-    @property
-    def user_ids(self) -> tuple[int, ...]:
-        return tuple(uid for uid, _ in self._entries)
 
     @property
     def demands(self) -> tuple[ResourceVector, ...]:

@@ -366,11 +366,9 @@ def test_pdrf_conservation_and_nonnegative_remaining():
             pdrf_allocate(demands, reserves, weights),
         )
         for result in results:
-            used = ResourceVector.zeros(m)
-            for alloc in result.allocations:
-                used = used + alloc
-            # ResourceVector subtraction raises if any component went negative
-            assert used + result.remaining == reserves
+            used = [sum(column) for column in zip(*result.allocations)]
+            # remaining is a ResourceVector, so no component went negative
+            assert [u + r for u, r in zip(used, result.remaining)] == list(reserves)
 
 
 def test_pdrf_task_counts_monotone_in_dominant_share():
@@ -519,9 +517,10 @@ def _oracle_pdrf(demands, reserves, weights):
             cycles = bound
     tasks = [int(cycles * ratio) for ratio in ratios]
     allocations = tuple(d.scale(t) for d, t in zip(vectors, tasks))
-    remaining = reserves
-    for a in allocations:
-        remaining = remaining - a
+    # The constructor raises if any component would go negative.
+    remaining = ResourceVector(
+        reserve - sum(a[r] for a in allocations) for r, reserve in enumerate(reserves)
+    )
     return tasks, allocations, remaining, cycles
 
 

@@ -1,7 +1,6 @@
 import collections
 import dataclasses
 import hashlib
-import statistics
 
 import pytest
 
@@ -13,7 +12,6 @@ from fairpool import (
     SimulationError,
     build_schedule,
     crosscheck_trace,
-    gen_demands,
     replay,
     run_simulation,
     write_cost_csv,
@@ -31,29 +29,6 @@ from fairpool.chainsim import (
     _make_machine,
     read_cost_csv,
 )
-
-
-# --- demand generation -----------------------------------------------------
-
-
-def test_gen_demands_degenerate_interval():
-    vecs = gen_demands(2, 2, 5, 5, seed=123)
-    assert vecs == [ResourceVector([5, 5]), ResourceVector([5, 5])]
-
-
-def test_gen_demands_deterministic():
-    assert gen_demands(10, 3, 1, 10, seed=42) == gen_demands(10, 3, 1, 10, seed=42)
-    assert gen_demands(10, 3, 1, 10, seed=42) != gen_demands(10, 3, 1, 10, seed=43)
-
-
-def test_gen_demands_mean_close_to_center():
-    draws = [v[0] for v in gen_demands(10_000, 1, 1, 10, seed=0)]
-    assert abs(statistics.fmean(draws) - 5.5) < 0.1
-
-
-def test_gen_demands_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        gen_demands(1, 1, 10, 1, seed=0)
 
 
 # --- schedule ----------------------------------------------------------------
@@ -419,6 +394,35 @@ def test_base_cost_branch_surcharge():
     )
     with pytest.raises(ValueError):
         DEFAULT_COST_MODEL.base_cost("bogus", 5)
+
+
+def test_cost_overrides_round_trip():
+    model = CostModel(claim_slope=1, claim_intercept=2, branch_unit=0, update_setup=7)
+    assert model.as_dict()["claim"] == [1, 2]
+    assert CostModel.from_overrides(model.as_dict()) == model
+    assert CostModel.from_overrides({}) == DEFAULT_COST_MODEL
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        [1, 2],
+        "claim",
+        {"claim": 5},
+        {"claim": [1]},
+        {"claim": [1, 2, 3]},
+        {"claim": [1, 2.5]},
+        {"demand": [True, 2]},
+        {"branch_unit": [1, 2]},
+        {"branch_unit": 1.0},
+        {"branch_unit": "3"},
+        {"claim_setup": False},
+        {"bogus": 1},
+    ],
+)
+def test_cost_overrides_reject_malformed(overrides):
+    with pytest.raises(ValueError):
+        CostModel.from_overrides(overrides)
 
 
 def test_claim_costs_affine_exact_across_sweep():

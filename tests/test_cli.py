@@ -196,3 +196,108 @@ def test_exit_codes_are_distinct():
     assert EXIT_OK == 0
     assert EXIT_USAGE == 1
     assert EXIT_VIOLATION == 2
+
+
+# --- flags and config files go through the same parsers ---------------------
+
+# Small sizes each subcommand starts from; a row's setting replaces its own.
+_BASE = {
+    "run": {"users": "2", "epochs": "2"},
+    "crosscheck": {"users": "2", "epochs": "3"},
+    "stats": {"users": "3", "trials": "20"},
+}
+
+
+def _outputs(tmp_path, name, command, skip, extra, config=None):
+    out = tmp_path / name
+    argv = [command, "--out", str(out)]
+    for key, value in _BASE[command].items():
+        if key != skip:
+            argv += ["--" + key, value]
+    if config is not None:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert run_cli(*argv, *extra) == EXIT_OK
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "command, key, flag, value",
+    [
+        ("run", "users", ["--users", "3"], 3),
+        ("run", "resources", ["--resources", "3"], 3),
+        ("run", "epochs", ["--epochs", "3"], 3),
+        ("run", "demand_range", ["--demand-range", "2:5"], [2, 5]),
+        ("run", "demand_range", ["--demand-range", "2:5"], "2:5"),
+        ("run", "per_user_reserve", ["--per-user-reserve", "40"], 40),
+        ("run", "seed", ["--seed", "7"], 7),
+        ("run", "trials", ["--trials", "2"], 2),
+        ("run", "sweep", ["--sweep", "2,3"], [2, 3]),
+        (
+            "run",
+            "coefficients",
+            ["--coefficients", '{"claim": [1, 2]}'],
+            {"claim": [1, 2]},
+        ),
+        ("crosscheck", "users", ["--users", "3"], 3),
+        ("crosscheck", "sweep", ["--sweep", "1,3"], "1,3"),
+        ("stats", "resources", ["--resources", "3"], 3),
+        ("stats", "demand_range", ["--demand-range", "2:5"], [2, 5]),
+        ("stats", "trials", ["--trials", "30"], 30),
+        ("stats", "reserve_range", ["--reserve-range", "10:20"], [10, 20]),
+        ("stats", "independent_reserves", ["--independent-reserves"], True),
+    ],
+)
+def test_flag_and_config_give_identical_outputs(
+    tmp_path, capsys, command, key, flag, value
+):
+    by_flag = _outputs(tmp_path, "flag", command, key, flag)
+    by_config = _outputs(tmp_path, "config", command, key, [], {key: value})
+    assert by_flag == by_config
+    assert by_flag != _outputs(tmp_path, "base", command, None, [])
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["run"], {"sweep": [3, 3]}),
+        (["stats"], {"independent_reserves": "false"}),
+        (["run"], {"users": 2.9}),
+        (["run"], {"coefficients": {"claim": 5}}),
+        (["run"], {"coefficients": [1, 2]}),
+        (["stats"], {"epochs": 3}),
+        (["crosscheck"], {"coefficients": {}}),
+        (["run"], {"reserve_range": [1, 2]}),
+        (["run"], {"config": "other.json"}),
+        (["run", "--sweep", "3,3"], None),
+        (["run", "--users", "2.9"], None),
+        (["run", "--coefficients", '{"claim": 5}'], None),
+        (["crosscheck", "--coefficients", "{}"], None),
+        (["stats", "--sweep", "2,5", "--epochs", "99"], None),
+        (["stats", "--users", "0"], None),
+        (["stats", "--per-user-reserve", "5"], None),
+    ],
+)
+def test_bad_settings_exit_1_without_traceback(tmp_path, capsys, argv, config):
+    extra = ["--out", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        extra += ["--config", str(path)]
+    assert run_cli(*argv, *extra) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_flag_overrides_config_boolean(tmp_path):
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"independent_reserves": True}))
+    code = run_cli(
+        "stats", "--trials", "5", "--config", str(config),
+        "--no-independent-reserves", "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert json.loads((out / "stats.json").read_text())["reserve_mode"] == "shared"

