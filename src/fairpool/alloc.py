@@ -2,13 +2,14 @@
 
 Single-resource max-min filling, dominant-share allocation for multiple
 resource types, and the precomputed variant that replaces the task-by-task
-allocation loop with a closed-form cycle count.  Each algorithm takes
-optional weights; unit weights, the default, give the unweighted form.
-Everything here is exact, so results are bit-reproducible and usable as
-ground truth for the fixed-point machine.  The multi-resource allocators
-compare ratios as integer pairs by cross-multiplication and build a
-``Fraction`` only for values they return; progressive filling splits
-rational amounts and computes in ``Fraction`` throughout.
+allocation loop with a closed-form cycle count.  Filling and the
+precomputed variant take optional weights; unit weights, the default,
+give the unweighted form.  Everything here is exact, so results are
+bit-reproducible and usable as ground truth for the fixed-point machine.
+Both multi-resource allocators and their comparison start from one integer
+core per instance (dominant shares, L, c_i and N_r), compare ratios by
+cross-multiplication and build a ``Fraction`` or a vector only for values
+they return; progressive filling computes in ``Fraction`` throughout.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heapreplace
-from operator import le, mul
+from itertools import repeat
+from operator import le, mul, sub
 from typing import Iterable, Sequence
 
 from .vectors import DemandSet, Rational, ResourceVector, WeightVector
@@ -140,11 +142,31 @@ def _remaining(
     return [res - sum(map(mul, tasks, col)) for res, col in zip(reserves, columns)]
 
 
-def _drf_loop(
-    rows: Sequence[Sequence[int]],
-    shares: Sequence[Fraction],
-    reserves: Sequence[int],
-) -> tuple[list[int], list[int]]:
+class _Core:
+    """One instance's demand rows and columns, dominant shares s_i and the
+    integers L, c_i and N_r (see pdrf_allocate), shared by both allocators."""
+
+    __slots__ = ("rows", "columns", "reserves", "shares", "lcm", "scales", "drains")
+
+    def __init__(
+        self,
+        demands: DemandSet,
+        reserves: ResourceVector,
+        weights: Sequence[WeightVector] | None = None,
+    ) -> None:
+        vectors = demands.demands
+        weights = repeat(None) if weights is None else weights
+        shares = [dominant_share(d, reserves, w)[0] for d, w in zip(vectors, weights)]
+        lcm = math.lcm(*(s.numerator for s in shares))  # L
+        scales = [s.denominator * (lcm // s.numerator) for s in shares]  # c_i
+        rows = [d.quantities for d in vectors]
+        columns = list(zip(*rows))
+        self.rows, self.columns, self.reserves = rows, columns, reserves.quantities
+        self.shares, self.lcm, self.scales = shares, lcm, scales
+        self.drains = [sum(map(mul, scales, col)) for col in columns]  # N_r
+
+
+def _drf_loop(core: _Core) -> tuple[list[int], list[int]]:
     """Task counts and leftover reserves of the task-by-task DRF loop.
 
     The loop repeatedly selects the user with the minimum allocated share
@@ -164,7 +186,7 @@ def _drf_loop(
     is a pick with key K*, the largest K with F(K) <= R.
 
     Bracketing K*: ceil(K / k_i) lies in [K / k_i, K / k_i + 1), and with
-    pdrf's integers (L = lcm of the share numerators, c_i = b_i * L / a_i
+    the core's integers (L = lcm of the share numerators, c_i = b_i * L / a_i
     for s_i = a_i / b_i, N_r = sum_i c_i * d_ir) sum_i d_ir / k_i is
     N_r / (L * D).  Over resources with N_r > 0 (others are never
     consumed), lo = min floor(max(0, R_r - sum_i d_ir) * L * D / N_r) thus
@@ -177,19 +199,12 @@ def _drf_loop(
     From lo, a heap on (t_i * k_i, i) replays the loop's own picks until
     the first one that does not fit, at most 2n + 1 of them.
     """
-    columns = list(zip(*rows))
-    ratios = [s.as_integer_ratio() for s in shares]
-    nums, dens = zip(*ratios)
-    num, den = math.lcm(*nums), math.lcm(*dens)  # L and D
-    keys = [a * (den // b) for a, b in ratios]  # k_i
-    scales = [b * (num // a) for a, b in ratios]  # c_i
-    scale = num * den
+    rows, columns, reserves = core.rows, core.columns, core.reserves
+    den = math.lcm(*(s.denominator for s in core.shares))  # D
+    keys = [s.numerator * (den // s.denominator) for s in core.shares]  # k_i
+    scale = core.lcm * den
     # (R_r, sum_i d_ir, N_r) for the resources with N_r > 0.
-    drains = [
-        (res, sum(col), drain)
-        for res, col in zip(reserves, columns)
-        if (drain := sum(map(mul, scales, col)))
-    ]
+    drains = [t for t in zip(reserves, map(sum, columns), core.drains) if t[2]]
     lo = min(max(0, res - total) * scale // drain for res, total, drain in drains)
     hi = min(res * scale // drain for res, _, drain in drains)
     while lo < hi and sum(hi // k - (lo - 1) // k for k in keys) > 2 * len(keys):
@@ -213,17 +228,28 @@ def _drf_loop(
         heapreplace(heap, (key + keys[i], i))
 
 
+def _pdrf(core: _Core) -> tuple[list[int], list[int], tuple[int, int]]:
+    """pdrf_allocate's task counts, leftover reserves and cycle count pair."""
+    # 1/0 stands for an unbounded ratio, so the first drained resource binds.
+    bound_reserve, bound_drain = 1, 0
+    for reserve, drain in zip(core.reserves, core.drains):
+        if drain and reserve * bound_drain < bound_reserve * drain:
+            bound_reserve, bound_drain = reserve, drain
+    assert bound_drain  # every demand has a positive component
+    tasks = [bound_reserve * c // bound_drain for c in core.scales]
+    remaining = _remaining(core.columns, tasks, core.reserves)
+    assert min(remaining) >= 0
+    return tasks, remaining, (bound_reserve * min(core.scales), bound_drain)
+
+
 def _result(
-    demands: Sequence[ResourceVector],
+    demands: DemandSet,
     tasks: Sequence[int],
     remaining: Sequence[int],
-    cycles: Fraction,
+    cycles: Fraction = Fraction(0),
 ) -> AllocationResult:
-    allocations = tuple(d.scale(t) for d, t in zip(demands, tasks))
-    # The constructor rejects a negative component.
-    return AllocationResult(
-        tuple(tasks), allocations, ResourceVector(remaining), cycles
-    )
+    allocs = tuple(d.scale(t) for d, t in zip(demands.demands, tasks))
+    return AllocationResult(tuple(tasks), allocs, ResourceVector(remaining), cycles)
 
 
 def drf_allocate(demands: DemandSet, reserves: ResourceVector) -> AllocationResult:
@@ -236,12 +262,7 @@ def drf_allocate(demands: DemandSet, reserves: ResourceVector) -> AllocationResu
     """
     if not len(demands):
         return AllocationResult((), (), reserves, Fraction(0))
-    vectors = demands.demands
-    shares = [dominant_share(d, reserves)[0] for d in vectors]
-    tasks, remaining = _drf_loop(
-        [d.quantities for d in vectors], shares, reserves.quantities
-    )
-    return _result(vectors, tasks, remaining, Fraction(0))
+    return _result(demands, *_drf_loop(_Core(demands, reserves)))
 
 
 def pdrf_allocate(
@@ -267,44 +288,20 @@ def pdrf_allocate(
     R_r * c* / N_r with c* = min c_i.
     """
     n = len(demands)
-    weights = [None] * n if weights is None else weights
-    if len(weights) != n:
+    if weights is not None and len(weights) != n:
         raise ValueError(
             f"need one weight vector per user: {len(weights)} for {n} users"
         )
     if not n:
         return AllocationResult((), (), reserves, Fraction(0))
-    vectors = demands.demands
-    shares = [
-        dominant_share(d, reserves, w)[0] for d, w in zip(vectors, weights)
-    ]
-    lcm = math.lcm(*(s.numerator for s in shares))
-    scales = [s.denominator * (lcm // s.numerator) for s in shares]
-    # 1/0 stands for an unbounded ratio, so the first drained resource binds.
-    bound_reserve, bound_drain = 1, 0
-    for r, reserve in enumerate(reserves):
-        drain = sum(c * d[r] for c, d in zip(scales, vectors))
-        if drain and reserve * bound_drain < bound_reserve * drain:
-            bound_reserve, bound_drain = reserve, drain
-    assert bound_drain  # every demand has a positive component
-    tasks = [bound_reserve * c // bound_drain for c in scales]
-    cycles = Fraction(bound_reserve * min(scales), bound_drain)
-    columns = zip(*(d.quantities for d in vectors))
-    remaining = _remaining(columns, tasks, reserves.quantities)
-    return _result(vectors, tasks, remaining, cycles)
+    tasks, remaining, cycles = _pdrf(_Core(demands, reserves, weights))
+    return _result(demands, tasks, remaining, Fraction(*cycles))
 
 
 def compare_pdrf_drf(demands: DemandSet, reserves: ResourceVector) -> DiffStats:
-    """Run both allocators and tabulate per-user task-count deltas."""
-    loop = drf_allocate(demands, reserves)
-    pre = pdrf_allocate(demands, reserves)
-    deltas = tuple(
-        a - b for a, b in zip(loop.task_counts, pre.task_counts)
-    )
-    return DiffStats(
-        deltas=deltas,
-        exact=sum(1 for d in deltas if d == 0),
-        under_by_one=sum(1 for d in deltas if d == 1),
-        under_by_more=sum(1 for d in deltas if d > 1),
-        over=sum(1 for d in deltas if d < 0),
-    )
+    """Tabulate per-user task-count deltas of both allocators, which run
+    on one shared core; no result vectors are built."""
+    core = _Core(demands, reserves)
+    deltas = tuple(map(sub, _drf_loop(core)[0], _pdrf(core)[0])) if core.rows else ()
+    more, over = sum(d > 1 for d in deltas), sum(d < 0 for d in deltas)
+    return DiffStats(deltas, deltas.count(0), deltas.count(1), more, over)

@@ -59,8 +59,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"range low {lo} exceeds high {hi}")
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"expected 1 <= LO <= HI, got {text!r}")
     return lo, hi
 
 
@@ -194,24 +194,28 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
 
 
 def _run_all(args: argparse.Namespace, model: CostModel):
-    """Yield (resources, trial, trace) over the sweep/trial grid."""
+    """Check the settings of every run on the sweep/trial grid, create the
+    output directory, then yield (resources, trial, trace) run by run."""
     low, high = args.demand_range
-    for m in args.sweep or [args.resources]:
-        for trial in range(args.trials):
-            config = SimConfig(
-                users=args.users,
-                resources=m,
-                epochs=args.epochs,
-                demand_low=low,
-                demand_high=high,
-                per_user_reserve=args.per_user_reserve,
-                seed=args.seed + trial,
-            )
-            yield m, trial, run_simulation(config, model)
+    grid = [(m, t) for m in args.sweep or [args.resources] for t in range(args.trials)]
+    configs = [
+        SimConfig(
+            users=args.users,
+            resources=m,
+            epochs=args.epochs,
+            demand_low=low,
+            demand_high=high,
+            per_user_reserve=args.per_user_reserve,
+            seed=args.seed + trial,
+        )
+        for m, trial in grid
+    ]
+    os.makedirs(args.out, exist_ok=True)
+    for (m, trial), config in zip(grid, configs):
+        yield m, trial, run_simulation(config, model)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    os.makedirs(args.out, exist_ok=True)
     all_costs: list[CostRecord] = []
     n_traces = 0
     try:
@@ -232,7 +236,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
-    os.makedirs(args.out, exist_ok=True)
     total_claims = 0
     total_matches = 0
     total_epochs = 0
@@ -302,7 +305,6 @@ def _wilson_interval(count: int, total: int) -> tuple[float, float]:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    os.makedirs(args.out, exist_ok=True)
     rng = random.Random(args.seed)
     low, high = args.demand_range
     r_low, r_high = args.reserve_range
@@ -352,6 +354,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "under_by_more": under_more,
         "delta_histogram": {str(k): v for k, v in sorted(histogram.items())},
     }
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "stats.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)

@@ -7,6 +7,7 @@ from fairpool import (
     DemandSet,
     ResourceVector,
     WeightVector,
+    alloc,
     compare_pdrf_drf,
     dominant_share,
     drf_allocate,
@@ -246,6 +247,10 @@ def _assert_matches_scan(demands, reserves):
     assert result.task_counts == tuple(tasks)
     assert result.allocations == tuple(d.scale(t) for d, t in zip(vectors, tasks))
     assert result.remaining == ResourceVector(remaining)
+    # compare_pdrf_drf runs neither public allocator, so tie it to both.
+    pre = pdrf_allocate(demands, reserves).task_counts
+    deltas = compare_pdrf_drf(demands, reserves).deltas
+    assert deltas == tuple(a - b for a, b in zip(tasks, pre))
 
 
 def test_drf_matches_scan_oracle_on_criterion_4_stream():
@@ -467,6 +472,40 @@ def test_compare_integral_cycles_all_exact():
     assert all(d == 0 for d in stats.deltas)
 
 
+@pytest.mark.parametrize(
+    "reserves",
+    [ResourceVector([5, 0]), ResourceVector([5, 5, 5])],
+    ids=["zero-reserve", "wrong-length"],
+)
+def test_compare_raises_like_drf_allocate(reserves):
+    demands = DemandSet.from_vectors([[1, 2], [2, 1]])
+    with pytest.raises(ValueError) as drf_error:
+        drf_allocate(demands, reserves)
+    with pytest.raises(ValueError) as compare_error:
+        compare_pdrf_drf(demands, reserves)
+    assert str(compare_error.value) == str(drf_error.value)
+
+
+def test_compare_shares_one_core_and_builds_no_vector(monkeypatch):
+    demands = DemandSet.from_vectors([[1, 4], [3, 1], [2, 2]])
+    reserves = ResourceVector([9, 18])
+    calls = {"dominant_share": 0, "ResourceVector": 0}
+    share, init = alloc.dominant_share, ResourceVector.__init__
+
+    def counted_share(*args):
+        calls["dominant_share"] += 1
+        return share(*args)
+
+    def counted_init(self, quantities):
+        calls["ResourceVector"] += 1
+        init(self, quantities)
+
+    monkeypatch.setattr(alloc, "dominant_share", counted_share)
+    monkeypatch.setattr(ResourceVector, "__init__", counted_init)
+    compare_pdrf_drf(demands, reserves)
+    assert calls == {"dominant_share": 3, "ResourceVector": 0}
+
+
 def test_compare_soft_invariant_small_sample():
     # Underallocation by more than one task never happens for the
     # terminating loop; overallocation is possible but rare.
@@ -541,6 +580,10 @@ def _assert_matches_oracle(demands, reserves, weights=None):
     assert result.allocations == allocations
     assert result.remaining == remaining
     assert result.cycles == cycles
+    if weights is None:
+        loop = drf_allocate(demands, reserves).task_counts
+        deltas = compare_pdrf_drf(demands, reserves).deltas
+        assert deltas == tuple(a - b for a, b in zip(loop, tasks))
 
 
 def test_pdrf_matches_fraction_oracle_on_criterion_4_stream():

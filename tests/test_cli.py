@@ -277,6 +277,11 @@ def test_flag_and_config_give_identical_outputs(
         (["stats", "--sweep", "2,5", "--epochs", "99"], None),
         (["stats", "--users", "0"], None),
         (["stats", "--per-user-reserve", "5"], None),
+        (["stats", "--demand-range", "0:1"], None),
+        (["stats", "--reserve-range", "0:1"], None),
+        (["crosscheck", "--demand-range", "0:3"], None),
+        (["run", "--per-user-reserve", "-1"], None),
+        (["stats"], {"demand_range": [0, 2]}),
     ],
 )
 def test_bad_settings_exit_1_without_traceback(tmp_path, capsys, argv, config):
