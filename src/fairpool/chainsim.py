@@ -24,7 +24,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from operator import add, sub
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .alloc import pdrf_allocate
 from .machine import AllocationMachine, MachineConfig, MachineError, accounting_gap
@@ -199,6 +199,8 @@ class TraceRecord:
     task_count: int | None
     clamped: bool
     cost_units: int
+    # Cost of the epoch transition this block's call executed, if any.
+    update_cost: int | None
     snapshot: dict
 
 
@@ -206,11 +208,30 @@ class TraceRecord:
 class Trace:
     header: dict
     records: tuple[TraceRecord, ...]
-    costs: tuple[CostRecord, ...]
 
     @property
     def config(self) -> SimConfig:
         return SimConfig(**self.header["config"])
+
+    @property
+    def costs(self) -> tuple[CostRecord, ...]:
+        """One cost row per executed call, read off the records.
+
+        A transition's row comes before the row of the call it rode on;
+        both carry the record's epoch and the caller.
+        """
+        m = self.header["config"]["resources"]
+        rows: list[CostRecord] = []
+        for rec in self.records:
+            if rec.update_cost is not None:
+                rows.append(
+                    CostRecord(KIND_UPDATE, m, rec.epoch, rec.tx.user, rec.update_cost)
+                )
+            if rec.tx.kind != KIND_REGISTER:
+                rows.append(
+                    CostRecord(rec.tx.kind, m, rec.epoch, rec.tx.user, rec.cost_units)
+                )
+        return tuple(rows)
 
     def clamp_count(self) -> int:
         return sum(1 for rec in self.records if rec.clamped)
@@ -270,8 +291,16 @@ def _execute(
     machine: AllocationMachine,
     txs: Iterable[BlockTx],
     cost_model: CostModel,
-) -> tuple[list[TraceRecord], list[CostRecord]]:
-    """Run one call per block, checking conservation as it goes.
+) -> Iterator[TraceRecord]:
+    """Run one call per block, checking conservation as it goes, and
+    yield each block's record once its checks have passed.
+
+    A record carries the call's outcome, its cost and, in
+    ``update_cost``, the cost of the epoch transition the call executed,
+    so nothing about a block is kept anywhere else.  A call's cost
+    ordinal counts that user's calls of that kind so far; a
+    transition's is the machine's transition count, since every run
+    starts from a fresh machine.
 
     The harness keeps its own ledger from the calls' receipts: each
     user's balance (a zero entry at registration, plus every claimed
@@ -305,11 +334,7 @@ def _execute(
     """
     txs = list(txs)
     m = machine.config.resource_count
-    records: list[TraceRecord] = []
-    costs: list[CostRecord] = []
-    demand_calls: dict[int, int] = {}
-    claim_calls: dict[int, int] = {}
-    updates_executed = 0
+    calls: dict[tuple[str, int], int] = {}  # (kind, user) -> calls so far
     ledger: dict[int, list[int]] = {}  # user -> balance, from receipts
     held = [0] * m  # per-resource total of the ledger
     for index, tx in enumerate(txs):
@@ -317,38 +342,24 @@ def _execute(
         task_count: int | None = None
         clamped = False
         cost_units = 0
-        transitioned = False
+        update_cost: int | None = None
         try:
             if tx.kind == KIND_REGISTER:
                 machine.register_user(tx.user)
                 ledger[tx.user] = [0] * m
             elif tx.kind in (KIND_DEMAND, KIND_CLAIM):
                 if machine.update_state(tx.block):
-                    transitioned = True
-                    updates_executed += 1
-                    costs.append(
-                        CostRecord(
-                            KIND_UPDATE,
-                            m,
-                            machine.epoch,
-                            tx.user,
-                            cost_model.cost(KIND_UPDATE, m, 0, updates_executed),
-                        )
+                    update_cost = cost_model.cost(
+                        KIND_UPDATE, m, 0, machine.transitions
                     )
+                branch_events = 0
                 if tx.kind == KIND_DEMAND:
                     assert tx.vector is not None
                     echo = machine.demand(
                         tx.user, ResourceVector(tx.vector), tx.block
                     )
                     vector = echo.vector.quantities
-                    ordinal = demand_calls.get(tx.user, 0) + 1
-                    demand_calls[tx.user] = ordinal
-                    cost_units = cost_model.cost(
-                        KIND_DEMAND, m, echo.min_updates, ordinal
-                    )
-                    costs.append(
-                        CostRecord(KIND_DEMAND, m, echo.epoch, tx.user, cost_units)
-                    )
+                    branch_events = echo.min_updates
                 else:
                     receipt = machine.claim(tx.user, tx.block)
                     vector = receipt.share.quantities
@@ -358,12 +369,9 @@ def _execute(
                     for r, v in enumerate(vector):
                         entry[r] += v
                         held[r] += v
-                    ordinal = claim_calls.get(tx.user, 0) + 1
-                    claim_calls[tx.user] = ordinal
-                    cost_units = cost_model.cost(KIND_CLAIM, m, 0, ordinal)
-                    costs.append(
-                        CostRecord(KIND_CLAIM, m, receipt.epoch, tx.user, cost_units)
-                    )
+                key = (tx.kind, tx.user)
+                ordinal = calls[key] = calls.get(key, 0) + 1
+                cost_units = cost_model.cost(tx.kind, m, branch_events, ordinal)
             else:
                 raise MachineError(f"unknown call kind {tx.kind!r}")
         except MachineError as exc:
@@ -378,7 +386,7 @@ def _execute(
             _check_gap(tx.block, tuple(map(sub, injected, accounted)))
         balance = machine.balance_of(tx.user).quantities
         _check_balance(tx.block, tx.user, balance, ledger[tx.user])
-        if transitioned or index == len(txs) - 1:
+        if update_cost is not None or index == len(txs) - 1:
             _check_gap(tx.block, accounting_gap(machine))
             snapshot = machine.snapshot()
             for uid, machine_balance in snapshot["balances"].items():
@@ -392,18 +400,16 @@ def _execute(
                 "cycle_count": machine.cycle_count,
                 "balance": balance,
             }
-        records.append(
-            TraceRecord(
-                tx=tx,
-                epoch=machine.epoch,
-                vector=vector,
-                task_count=task_count,
-                clamped=clamped,
-                cost_units=cost_units,
-                snapshot=snapshot,
-            )
+        yield TraceRecord(
+            tx=tx,
+            epoch=machine.epoch,
+            vector=vector,
+            task_count=task_count,
+            clamped=clamped,
+            cost_units=cost_units,
+            update_cost=update_cost,
+            snapshot=snapshot,
         )
-    return records, costs
 
 
 def _check_gap(block: int, gap: tuple[int, ...]) -> None:
@@ -429,40 +435,41 @@ def run_simulation(
     """Drive a full schedule and return the recorded trace."""
     machine = _make_machine(config)
     txs = build_schedule(config)
-    records, costs = _execute(machine, txs, cost_model)
+    records = tuple(_execute(machine, txs, cost_model))
     header = {
         "format": TRACE_FORMAT,
         "generator": GENERATOR_ID,
         "config": asdict(config),
         "cost_model": cost_model.as_dict(),
     }
-    return Trace(header=header, records=tuple(records), costs=tuple(costs))
+    return Trace(header=header, records=records)
 
 
 def replay(trace: Trace, cost_model: CostModel | None = None) -> ReplayResult:
     """Re-execute the trace's transactions and compare every outcome.
 
-    Cost units are annotations, not state, so they are not compared and
-    a different cost model never causes divergence.
+    Blocks are re-run and compared one at a time, so the result names
+    the first block that diverges or raises.  Cost units are
+    annotations, not state, so they are not compared and a different
+    cost model never causes divergence.
     """
     config = trace.config
     if cost_model is None:
         cost_model = CostModel.from_overrides(trace.header.get("cost_model", {}))
-    machine = _make_machine(config)
+    fresh_records = _execute(
+        _make_machine(config), (rec.tx for rec in trace.records), cost_model
+    )
     try:
-        records, _ = _execute(
-            machine, (rec.tx for rec in trace.records), cost_model
-        )
+        for fresh, recorded in zip(fresh_records, trace.records):
+            for field_name in ("epoch", "vector", "task_count", "clamped", "snapshot"):
+                if getattr(fresh, field_name) != getattr(recorded, field_name):
+                    return ReplayResult(
+                        False,
+                        recorded.tx.block,
+                        f"{field_name} diverged at block {recorded.tx.block}",
+                    )
     except SimulationError as exc:
         return ReplayResult(False, exc.block, str(exc))
-    for fresh, recorded in zip(records, trace.records):
-        for field_name in ("epoch", "vector", "task_count", "clamped", "snapshot"):
-            if getattr(fresh, field_name) != getattr(recorded, field_name):
-                return ReplayResult(
-                    False,
-                    recorded.tx.block,
-                    f"{field_name} diverged at block {recorded.tx.block}",
-                )
     return ReplayResult(True)
 
 
@@ -570,19 +577,30 @@ def write_cost_csv(records: Iterable[CostRecord], path: str) -> None:
 
 
 def read_cost_csv(path: str) -> list[CostRecord]:
+    """Rows written by ``write_cost_csv``; ValueError names the first bad line."""
     out: list[CostRecord] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != COST_CSV_COLUMNS:
             raise ValueError(f"unexpected cost CSV columns in {path}")
         for row in reader:
-            out.append(
-                CostRecord(
-                    call_kind=row["call_kind"],
-                    m=int(row["m"]),
-                    epoch=int(row["epoch"]),
-                    user=int(row["user"]),
-                    cost_units=int(row["cost_units"]),
+            # DictReader fills a short row with None and files a long
+            # row's extra fields under the key None.
+            if None in row or None in row.values():
+                raise ValueError(
+                    f"line {reader.line_num}: expected "
+                    f"{len(COST_CSV_COLUMNS)} fields"
                 )
-            )
+            try:
+                out.append(
+                    CostRecord(
+                        call_kind=row["call_kind"],
+                        m=int(row["m"]),
+                        epoch=int(row["epoch"]),
+                        user=int(row["user"]),
+                        cost_units=int(row["cost_units"]),
+                    )
+                )
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
     return out

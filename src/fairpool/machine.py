@@ -63,7 +63,19 @@ def fixed_floor_div(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """Deployment-time constants of the machine."""
+    """Deployment-time constants of the machine.
+
+    Headroom: every intermediate must fit in 128 bits (``INT_LIMIT``),
+    or the call raises ``MachineOverflowError``.  Let P_r be what pool r
+    holds when it is used.  This carries leftovers across refills, so it
+    can exceed ``epoch_reserve[r]``.  Every user demanding resource r
+    stores a reciprocal of at most ``precision * P_r``, so:
+
+    * the cycle-count numerator ``max_recip * P_r * precision`` is at
+      most ``precision**2 * P_r**2``;
+    * the scaled demand sum ``sds_r`` is at most
+      ``n * precision * P_r`` for n users demanding resource r.
+    """
 
     resource_count: int
     epoch_span: int
@@ -210,6 +222,10 @@ class AllocationMachine:
         straight to epoch 5) executes one transition and one refill, so
         there is exactly one refill per executed transition
         (``test_replenishment_once_per_transition_even_after_idle_epochs``).
+
+        The refilled pool and the new cycle count are computed and checked
+        before anything is stored, so a ``MachineOverflowError`` leaves
+        the state as it was, the epoch and the last block seen included.
         """
         cfg = self._cfg
         if block < cfg.offset:
@@ -220,19 +236,22 @@ class AllocationMachine:
             raise MachineError(
                 f"block {block} precedes the last block seen, {self._last_block}"
             )
-        self._last_block = block
         epoch = (block - cfg.offset) // cfg.epoch_span + 1
-        if epoch <= self._epoch:
-            return False
-        self._epoch = epoch
-        self._transitions += 1
-        self._injected = cfg.epoch_reserve.scale(1 + self._transitions)
-        s = epoch % 2
-        refill = self._reserves[1 - s]
-        for r, er in enumerate(cfg.epoch_reserve):
-            refill[r] = _checked(refill[r] + er)
-        self._k_prime = self._compute_cycle_count(s)
-        return True
+        transition = epoch > self._epoch
+        if transition:
+            s = epoch % 2
+            refill = [
+                _checked(v + er)
+                for v, er in zip(self._reserves[1 - s], cfg.epoch_reserve)
+            ]
+            k_prime = self._compute_cycle_count(s)
+            self._epoch = epoch
+            self._transitions += 1
+            self._injected = cfg.epoch_reserve.scale(1 + self._transitions)
+            self._reserves[1 - s] = refill
+            self._k_prime = k_prime
+        self._last_block = block
+        return transition
 
     def _compute_cycle_count(self, parity: int) -> int:
         sds = self._sds[parity]

@@ -172,6 +172,30 @@ def test_golden_trace(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256
 
 
+# sha256 of write_cost_csv(trace.costs, ...): the cost rows, their order,
+# and the per-user ordinals behind the setup surcharges.
+SETUP_COST_CONFIG = SimConfig(users=3, resources=4, epochs=5, seed=21)
+SETUP_COST_MODEL = CostModel(demand_setup=1000, claim_setup=700, update_setup=300)
+GOLDEN_COST_CSV_SHA256 = {
+    "golden": "224afe33cd1601949bfca5ad05cfd617a10f08814a97814a22954a192edc397a",
+    "setup": "f3f2a152ff1fe3816716a2591fffb34f37bc1bfea8844362e430acb2428d0215",
+}
+
+
+@pytest.mark.parametrize(
+    "name, config, model",
+    [
+        ("golden", GOLDEN_CONFIG, DEFAULT_COST_MODEL),
+        ("setup", SETUP_COST_CONFIG, SETUP_COST_MODEL),
+    ],
+)
+def test_golden_cost_csv(tmp_path, name, config, model):
+    trace = run_simulation(config, model)
+    path = tmp_path / "costs.csv"
+    write_cost_csv(trace.costs, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_COST_CSV_SHA256[name]
+
+
 def test_trace_determinism_and_replay():
     config = SimConfig(users=4, resources=3, epochs=5, seed=9)
     a = run_simulation(config)
@@ -198,6 +222,24 @@ def test_replay_detects_tampered_share():
     assert result.diverged_at == victim.tx.block
 
 
+def test_replay_reports_the_first_diverging_block():
+    # Record k is tampered and a later transaction is made invalid: the
+    # replay stops at block k, before it reaches the invalid call.
+    config = SimConfig(users=2, resources=2, epochs=3, seed=4)
+    trace = run_simulation(config)
+    records = list(trace.records)
+    k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_CLAIM)
+    records[k] = dataclasses.replace(records[k], task_count=records[k].task_count + 1)
+    later = records[-1]
+    records[-1] = dataclasses.replace(
+        later, tx=dataclasses.replace(later.tx, user=99)  # never registered
+    )
+    result = replay(dataclasses.replace(trace, records=tuple(records)))
+    assert not result
+    assert result.diverged_at == records[k].tx.block
+    assert result.reason == f"task_count diverged at block {records[k].tx.block}"
+
+
 def test_replay_ignores_cost_coefficients():
     config = SimConfig(users=2, resources=2, epochs=3, seed=5)
     trace = run_simulation(config)
@@ -210,7 +252,7 @@ def test_simulation_error_carries_block():
     machine = _make_machine(config)
     bad = [BlockTx(1, KIND_CLAIM, 0)]  # claim before registering
     with pytest.raises(SimulationError) as exc_info:
-        _execute(machine, bad, CostModel())
+        list(_execute(machine, bad, CostModel()))
     assert exc_info.value.block == 1
     assert "block 1" in str(exc_info.value)
 
@@ -222,7 +264,7 @@ def test_decreasing_block_raises_at_that_block():
     assert (txs[5].kind, txs[5].block) == (KIND_CLAIM, 6)
     txs[5] = dataclasses.replace(txs[5], block=4)
     with pytest.raises(SimulationError, match="precedes the last block") as info:
-        _execute(_make_machine(config), txs, CostModel())
+        list(_execute(_make_machine(config), txs, CostModel()))
     assert info.value.block == 4
 
 

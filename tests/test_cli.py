@@ -159,6 +159,23 @@ def test_costfit_missing_file():
     assert run_cli("costfit", "/nonexistent/costs.csv") == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("claim,5", "line 2: expected 5 fields"),
+        ("claim,5,2,0,100,7", "line 2: expected 5 fields"),
+        ("claim,x,2,0,100", "line 2: invalid literal"),
+    ],
+)
+def test_costfit_malformed_row_is_one_error_line(tmp_path, capsys, row, message):
+    path = tmp_path / "costs.csv"
+    path.write_text(f"call_kind,m,epoch,user,cost_units\n{row}\n")
+    assert run_cli("costfit", str(path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert message in err
+
+
 def test_config_file_with_flag_override(tmp_path):
     out = tmp_path / "out"
     config = tmp_path / "config.json"

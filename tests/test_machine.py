@@ -1,4 +1,6 @@
+import collections
 import copy
+import pickle
 import random
 
 import pytest
@@ -11,8 +13,9 @@ from fairpool import (
     ResourceVector,
     accounting_gap,
     fixed_floor_div,
+    fixed_point_reference,
 )
-from fairpool.machine import INT_LIMIT
+from fairpool.machine import DEFAULT_PRECISION, INT_LIMIT
 
 P = 1_000_000
 
@@ -484,3 +487,173 @@ def test_claim_overflow_leaves_state_unchanged():
     assert _state(machine, 0) == before
     machine._users[0].balance[1] = 0
     assert machine.claim(0, 4).share == ResourceVector([3, 12])
+
+
+def test_transition_overflow_leaves_state_unchanged():
+    machine = AllocationMachine(
+        MachineConfig(
+            resource_count=1,
+            epoch_span=4,
+            offset=0,
+            epoch_reserve=ResourceVector([2**24]),
+            precision=2**40,
+        )
+    )
+    machine.register_user(0)
+    machine.demand(0, ResourceVector([1]), 0)  # reciprocal 2**64
+
+    def state():
+        return (
+            machine.epoch,
+            machine.transitions,
+            machine.cycle_count,
+            machine.total_injected(),
+            machine.snapshot(),
+        )
+
+    before = state()
+    for _ in range(2):  # the retry at the same block raises again
+        with pytest.raises(MachineOverflowError):
+            machine.claim(0, 4)  # the cycle-count numerator needs 2**128
+        assert state() == before
+
+
+# --- headroom: both sides of each bound in MachineConfig's docstring ---------
+
+
+@pytest.mark.parametrize("precision", [2**64 - 1, 2**64])
+def test_cycle_count_numerator_bound(precision):
+    # Reserve 1 and demand [1] store the reciprocal p, so the numerator
+    # at the transition is p**2.
+    machine = AllocationMachine(
+        MachineConfig(1, 2, 0, ResourceVector([1]), precision=precision)
+    )
+    machine.register_user(0)
+    machine.demand(0, ResourceVector([1]), 0)
+    if precision**2 > INT_LIMIT:
+        with pytest.raises(MachineOverflowError):
+            machine.update_state(2)
+        assert machine.epoch == 1
+    else:
+        assert machine.update_state(2)
+        assert machine.cycle_count == precision
+        assert machine.claim(0, 2).task_count == 1
+
+
+@pytest.mark.parametrize("reserve", [2**64 - 1, 2**64])
+def test_scaled_demand_sum_bound(reserve):
+    # Two users demanding [1] each store the reciprocal p * P, so the sum
+    # is 2 * p * P: 2**128 - 2**64 fits, 2**128 does not.
+    machine = AllocationMachine(
+        MachineConfig(1, 4, 0, ResourceVector([reserve]), precision=2**63)
+    )
+    machine.register_user(0)
+    machine.register_user(1)
+    machine.demand(0, ResourceVector([1]), 0)
+    if 2 * 2**63 * reserve > INT_LIMIT:
+        with pytest.raises(MachineOverflowError):
+            machine.demand(1, ResourceVector([1]), 1)
+    else:
+        assert machine.demand(1, ResourceVector([1]), 1).recip_share == 2**63 * reserve
+
+
+# --- seeded call-sequence fuzzer ----------------------------------------------
+
+
+def _fuzz_sequence(rng, precision, reserve_high, seen):
+    """Drive one fresh machine through random calls, checking after each.
+
+    Draws registrations (some duplicate), demands and claims (some by a
+    user never registered, late, duplicate or unbacked), bare
+    ``update_state`` calls, stale blocks and jumps across idle epochs.
+    After every call:
+
+    * a rejected call left the state as it was, or as ``update_state``
+      alone at that block would have left it;
+    * ``accounting_gap`` is zero;
+    * a claim's task count equals ``fixed_point_reference`` over the
+      demands of the epoch before, against the pool they were made on.
+    """
+    n = rng.randint(1, 4)
+    m = rng.randint(1, 3)
+    er = [rng.randint(0, reserve_high) for _ in range(m)]
+    er[rng.randrange(m)] = rng.randint(1, reserve_high)
+    es = rng.randint(2 * n, 2 * n + 3)
+    offset = rng.randint(0, 3)
+    machine = AllocationMachine(
+        MachineConfig(m, es, offset, ResourceVector(er), precision)
+    )
+    demands: dict[int, dict[int, tuple[int, ...]]] = {}  # epoch -> user -> vector
+    pools: dict[int, tuple[int, ...]] = {}  # epoch -> demand pool
+    expected: dict[int, dict[int, int]] = {}  # claim epoch -> user -> tasks
+    block = offset
+    for u in range(n):
+        if rng.random() < 0.8:
+            machine.register_user(u)
+    for _ in range(rng.randint(10, 20)):
+        kind = rng.choice(("register", "update") + ("demand", "claim") * 3)
+        block = max(block + rng.choice((0, 1, 1, 1, es, es, 3 * es, -1)), offset)
+        user = rng.randrange(n)
+        if kind == "claim" and rng.random() < 0.8:
+            epoch = max(machine.epoch, (block - offset) // es + 1)
+            user = rng.choice(list(demands.get(epoch - 1, [user])))
+        elif kind != "register" and rng.random() < 0.05:
+            user = n  # never registered
+        before = pickle.dumps(machine)
+        try:
+            if kind == "register":
+                machine.register_user(user)
+            elif kind == "demand":
+                vec = [rng.randint(0, 5) for _ in range(m)]
+                vec[rng.randrange(m)] = rng.randint(1, 5)
+                rec = machine.demand(user, ResourceVector(vec), block)
+                pool = machine.reserve_pool(machine.demand_pool_parity()).quantities
+                assert pools.setdefault(rec.epoch, pool) == pool
+                demands.setdefault(rec.epoch, {})[user] = tuple(vec)
+            elif kind == "claim":
+                receipt = machine.claim(user, block)
+                e = receipt.epoch
+                if e not in expected:
+                    users = list(demands[e - 1])
+                    outcome = fixed_point_reference(
+                        [demands[e - 1][u] for u in users], pools[e - 1], precision
+                    )
+                    expected[e] = dict(zip(users, outcome.task_counts))
+                assert receipt.task_count == expected[e][user]
+            elif machine.update_state(block):
+                kind = "transition"
+        except MachineError as exc:
+            seen[kind, type(exc).__name__] += 1
+            advanced = pickle.loads(before)
+            try:
+                advanced.update_state(block)
+            except MachineError:
+                pass
+            assert vars(machine) in (vars(pickle.loads(before)), vars(advanced))
+        else:
+            seen[kind, "ok"] += 1
+        assert not any(accounting_gap(machine))
+
+
+@pytest.mark.parametrize(
+    "precision, reserve_highs",
+    [
+        (DEFAULT_PRECISION, (40,)),
+        # precision * reserve near 2**64 strains the cycle-count numerator,
+        # near 2**126 the scaled demand sums
+        (2**62 - 1, (6, 2**64)),
+    ],
+    ids=["default-precision", "near-128-bit-bound"],
+)
+def test_call_sequence_fuzzer(precision, reserve_highs):
+    rng = random.Random(precision)
+    seen = collections.Counter()
+    for _ in range(1000):
+        _fuzz_sequence(rng, precision, rng.choice(reserve_highs), seen)
+    # Every kind of call both passed and was rejected, many times over.
+    for kind in ("register", "demand", "claim"):
+        assert seen[kind, "ok"] >= 100 and seen[kind, "MachineError"] >= 100
+    assert seen["transition", "ok"] >= 500
+    if precision > DEFAULT_PRECISION:
+        assert seen["demand", "MachineOverflowError"] >= 100
+        assert seen["claim", "MachineOverflowError"] >= 100
