@@ -116,8 +116,6 @@ def dominant_share(
         raise ValueError("need one weight per resource")
     if len(demand) != len(reserves):
         raise ValueError("demand and reserves must have the same resource count")
-    if demand.is_zero():
-        raise ValueError("demand must have a positive component")
     # -1/1 is below every ratio, so the first demanded resource takes the lead.
     best_num, best_den, best_index = -1, 1, -1
     for r, (d, res, w) in enumerate(zip(demand, reserves, weights)):
@@ -130,6 +128,8 @@ def dominant_share(
         num, den = d * w.denominator, res * w.numerator
         if num * best_den > best_num * den:
             best_num, best_den, best_index = num, den, r
+    if best_index < 0:
+        raise ValueError("demand must have a positive component")
     return Fraction(best_num, best_den), best_index
 
 

@@ -313,8 +313,8 @@ def _execute(
     * the caller's machine balance equals its ledger entry.
 
     A full O(n) recount, ``accounting_gap`` plus a comparison of every
-    machine balance with the ledger, runs on each block where
-    ``update_state`` executed a transition and on the last block.  An
+    machine balance with the ledger, runs on each block whose call
+    executed an epoch transition and on the last block.  An
     epoch spans two blocks per user, so this averages O(m) per block.
     A fault inside a call (a wrong credit, a pool losing units) raises
     at that block.  A non-caller's balance changed outside any call is
@@ -348,10 +348,7 @@ def _execute(
                 machine.register_user(tx.user)
                 ledger[tx.user] = [0] * m
             elif tx.kind in (KIND_DEMAND, KIND_CLAIM):
-                if machine.update_state(tx.block):
-                    update_cost = cost_model.cost(
-                        KIND_UPDATE, m, 0, machine.transitions
-                    )
+                transitions = machine.transitions  # moves if the call transitions
                 branch_events = 0
                 if tx.kind == KIND_DEMAND:
                     assert tx.vector is not None
@@ -369,6 +366,10 @@ def _execute(
                     for r, v in enumerate(vector):
                         entry[r] += v
                         held[r] += v
+                if machine.transitions != transitions:
+                    update_cost = cost_model.cost(
+                        KIND_UPDATE, m, 0, machine.transitions
+                    )
                 key = (tx.kind, tx.user)
                 ordinal = calls[key] = calls.get(key, 0) + 1
                 cost_units = cost_model.cost(tx.kind, m, branch_events, ordinal)

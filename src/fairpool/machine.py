@@ -7,7 +7,9 @@ pool during an epoch and claim their shares from that same pool during
 the next epoch, while the freshly replenished complementary pool collects
 the next round of demands.  Dominant shares are stored as floored
 reciprocals scaled by a precision factor, so no call ever needs a loop
-over the user set and every division is an exact integer floor.
+over the user set and every division is an exact integer floor.  Every
+intermediate must fit in 128 bits, and each is checked once: as an
+operand of ``fixed_floor_div``, which checks both, or where it is formed.
 
 State layout per parity (index 0 or 1):
 
@@ -51,14 +53,12 @@ def _checked(value: int) -> int:
 
 
 def fixed_floor_div(a: int, b: int) -> int:
-    """Floored integer division used for every division in the machine."""
+    """Floored division that checks both operands; the machine's only division."""
     if b == 0:
         raise MachineError("division by zero")
     if a < 0 or b < 0:
         raise MachineError("fixed_floor_div operates on non-negative integers")
-    _checked(a)
-    _checked(b)
-    return a // b
+    return _checked(a) // _checked(b)
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,12 @@ class MachineConfig:
       most ``precision**2 * P_r**2``;
     * the scaled demand sum ``sds_r`` is at most
       ``n * precision * P_r`` for n users demanding resource r.
+
+    An overflowing transition changes nothing and is not terminal: calls in
+    epochs of its parity raise (their transitions read the same demand
+    sums), but one in an epoch of the other parity transitions; the demands
+    behind those sums are never claimed, and that epoch's first demand
+    replaces them.
     """
 
     resource_count: int
@@ -254,22 +260,15 @@ class AllocationMachine:
         return transition
 
     def _compute_cycle_count(self, parity: int) -> int:
-        sds = self._sds[parity]
-        if all(v == 0 for v in sds):
-            return 0
+        top, pool = self._max_recip[parity], self._reserves[parity]
         p = self._cfg.precision
-        top = self._max_recip[parity]
-        best: int | None = None
-        for r, total in enumerate(sds):
-            if total == 0:
-                # Resource demanded by nobody imposes no bound.
-                continue
-            numerator = _checked(top * self._reserves[parity][r] * p)
-            bound = fixed_floor_div(numerator, total)
-            if best is None or bound < best:
-                best = bound
-        assert best is not None
-        return best
+        # A resource demanded by nobody imposes no bound; with none
+        # demanded there is nothing to claim.
+        return min(
+            (fixed_floor_div(top * pool[r] * p, total)
+             for r, total in enumerate(self._sds[parity]) if total),
+            default=0,
+        )
 
     def demand(self, user: int, vector: ResourceVector, block: int) -> DemandRecord:
         """Register a demand vector for the next epoch's claim round."""
@@ -284,8 +283,6 @@ class AllocationMachine:
                 f"demand has {len(vector)} components, machine has "
                 f"{cfg.resource_count} resources"
             )
-        if vector.is_zero():
-            raise MachineError("demand must have a positive component")
         s = (e + 1) % 2
         pool = self._reserves[s]
         p = cfg.precision
@@ -298,13 +295,14 @@ class AllocationMachine:
                 raise MachineError(
                     f"resource {r} has no reserve in the demand pool"
                 )
-            candidate = fixed_floor_div(_checked(p * pool[r]), d)
+            candidate = fixed_floor_div(p * pool[r], d)
             if recip is None:
                 recip = candidate
             elif candidate < recip:
                 recip = candidate
                 updates += 1
-        assert recip is not None
+        if recip is None:
+            raise MachineError("demand must have a positive component")
         if recip == 0:
             raise MachineError(
                 "demand exceeds the precision-scaled reserve; reciprocal "
@@ -344,8 +342,8 @@ class AllocationMachine:
             raise MachineError(f"user {user} already claimed in epoch {e}")
         s = e % 2
         p = self._cfg.precision
-        ratio = fixed_floor_div(_checked(slot.recip[s] * p), self._max_recip[s])
-        task_count = fixed_floor_div(_checked(ratio * self._k_prime), p * p)
+        ratio = fixed_floor_div(slot.recip[s] * p, self._max_recip[s])
+        task_count = fixed_floor_div(ratio * self._k_prime, p * p)
         demand_vec = slot.demand[s]
         assert demand_vec is not None
         pool = self._reserves[s]

@@ -123,10 +123,6 @@ class WeightVector:
                 raise ValueError(f"weights must be positive, got {x}")
         self._w = w
 
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return self._w
-
     def __len__(self) -> int:
         return len(self._w)
 

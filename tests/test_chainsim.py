@@ -561,3 +561,51 @@ def test_crosscheck_single_user():
     report = crosscheck_trace(trace)
     assert report.match_rate == 1.0
     assert set(report.delta_counts) == {0}
+
+
+# --- each check once ------------------------------------------------------------
+
+
+def test_one_update_state_call_per_demand_or_claim_block(monkeypatch):
+    calls = []
+    original = AllocationMachine.update_state
+
+    def counted(self, block):
+        calls.append(block)
+        return original(self, block)
+
+    monkeypatch.setattr(AllocationMachine, "update_state", counted)
+    trace = run_simulation(FAULT_CONFIG)
+    blocks = [r.tx.block for r in trace.records if r.tx.kind != KIND_REGISTER]
+    assert len(blocks) == 28
+    assert calls == blocks
+
+
+def test_replay_returns_a_simulation_error_as_its_result():
+    trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
+    records = list(trace.records)
+    last = records[-1]
+    records[-1] = dataclasses.replace(
+        last, tx=dataclasses.replace(last.tx, user=99)  # never registered
+    )
+    result = replay(dataclasses.replace(trace, records=tuple(records)))
+    assert not result
+    assert result.diverged_at == last.tx.block
+    assert result.reason == f"block {last.tx.block}: user 99 is not registered"
+
+
+def test_crosscheck_keeps_the_first_ten_mismatches(monkeypatch):
+    original = chainsim.reference_task_counts
+
+    def off_by_one(demands, pool):
+        return {u: t + 1 for u, t in original(demands, pool).items()}
+
+    monkeypatch.setattr(chainsim, "reference_task_counts", off_by_one)
+    report = crosscheck_trace(run_simulation(FAULT_CONFIG))
+    assert (report.claims_checked, report.matches) == (12, 0)
+    assert report.match_rate == 0.0
+    # Claims of epochs 2, 3 and 4 by users 0 to 3, in order, up to ten.
+    assert [(e, u) for e, u, _, _ in report.mismatches] == [
+        (e, u) for e in (2, 3, 4) for u in range(4)
+    ][:10]
+    assert all(ref == got + 1 for _, _, got, ref in report.mismatches)

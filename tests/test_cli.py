@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from fairpool import AllocationMachine, chainsim
 from fairpool.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _wilson_interval, main
 
 
@@ -323,3 +325,86 @@ def test_flag_overrides_config_boolean(tmp_path):
     )
     assert code == EXIT_OK
     assert json.loads((out / "stats.json").read_text())["reserve_mode"] == "shared"
+
+
+# --- streamed cost CSV and exit 2 ---------------------------------------------
+
+
+def test_run_streams_the_same_cost_csv(tmp_path, capsys):
+    # sha256 of the costs.csv written when every trace's rows were kept
+    # until the sweep ended.
+    out = tmp_path / "out"
+    code = run_cli(
+        "run",
+        "--users", "3",
+        "--epochs", "4",
+        "--sweep", "2,3",
+        "--trials", "2",
+        "--seed", "5",
+        "--coefficients",
+        '{"demand_setup": 1000, "claim_setup": 700, "update_setup": 300}',
+        "--out", str(out),
+    )
+    assert code == EXIT_OK
+    digest = hashlib.sha256((out / "costs.csv").read_bytes()).hexdigest()
+    assert digest == "d81b7065c503328224bf56ffacd1452030bb7c4ba7b691867d9a484e47af5bb9"
+    lines = capsys.readouterr().out.replace(str(out), "OUT").splitlines()
+    assert lines == [
+        *(
+            f"wrote OUT/trace_m{m}_trial{t}.txt (24 blocks)"
+            for m in (2, 3)
+            for t in (0, 1)
+        ),
+        "wrote OUT/costs.csv (96 cost records)",
+        "4 trace(s) complete",
+    ]
+
+
+def _credit_claimer_at(monkeypatch, at_block, resources):
+    """Credit one unit to the caller of the claim at ``at_block`` on
+    machines with ``resources`` resources."""
+    original = AllocationMachine.claim
+
+    def faulty(self, user, block):
+        receipt = original(self, user, block)
+        if block == at_block and self.config.resource_count == resources:
+            self._users[user].balance[0] += 1
+        return receipt
+
+    monkeypatch.setattr(AllocationMachine, "claim", faulty)
+
+
+# 4 users, 4 epochs: block 11 is user 2's first claim.
+_FAULT_ARGS = ["--users", "4", "--epochs", "4", "--seed", "15", "--sweep", "3,2"]
+
+
+@pytest.mark.parametrize(
+    "command, output", [("run", "costs.csv"), ("crosscheck", "crosscheck.json")]
+)
+def test_simulation_error_exits_2_without_summary(
+    tmp_path, capsys, monkeypatch, command, output
+):
+    # The m = 3 run completes; the m = 2 run fails at block 11.
+    _credit_claimer_at(monkeypatch, 11, 2)
+    out = tmp_path / "out"
+    assert run_cli(command, *_FAULT_ARGS, "--out", str(out)) == EXIT_VIOLATION
+    err = capsys.readouterr().err
+    assert err.startswith("simulation failed: block 11: conservation identity violated")
+    assert not (out / output).exists()
+    assert (out / "trace_m3_trial0.txt").exists() == (command == "run")
+
+
+def test_crosscheck_mismatch_exits_2_without_summary(tmp_path, capsys, monkeypatch):
+    original = chainsim.reference_task_counts
+    monkeypatch.setattr(
+        chainsim,
+        "reference_task_counts",
+        lambda demands, pool: {u: t + 1 for u, t in original(demands, pool).items()},
+    )
+    out = tmp_path / "out"
+    code = run_cli("crosscheck", *_FAULT_ARGS, "--out", str(out))
+    assert code == EXIT_VIOLATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("MISMATCH at m=3 trial=0 epoch=2 user=0: machine=")
+    assert not (out / "crosscheck.json").exists()

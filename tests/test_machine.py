@@ -657,3 +657,84 @@ def test_call_sequence_fuzzer(precision, reserve_highs):
     if precision > DEFAULT_PRECISION:
         assert seen["demand", "MachineOverflowError"] >= 100
         assert seen["claim", "MachineOverflowError"] >= 100
+
+
+# --- edges of single checks ---------------------------------------------------
+
+
+def test_claim_clamps_share_to_what_the_pool_holds():
+    machine = run_worked_epoch()
+    machine.update_state(4)  # user 0's share is 3 tasks of [1, 4]: [3, 12]
+    machine._reserves[0] = [2, 5]
+    receipt = machine.claim(0, 4)
+    assert receipt.task_count == 3
+    assert receipt.share == ResourceVector([2, 5])
+    assert receipt.clamped
+    assert machine.reserve_pool(0) == ResourceVector([0, 0])
+    assert machine.balance_of(0) == ResourceVector([2, 5])
+
+
+@pytest.mark.parametrize("reserve", [2**64 - 1, 2**64])
+def test_demand_reserve_operand_bound(reserve):
+    # Demand [1] divides p * P by 1: 2**128 - 2**64 fits, 2**128 does not.
+    p = 2**64
+    machine = AllocationMachine(
+        MachineConfig(1, 2, 0, ResourceVector([reserve]), precision=p)
+    )
+    machine.register_user(0)
+    if p * reserve > INT_LIMIT:
+        with pytest.raises(MachineOverflowError, match=f"value {p * reserve} "):
+            machine.demand(0, ResourceVector([1]), 0)
+    else:
+        assert machine.demand(0, ResourceVector([1]), 0).recip_share == p * reserve
+
+
+@pytest.mark.parametrize("precision", [2**59 - 1, 2**59])
+def test_claim_reciprocal_operand_bound(precision):
+    # User 1 demands [1] from a pool of 2**10 and stores the reciprocal
+    # p * 2**10, so its claim forms p**2 * 2**10; user 0's larger demand
+    # keeps the cycle count, and so ratio * k', below that.
+    machine = AllocationMachine(
+        MachineConfig(1, 4, 0, ResourceVector([2**10]), precision=precision)
+    )
+    machine.register_user(0)
+    machine.register_user(1)
+    machine.demand(0, ResourceVector([2**20]), 0)
+    machine.demand(1, ResourceVector([1]), 1)
+    operand = precision * 2**10 * precision
+    if operand > INT_LIMIT:
+        with pytest.raises(MachineOverflowError, match=f"value {operand} "):
+            machine.claim(1, 4)
+        assert machine.balance_of(1) == ResourceVector([0])
+    else:
+        assert machine.claim(1, 4).task_count > 0
+
+
+def test_transition_overflow_is_not_terminal():
+    # User 0's demand stores the reciprocal 2**64, so the transition into
+    # an even epoch, which reads its sums, needs a numerator of 2**128.
+    machine = AllocationMachine(
+        MachineConfig(1, 4, 0, ResourceVector([2**24]), precision=2**40)
+    )
+    machine.register_user(0)
+    machine.register_user(1)
+    machine.demand(0, ResourceVector([1]), 0)
+    for call, args in [
+        (machine.claim, (0, 4)),
+        (machine.demand, (1, ResourceVector([1]), 6)),
+        (machine.update_state, (7,)),
+        (machine.update_state, (13,)),  # epoch 4 reads the same sums
+    ]:
+        with pytest.raises(MachineOverflowError):
+            call(*args)
+        assert machine.epoch == 1
+        assert not any(accounting_gap(machine))
+    assert machine.update_state(9)  # epoch 3 reads the other parity's sums
+    assert machine.epoch == 3
+    with pytest.raises(MachineError, match="no demand registered in epoch 2"):
+        machine.claim(0, 9)  # user 0's demand of epoch 1 is never claimed
+    machine.demand(1, ResourceVector([2**10]), 10)  # replaces the sums
+    receipt = machine.claim(1, 13)
+    assert (receipt.epoch, receipt.task_count) == (4, 2**15)
+    assert receipt.share == ResourceVector([2**25])
+    assert not any(accounting_gap(machine))
