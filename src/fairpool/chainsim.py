@@ -8,13 +8,16 @@ state never depends on them.
 
 The harness checks conservation against its own ledger of claimed
 shares.  Every block it checks, in O(m), what the call can change: the
-two pools plus the ledger's total must equal everything injected, and
-the caller's balance must equal its ledger entry.  On each epoch
-transition and on the last block it also recounts every balance, O(n),
-so a run costs O(m) per block averaged over an epoch.  A trace record's
-``snapshot`` holds the epoch, both pools, the cycle count and the
+two pools must hold no negative quantity, the pools plus the ledger's
+total must equal everything injected, and the caller's balance must
+equal its ledger entry.  It reads all of these with one
+``caller_snapshot`` call, as plain tuples.  On each epoch transition and
+on the last block it also recounts every balance, O(n), so a run costs
+O(m) per block averaged over an epoch.  A trace record's ``snapshot`` is
+that ``caller_snapshot``: the epoch, both pools, the cycle count and the
 caller's balance; on recount blocks it is the machine's full
-``snapshot()``, with every user's balance.
+``snapshot()``, with every user's balance.  Records are NamedTuples:
+immutable, and copied with ``._replace``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .alloc import pdrf_allocate
 from .machine import AllocationMachine, MachineConfig, MachineError, accounting_gap
@@ -173,16 +176,14 @@ class CostModel:
 DEFAULT_COST_MODEL = CostModel()
 
 
-@dataclass(frozen=True, slots=True)
-class BlockTx:
+class BlockTx(NamedTuple):
     block: int
     kind: str
     user: int
     vector: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class CostRecord:
+class CostRecord(NamedTuple):
     call_kind: str
     m: int
     epoch: int
@@ -190,8 +191,7 @@ class CostRecord:
     cost_units: int
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     tx: BlockTx
     epoch: int
     # Demand blocks echo the demand vector; claim blocks carry the share.
@@ -306,8 +306,13 @@ def _execute(
     user's balance (a zero entry at registration, plus every claimed
     share) and ``held``, their per-resource total.  A call can change
     only the two pools, the epoch and cycle count, and the caller's
-    balance, so every block checks just those, in O(m):
+    balance, so every block reads just those, in O(m), with one
+    ``machine.caller_snapshot(user)`` call that returns them as tuples
+    without building a validated vector, and checks:
 
+    * no quantity in either pool is negative (a ``ResourceVector`` would
+      have refused one; here it is an explicit check that raises at this
+      block);
     * ``total_injected() == pool0 + pool1 + held``, component by
       component;
     * the caller's machine balance equals its ledger entry.
@@ -316,21 +321,22 @@ def _execute(
     machine balance with the ledger, runs on each block whose call
     executed an epoch transition and on the last block.  An
     epoch spans two blocks per user, so this averages O(m) per block.
-    A fault inside a call (a wrong credit, a pool losing units) raises
-    at that block.  A non-caller's balance changed outside any call is
-    not seen per block; it raises at that user's next call, the next
-    transition or the final block, whichever comes first.  This is the
-    one fault a full recount on every block would catch sooner, on the
-    next block, at O(n) per block.
+    A fault inside a call (a wrong credit, a pool losing units, units
+    moved between the pools until one is negative) raises
+    ``SimulationError`` at that block.  A non-caller's balance changed
+    outside any call is not seen per block; it raises at that user's
+    next call, the next transition or the final block, whichever comes
+    first.  This is the one fault a full recount on every block would
+    catch sooner, on the next block, at O(n) per block.
 
-    Each record's ``snapshot`` holds ``epoch``, ``reserves``,
-    ``cycle_count`` and the caller's ``balance``; recount blocks hold
-    the machine's full ``snapshot()`` instead.  Comparing these per
-    block, as ``replay`` does, still compares everything a full snapshot
-    holds: by induction on blocks, two runs that agree at a recount (or
-    at the fresh start) and on every later record agree on everything a
-    call could have changed since, and full snapshots are compared again
-    at the next recount.
+    Each record's ``snapshot`` is that ``caller_snapshot``: ``epoch``,
+    ``reserves``, ``cycle_count`` and the caller's ``balance``; recount
+    blocks hold the machine's full ``snapshot()`` instead.  Comparing
+    these per block, as ``replay`` does, still compares everything a
+    full snapshot holds: by induction on blocks, two runs that agree at
+    a recount (or at the fresh start) and on every later record agree on
+    everything a call could have changed since, and full snapshots are
+    compared again at the next recount.
     """
     txs = list(txs)
     m = machine.config.resource_count
@@ -377,16 +383,18 @@ def _execute(
                 raise MachineError(f"unknown call kind {tx.kind!r}")
         except MachineError as exc:
             raise SimulationError(tx.block, str(exc)) from exc
-        reserves = (
-            machine.reserve_pool(0).quantities,
-            machine.reserve_pool(1).quantities,
-        )
+        snapshot = machine.caller_snapshot(tx.user)
+        reserves = snapshot["reserves"]
+        if min(map(min, reserves)) < 0:
+            raise SimulationError(
+                tx.block,
+                f"conservation identity violated: a pool is negative: {reserves}",
+            )
         injected = machine.total_injected().quantities
         accounted = tuple(map(add, map(add, *reserves), held))
         if injected != accounted:
             _check_gap(tx.block, tuple(map(sub, injected, accounted)))
-        balance = machine.balance_of(tx.user).quantities
-        _check_balance(tx.block, tx.user, balance, ledger[tx.user])
+        _check_balance(tx.block, tx.user, snapshot["balance"], ledger[tx.user])
         if update_cost is not None or index == len(txs) - 1:
             _check_gap(tx.block, accounting_gap(machine))
             snapshot = machine.snapshot()
@@ -394,16 +402,9 @@ def _execute(
                 _check_balance(
                     tx.block, uid, machine_balance, ledger.get(uid, [0] * m)
                 )
-        else:
-            snapshot = {
-                "epoch": machine.epoch,
-                "reserves": reserves,
-                "cycle_count": machine.cycle_count,
-                "balance": balance,
-            }
         yield TraceRecord(
             tx=tx,
-            epoch=machine.epoch,
+            epoch=snapshot["epoch"],
             vector=vector,
             task_count=task_count,
             clamped=clamped,
@@ -557,24 +558,21 @@ def write_trace_file(trace: Trace, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(trace.header, sort_keys=True) + "\n")
         for rec in trace.records:
-            vec = ",".join(str(v) for v in rec.vector) if rec.vector else "-"
+            vec = ",".join(map(str, rec.vector)) if rec.vector else "-"
             fh.write(
                 f"{rec.tx.block} {rec.epoch} {rec.tx.kind} {rec.tx.user} {vec} "
                 f"{rec.cost_units} {int(rec.clamped)}\n"
             )
 
 
-COST_CSV_COLUMNS = ("call_kind", "m", "epoch", "user", "cost_units")
+COST_CSV_COLUMNS = CostRecord._fields
 
 
 def write_cost_csv(records: Iterable[CostRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(COST_CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [rec.call_kind, rec.m, rec.epoch, rec.user, rec.cost_units]
-            )
+        writer.writerows(records)
 
 
 def read_cost_csv(path: str) -> list[CostRecord]:

@@ -250,6 +250,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
         for m, trial, trace in _run_all(args, DEFAULT_COST_MODEL):
             report = crosscheck_trace(trace)
             clamp_events += trace.clamp_count()
+            del trace  # drop it before the next run
             total_claims += report.claims_checked
             total_epochs += report.epochs_checked
             for delta, count in report.delta_counts.items():

@@ -9,7 +9,8 @@ the next round of demands.  Dominant shares are stored as floored
 reciprocals scaled by a precision factor, so no call ever needs a loop
 over the user set and every division is an exact integer floor.  Every
 intermediate must fit in 128 bits, and each is checked once: as an
-operand of ``fixed_floor_div``, which checks both, or where it is formed.
+operand of ``fixed_floor_div``, which checks both, or where it is formed,
+a vector of non-negative values through its largest component.
 
 State layout per parity (index 0 or 1):
 
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from operator import add
+from typing import NamedTuple
 
 from .vectors import ResourceVector
 
@@ -58,7 +61,10 @@ def fixed_floor_div(a: int, b: int) -> int:
         raise MachineError("division by zero")
     if a < 0 or b < 0:
         raise MachineError("fixed_floor_div operates on non-negative integers")
-    return _checked(a) // _checked(b)
+    if a > INT_LIMIT or b > INT_LIMIT:
+        _checked(a)
+        _checked(b)
+    return a // b
 
 
 @dataclass(frozen=True)
@@ -100,8 +106,7 @@ class MachineConfig:
             raise ValueError("precision must be positive")
 
 
-@dataclass(frozen=True, slots=True)
-class ClaimReceipt:
+class ClaimReceipt(NamedTuple):
     user: int
     epoch: int
     task_count: int
@@ -109,8 +114,7 @@ class ClaimReceipt:
     clamped: bool
 
 
-@dataclass(frozen=True, slots=True)
-class DemandRecord:
+class DemandRecord(NamedTuple):
     """Echo of an accepted demand.
 
     ``min_updates`` counts how many times the running reciprocal-share
@@ -125,7 +129,7 @@ class DemandRecord:
     min_updates: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _UserSlot:
     demand: list[ResourceVector | None] = field(default_factory=lambda: [None, None])
     recip: list[int] = field(default_factory=lambda: [0, 0])
@@ -199,6 +203,16 @@ class AllocationMachine:
             "reserves": (tuple(self._reserves[0]), tuple(self._reserves[1])),
             "cycle_count": self._k_prime,
             "balances": {uid: tuple(slot.balance) for uid, slot in self._users.items()},
+        }
+
+    def caller_snapshot(self, user: int) -> dict:
+        """``snapshot()`` with only ``user``'s balance, as ``balance``: what
+        one call can change, read in O(m) with no validation."""
+        return {
+            "epoch": self._epoch,
+            "reserves": (tuple(self._reserves[0]), tuple(self._reserves[1])),
+            "cycle_count": self._k_prime,
+            "balance": tuple(self._slot(user).balance),
         }
 
     def register_user(self, user: int) -> None:
@@ -288,7 +302,8 @@ class AllocationMachine:
         p = cfg.precision
         recip: int | None = None
         updates = 0
-        for r, d in enumerate(vector):
+        quantities = vector.quantities
+        for r, d in enumerate(quantities):
             if d == 0:
                 continue
             if pool[r] == 0:
@@ -314,12 +329,12 @@ class AllocationMachine:
         if self._reset_epoch == e:
             # Later demands of the epoch add to its sums; the minimum
             # reciprocal is the largest dominant share.
-            sds = [a + d * recip for a, d in zip(self._sds[s], vector)]
+            sds = [a + d * recip for a, d in zip(self._sds[s], quantities)]
             if self._max_recip[s] < recip:
                 max_recip = self._max_recip[s]
         else:
             # The first demand of the epoch overwrites last round's sums.
-            sds = [d * recip for d in vector]
+            sds = [d * recip for d in quantities]
         _checked(max(sds))  # each sum bounds its non-negative terms
         self._sds[s] = sds
         self._max_recip[s] = max_recip
@@ -348,17 +363,18 @@ class AllocationMachine:
         assert demand_vec is not None
         pool = self._reserves[s]
         balance = slot.balance
-        share = [_checked(task_count * d) for d in demand_vec]
+        share = [task_count * d for d in demand_vec.quantities]
+        _checked(max(share))
         clamped = False
-        for r in range(len(share)):
-            if share[r] > pool[r]:
-                share[r] = pool[r]
+        for r, available in enumerate(pool):
+            if share[r] > available:
+                share[r] = available
                 clamped = True
-            # Checked before any unit moves, so an overflow changes nothing.
-            _checked(balance[r] + share[r])
-        for r in range(len(share)):
-            pool[r] -= share[r]
-            balance[r] += share[r]
+        # Checked before any unit moves, so an overflow changes nothing.
+        _checked(max(map(add, balance, share)))
+        for r, v in enumerate(share):
+            pool[r] -= v
+            balance[r] += v
         slot.last_claim_epoch = e
         return ClaimReceipt(user, e, task_count, ResourceVector(share), clamped)
 

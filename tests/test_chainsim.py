@@ -25,10 +25,13 @@ from fairpool.chainsim import (
     KIND_REGISTER,
     KIND_UPDATE,
     BlockTx,
+    CostRecord,
+    TraceRecord,
     _execute,
     _make_machine,
     read_cost_csv,
 )
+from fairpool.machine import ClaimReceipt, DemandRecord
 
 
 # --- schedule ----------------------------------------------------------------
@@ -69,6 +72,44 @@ def test_epoch_updates_fire_on_first_claim_of_each_epoch():
     assert [u.epoch for u in updates] == [2, 3, 4]
     # the update always rides on user 0's claim, the first call of the epoch
     assert all(u.user == 0 for u in updates)
+
+
+# --- record types --------------------------------------------------------------
+
+_TX = BlockTx(3, KIND_DEMAND, 0, (1, 2))
+_RECORDS = [
+    (_TX, ("block", "kind", "user", "vector")),
+    (
+        CostRecord(KIND_CLAIM, 2, 3, 0, 100),
+        ("call_kind", "m", "epoch", "user", "cost_units"),
+    ),
+    (
+        TraceRecord(_TX, 1, (1, 2), None, False, 100, None, {}),
+        ("tx", "epoch", "vector", "task_count", "clamped", "cost_units",
+         "update_cost", "snapshot"),
+    ),
+    (
+        DemandRecord(0, 1, ResourceVector([1, 2]), 5, 0),
+        ("user", "epoch", "vector", "recip_share", "min_updates"),
+    ),
+    (
+        ClaimReceipt(0, 2, 3, ResourceVector([3, 6]), False),
+        ("user", "epoch", "task_count", "share", "clamped"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [pytest.param(*case, id=type(case[0]).__name__) for case in _RECORDS],
+)
+def test_record_fields_are_fixed_and_immutable(record, fields):
+    assert record._fields == fields
+    with pytest.raises(AttributeError):
+        setattr(record, fields[1], 7)
+    changed = record._replace(**{fields[1]: 7})
+    assert changed[1] == 7 and record[1] != 7
+    assert changed[:1] + changed[2:] == record[:1] + record[2:]
 
 
 # --- simulation ----------------------------------------------------------------
@@ -215,7 +256,7 @@ def test_replay_detects_tampered_share():
     )
     tampered_vec = (victim.vector[0] + 1,) + victim.vector[1:]
     records = list(trace.records)
-    records[idx] = dataclasses.replace(victim, vector=tampered_vec)
+    records[idx] = victim._replace(vector=tampered_vec)
     tampered = dataclasses.replace(trace, records=tuple(records))
     result = replay(tampered)
     assert not result
@@ -229,10 +270,10 @@ def test_replay_reports_the_first_diverging_block():
     trace = run_simulation(config)
     records = list(trace.records)
     k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_CLAIM)
-    records[k] = dataclasses.replace(records[k], task_count=records[k].task_count + 1)
+    records[k] = records[k]._replace(task_count=records[k].task_count + 1)
     later = records[-1]
-    records[-1] = dataclasses.replace(
-        later, tx=dataclasses.replace(later.tx, user=99)  # never registered
+    records[-1] = later._replace(
+        tx=later.tx._replace(user=99)  # never registered
     )
     result = replay(dataclasses.replace(trace, records=tuple(records)))
     assert not result
@@ -262,7 +303,7 @@ def test_decreasing_block_raises_at_that_block():
     txs = build_schedule(config)
     # user 1's claim, block 6, restamped before user 0's claim at block 5
     assert (txs[5].kind, txs[5].block) == (KIND_CLAIM, 6)
-    txs[5] = dataclasses.replace(txs[5], block=4)
+    txs[5] = txs[5]._replace(block=4)
     with pytest.raises(SimulationError, match="precedes the last block") as info:
         list(_execute(_make_machine(config), txs, CostModel()))
     assert info.value.block == 4
@@ -340,12 +381,21 @@ def _drain_demand_pool(machine, caller):
     machine._reserves[machine.demand_pool_parity()][0] -= 1
 
 
+def _overdraw_claim_pool(machine, caller):
+    """Move the claim pool's first component, plus one unit, into the
+    demand pool: every total still balances, but the claim pool holds -1."""
+    claim_pool = machine._reserves[machine.epoch % 2]
+    machine._reserves[machine.demand_pool_parity()][0] += claim_pool[0] + 1
+    claim_pool[0] = -1
+
+
 @pytest.mark.parametrize(
     "method, at_block, corrupt",
     [
         pytest.param("claim", 11, _credit(None), id="claimer-credited"),
         pytest.param("claim", 11, _drain_demand_pool, id="pool-drained-in-claim"),
         pytest.param("demand", 22, _drain_demand_pool, id="pool-drained-in-demand"),
+        pytest.param("claim", 11, _overdraw_claim_pool, id="pool-negative-in-claim"),
     ],
 )
 def test_fault_in_a_call_raises_at_that_block(monkeypatch, method, at_block, corrupt):
@@ -354,6 +404,20 @@ def test_fault_in_a_call_raises_at_that_block(monkeypatch, method, at_block, cor
         run_simulation(FAULT_CONFIG)
     assert exc_info.value.block == at_block
     assert "conservation identity violated" in str(exc_info.value)
+
+
+def test_negative_pool_stops_run_and_replay_at_that_block(monkeypatch):
+    # Users 0..9 claim at blocks 21..30 of epoch 2; the claim at block 30
+    # is followed by the fault.
+    config = SimConfig(users=10, resources=2, epochs=3, seed=1)
+    trace = run_simulation(config)
+    _corrupt_during(monkeypatch, "claim", 30, _overdraw_claim_pool)
+    with pytest.raises(SimulationError, match="a pool is negative") as exc_info:
+        run_simulation(config)
+    assert exc_info.value.block == 30
+    result = replay(trace)
+    assert not result
+    assert result.diverged_at == 30
 
 
 def _move_unit(machine, caller):
@@ -585,8 +649,8 @@ def test_replay_returns_a_simulation_error_as_its_result():
     trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
     records = list(trace.records)
     last = records[-1]
-    records[-1] = dataclasses.replace(
-        last, tx=dataclasses.replace(last.tx, user=99)  # never registered
+    records[-1] = last._replace(
+        tx=last.tx._replace(user=99)  # never registered
     )
     result = replay(dataclasses.replace(trace, records=tuple(records)))
     assert not result

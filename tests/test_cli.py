@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
-from fairpool import AllocationMachine, chainsim
+from fairpool import AllocationMachine, chainsim, cli
 from fairpool.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, _wilson_interval, main
 
 
@@ -70,6 +72,23 @@ def test_crosscheck_reports_full_match(tmp_path, capsys):
     assert summary["match_rate"] == 1.0
     assert summary["clamp_events"] == 0
     assert summary["max_abs_fixed_minus_rational"] <= 1
+
+
+@pytest.mark.parametrize("command", ["run", "crosscheck"])
+def test_each_trace_is_dropped_before_the_next_run(tmp_path, monkeypatch, command):
+    original, traces = cli.run_simulation, []
+
+    def tracked(config, model):
+        gc.collect()
+        assert all(ref() is None for ref in traces)
+        trace = original(config, model)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(cli, "run_simulation", tracked)
+    argv = ["--users", "3", "--epochs", "3", "--sweep", "2,3", "--trials", "2"]
+    assert run_cli(command, *argv, "--out", str(tmp_path / "out")) == EXIT_OK
+    assert len(traces) == 4
 
 
 def test_stats_writes_summary(tmp_path):

@@ -572,7 +572,10 @@ def _fuzz_sequence(rng, precision, reserve_high, seen):
       alone at that block would have left it;
     * ``accounting_gap`` is zero;
     * a claim's task count equals ``fixed_point_reference`` over the
-      demands of the epoch before, against the pool they were made on.
+      demands of the epoch before, against the pool they were made on;
+    * ``caller_snapshot`` equals ``snapshot()`` on the epoch, the pools,
+      the cycle count and the caller's balance (and raises for a caller
+      never registered).
     """
     n = rng.randint(1, 4)
     m = rng.randint(1, 3)
@@ -633,6 +636,13 @@ def _fuzz_sequence(rng, precision, reserve_high, seen):
         else:
             seen[kind, "ok"] += 1
         assert not any(accounting_gap(machine))
+        full = machine.snapshot()
+        balances = full.pop("balances")
+        if user in balances:
+            assert machine.caller_snapshot(user) == {**full, "balance": balances[user]}
+        else:
+            with pytest.raises(MachineError, match="is not registered"):
+                machine.caller_snapshot(user)
 
 
 @pytest.mark.parametrize(
