@@ -26,7 +26,7 @@ import csv
 import json
 import random
 from dataclasses import asdict, dataclass
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .alloc import pdrf_allocate
@@ -255,7 +255,8 @@ def build_schedule(config: SimConfig) -> list[BlockTx]:
     """
     rng = random.Random(config.seed)
     n, m = config.users, config.resources
-    low, high = config.demand_low, config.demand_high
+    low, stop = config.demand_low, config.demand_high + 1
+    draw = rng.randrange
     txs: list[BlockTx] = []
     block = 1
     for epoch in range(1, config.epochs + 1):
@@ -269,7 +270,8 @@ def build_schedule(config: SimConfig) -> list[BlockTx]:
                 block += 1
         # The draw order (user by user, component by component) is part
         # of the seeded schedule; the golden trace test pins it.
-        vectors = [tuple(rng.randint(low, high) for _ in range(m)) for _ in range(n)]
+        # ``randrange(low, high + 1)`` is what ``randint(low, high)`` calls.
+        vectors = [tuple([draw(low, stop) for _ in range(m)]) for _ in range(n)]
         for user in range(n):
             txs.append(BlockTx(block, KIND_DEMAND, user, vectors[user]))
             block += 1
@@ -317,17 +319,19 @@ def _execute(
       component;
     * the caller's machine balance equals its ledger entry.
 
-    A full O(n) recount, ``accounting_gap`` plus a comparison of every
-    machine balance with the ledger, runs on each block whose call
-    executed an epoch transition and on the last block.  An
-    epoch spans two blocks per user, so this averages O(m) per block.
-    A fault inside a call (a wrong credit, a pool losing units, units
-    moved between the pools until one is negative) raises
-    ``SimulationError`` at that block.  A non-caller's balance changed
-    outside any call is not seen per block; it raises at that user's
-    next call, the next transition or the final block, whichever comes
-    first.  This is the one fault a full recount on every block would
-    catch sooner, on the next block, at O(n) per block.
+    A full O(n) recount runs on each block whose call executed an
+    epoch transition and on the last block: first every balance in the
+    machine's ``snapshot()`` is compared with the ledger, then
+    ``accounting_gap`` sums the pools' and balances' columns.  An epoch
+    spans two blocks per user, so this averages O(m) per block.  A fault
+    inside a call (a wrong credit, a pool losing units, units moved
+    between the pools until one is negative) raises ``SimulationError``
+    at that block.  A non-caller's balance changed outside any call is
+    not seen per block; it raises at that user's next call, the next
+    transition or the final block, whichever comes first, and so does
+    one driven negative, since neither comparison validates a balance.
+    This is the one fault a full recount on every block would catch
+    sooner, on the next block, at O(n) per block.
 
     Each record's ``snapshot`` is that ``caller_snapshot``: ``epoch``,
     ``reserves``, ``cycle_count`` and the caller's ``balance``; recount
@@ -339,10 +343,12 @@ def _execute(
     compared again at the next recount.
     """
     txs = list(txs)
+    last = len(txs) - 1
     m = machine.config.resource_count
+    zeros = (0,) * m
     calls: dict[tuple[str, int], int] = {}  # (kind, user) -> calls so far
-    ledger: dict[int, list[int]] = {}  # user -> balance, from receipts
-    held = [0] * m  # per-resource total of the ledger
+    ledger: dict[int, tuple[int, ...]] = {}  # user -> balance, from receipts
+    held = zeros  # per-resource total of the ledger
     for index, tx in enumerate(txs):
         vector: tuple[int, ...] | None = None
         task_count: int | None = None
@@ -352,7 +358,7 @@ def _execute(
         try:
             if tx.kind == KIND_REGISTER:
                 machine.register_user(tx.user)
-                ledger[tx.user] = [0] * m
+                ledger[tx.user] = zeros
             elif tx.kind in (KIND_DEMAND, KIND_CLAIM):
                 transitions = machine.transitions  # moves if the call transitions
                 branch_events = 0
@@ -368,10 +374,8 @@ def _execute(
                     vector = receipt.share.quantities
                     task_count = receipt.task_count
                     clamped = receipt.clamped
-                    entry = ledger[tx.user]
-                    for r, v in enumerate(vector):
-                        entry[r] += v
-                        held[r] += v
+                    ledger[tx.user] = tuple(map(add, ledger[tx.user], vector))
+                    held = tuple(map(add, held, vector))
                 if machine.transitions != transitions:
                     update_cost = cost_model.cost(
                         KIND_UPDATE, m, 0, machine.transitions
@@ -384,33 +388,31 @@ def _execute(
         except MachineError as exc:
             raise SimulationError(tx.block, str(exc)) from exc
         snapshot = machine.caller_snapshot(tx.user)
-        reserves = snapshot["reserves"]
-        if min(map(min, reserves)) < 0:
+        pool0, pool1 = reserves = snapshot["reserves"]
+        if min(pool0 + pool1) < 0:
             raise SimulationError(
                 tx.block,
                 f"conservation identity violated: a pool is negative: {reserves}",
             )
         injected = machine.total_injected().quantities
-        accounted = tuple(map(add, map(add, *reserves), held))
+        accounted = tuple([a + b + h for a, b, h in zip(pool0, pool1, held)])
         if injected != accounted:
             _check_gap(tx.block, tuple(map(sub, injected, accounted)))
-        _check_balance(tx.block, tx.user, snapshot["balance"], ledger[tx.user])
-        if update_cost is not None or index == len(txs) - 1:
-            _check_gap(tx.block, accounting_gap(machine))
+        expected = ledger[tx.user]
+        if snapshot["balance"] != expected:
+            raise _balance_error(tx.block, tx.user, snapshot["balance"], expected)
+        if update_cost is not None or index == last:
             snapshot = machine.snapshot()
-            for uid, machine_balance in snapshot["balances"].items():
-                _check_balance(
-                    tx.block, uid, machine_balance, ledger.get(uid, [0] * m)
-                )
+            balances = snapshot["balances"]
+            if balances != ledger:
+                for uid, balance in balances.items():
+                    expected = ledger.get(uid, zeros)
+                    if balance != expected:
+                        raise _balance_error(tx.block, uid, balance, expected)
+            _check_gap(tx.block, accounting_gap(machine))
         yield TraceRecord(
-            tx=tx,
-            epoch=snapshot["epoch"],
-            vector=vector,
-            task_count=task_count,
-            clamped=clamped,
-            cost_units=cost_units,
-            update_cost=update_cost,
-            snapshot=snapshot,
+            tx, snapshot["epoch"], vector, task_count, clamped, cost_units,
+            update_cost, snapshot,
         )
 
 
@@ -419,16 +421,15 @@ def _check_gap(block: int, gap: tuple[int, ...]) -> None:
         raise SimulationError(block, f"conservation identity violated: gap {gap}")
 
 
-def _check_balance(
-    block: int, user: int, balance: tuple[int, ...], expected: list[int]
-) -> None:
-    """The user's machine balance must equal the harness's ledger entry."""
-    if list(balance) != expected:
-        gap = tuple(e - b for e, b in zip(expected, balance))
-        raise SimulationError(
-            block,
-            f"conservation identity violated: gap {gap} in user {user}'s balance",
-        )
+def _balance_error(
+    block: int, user: int, balance: tuple[int, ...], expected: tuple[int, ...]
+) -> SimulationError:
+    """The error for a machine balance that differs from the ledger's."""
+    gap = tuple(map(sub, expected, balance))
+    return SimulationError(
+        block,
+        f"conservation identity violated: gap {gap} in user {user}'s balance",
+    )
 
 
 def run_simulation(
@@ -447,6 +448,11 @@ def run_simulation(
     return Trace(header=header, records=records)
 
 
+# The record fields ``replay`` compares, in the order it names them.
+_COMPARED_FIELDS = ("epoch", "vector", "task_count", "clamped", "snapshot")
+_compared = itemgetter(*(TraceRecord._fields.index(f) for f in _COMPARED_FIELDS))
+
+
 def replay(trace: Trace, cost_model: CostModel | None = None) -> ReplayResult:
     """Re-execute the trace's transactions and compare every outcome.
 
@@ -463,13 +469,16 @@ def replay(trace: Trace, cost_model: CostModel | None = None) -> ReplayResult:
     )
     try:
         for fresh, recorded in zip(fresh_records, trace.records):
-            for field_name in ("epoch", "vector", "task_count", "clamped", "snapshot"):
-                if getattr(fresh, field_name) != getattr(recorded, field_name):
-                    return ReplayResult(
-                        False,
-                        recorded.tx.block,
-                        f"{field_name} diverged at block {recorded.tx.block}",
-                    )
+            got, want = _compared(fresh), _compared(recorded)
+            if got != want:
+                field_name = next(
+                    name for name, a, b in zip(_COMPARED_FIELDS, got, want) if a != b
+                )
+                return ReplayResult(
+                    False,
+                    recorded.tx.block,
+                    f"{field_name} diverged at block {recorded.tx.block}",
+                )
     except SimulationError as exc:
         return ReplayResult(False, exc.block, str(exc))
     return ReplayResult(True)
@@ -555,14 +564,17 @@ def crosscheck_trace(trace: Trace) -> CrosscheckReport:
 
 def write_trace_file(trace: Trace, path: str) -> None:
     """Line-per-block text export with a JSON header line."""
+    vec_format = ",".join(["%d"] * trace.header["config"]["resources"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(trace.header, sort_keys=True) + "\n")
-        for rec in trace.records:
-            vec = ",".join(map(str, rec.vector)) if rec.vector else "-"
-            fh.write(
-                f"{rec.tx.block} {rec.epoch} {rec.tx.kind} {rec.tx.user} {vec} "
-                f"{rec.cost_units} {int(rec.clamped)}\n"
+        fh.writelines(
+            "%d %d %s %d %s %d %d\n" % (
+                rec.tx.block, rec.epoch, rec.tx.kind, rec.tx.user,
+                vec_format % rec.vector if rec.vector else "-",
+                rec.cost_units, rec.clamped,
             )
+            for rec in trace.records
+        )
 
 
 COST_CSV_COLUMNS = CostRecord._fields

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, gt, sub
 from typing import NamedTuple
 
 from .vectors import ResourceVector
@@ -151,6 +151,9 @@ class AllocationMachine:
         self._k_prime = 0
         self._epoch = 1
         self._last_block = config.offset
+        # First block of the next epoch; stored only when a transition
+        # commits, so it always belongs to ``_epoch``.
+        self._epoch_end = config.offset + config.epoch_span
         self._reset_epoch = 0
         self._users: dict[int, _UserSlot] = {}
         self._transitions = 0
@@ -172,10 +175,6 @@ class AllocationMachine:
     def transitions(self) -> int:
         """Number of epoch transitions executed so far."""
         return self._transitions
-
-    @property
-    def user_ids(self) -> tuple[int, ...]:
-        return tuple(self._users)
 
     def reserve_pool(self, parity: int) -> ResourceVector:
         return ResourceVector(self._reserves[parity])
@@ -246,7 +245,13 @@ class AllocationMachine:
         The refilled pool and the new cycle count are computed and checked
         before anything is stored, so a ``MachineOverflowError`` leaves
         the state as it was, the epoch and the last block seen included.
+
+        A block in the current epoch at or past the last block seen needs
+        no check beyond its two bounds, so it returns at once.
         """
+        if self._last_block <= block < self._epoch_end:
+            self._last_block = block
+            return False
         cfg = self._cfg
         if block < cfg.offset:
             raise MachineError(
@@ -266,6 +271,7 @@ class AllocationMachine:
             ]
             k_prime = self._compute_cycle_count(s)
             self._epoch = epoch
+            self._epoch_end = cfg.offset + epoch * cfg.epoch_span
             self._transitions += 1
             self._injected = cfg.epoch_reserve.scale(1 + self._transitions)
             self._reserves[1 - s] = refill
@@ -365,16 +371,14 @@ class AllocationMachine:
         balance = slot.balance
         share = [task_count * d for d in demand_vec.quantities]
         _checked(max(share))
-        clamped = False
-        for r, available in enumerate(pool):
-            if share[r] > available:
-                share[r] = available
-                clamped = True
+        clamped = any(map(gt, share, pool))
+        if clamped:
+            share = list(map(min, share, pool))
         # Checked before any unit moves, so an overflow changes nothing.
-        _checked(max(map(add, balance, share)))
-        for r, v in enumerate(share):
-            pool[r] -= v
-            balance[r] += v
+        credited = list(map(add, balance, share))
+        _checked(max(credited))
+        pool[:] = map(sub, pool, share)
+        balance[:] = credited
         slot.last_claim_epoch = e
         return ClaimReceipt(user, e, task_count, ResourceVector(share), clamped)
 
@@ -388,14 +392,13 @@ class AllocationMachine:
 def accounting_gap(machine: AllocationMachine) -> tuple[int, ...]:
     """Per-resource difference between injected units and accounted units.
 
-    Zero everywhere iff the conservation identity holds exactly.
+    Zero everywhere iff the conservation identity holds exactly.  Sums
+    the columns of both pools and every balance as the machine holds
+    them, plain lists with no validation, so a negative quantity left
+    by a fault shows in the gap instead of raising.
     """
-    injected = machine.total_injected()
-    held = [0] * machine.config.resource_count
-    for parity in (0, 1):
-        for r, v in enumerate(machine.reserve_pool(parity)):
-            held[r] += v
-    for uid in machine.user_ids:
-        for r, v in enumerate(machine.balance_of(uid)):
-            held[r] += v
-    return tuple(i - h for i, h in zip(injected, held))
+    held = map(
+        sum,
+        zip(*machine._reserves, *(slot.balance for slot in machine._users.values())),
+    )
+    return tuple(map(sub, machine.total_injected(), held))

@@ -281,6 +281,27 @@ def test_replay_reports_the_first_diverging_block():
     assert result.reason == f"task_count diverged at block {records[k].tx.block}"
 
 
+_TAMPER = {
+    "epoch": lambda rec: rec.epoch + 1,
+    "vector": lambda rec: (rec.vector[0] + 1,) + rec.vector[1:],
+    "task_count": lambda rec: rec.task_count + 1,
+    "clamped": lambda rec: not rec.clamped,
+    "snapshot": lambda rec: {**rec.snapshot, "cycle_count": -1},
+}
+
+
+@pytest.mark.parametrize("field_name", list(_TAMPER))
+def test_replay_names_the_one_tampered_field(field_name):
+    trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
+    records = list(trace.records)
+    k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_CLAIM)
+    records[k] = records[k]._replace(**{field_name: _TAMPER[field_name](records[k])})
+    result = replay(dataclasses.replace(trace, records=tuple(records)))
+    block = records[k].tx.block
+    assert (result.ok, result.diverged_at) == (False, block)
+    assert result.reason == f"{field_name} diverged at block {block}"
+
+
 def test_replay_ignores_cost_coefficients():
     config = SimConfig(users=2, resources=2, epochs=3, seed=5)
     trace = run_simulation(config)
@@ -420,9 +441,14 @@ def test_negative_pool_stops_run_and_replay_at_that_block(monkeypatch):
     assert result.diverged_at == 30
 
 
-def _move_unit(machine, caller):
-    machine._users[1].balance[0] -= 1
-    machine._users[2].balance[0] += 1
+def _move_units(count):
+    """Move ``count`` units of resource 0 from user 1's balance to user 2's."""
+
+    def corrupt(machine, caller):
+        machine._users[1].balance[0] -= count
+        machine._users[2].balance[0] += count
+
+    return corrupt
 
 
 @pytest.mark.parametrize(
@@ -435,17 +461,24 @@ def _move_unit(machine, caller):
         pytest.param(30, _credit(0), 32, id="credited-before-last-block"),
         # a unit moved between users 1 and 2 (next calls at 18 and 19)
         # leaves every total intact; only the ledger sees it
-        pytest.param(16, _move_unit, 17, id="moved-between-users"),
+        pytest.param(16, _move_units(1), 17, id="moved-between-users"),
+        # user 1's balance goes negative: the recount compares it with
+        # the ledger before anything reads it as a validated vector
+        pytest.param(16, _move_units(10**9), 17, id="balance-driven-negative"),
     ],
 )
 def test_non_caller_fault_raises_at_next_recount(
     monkeypatch, at_block, corrupt, caught_at
 ):
+    trace = run_simulation(FAULT_CONFIG)
     _corrupt_during(monkeypatch, "demand", at_block, corrupt)
     with pytest.raises(SimulationError) as exc_info:
         run_simulation(FAULT_CONFIG)
     assert exc_info.value.block == caught_at
     assert "conservation identity violated" in str(exc_info.value)
+    result = replay(trace)
+    assert (result.ok, result.diverged_at) == (False, caught_at)
+    assert result.reason == str(exc_info.value)
 
 
 def test_full_recount_runs_once_per_transition_and_at_the_end(monkeypatch):
@@ -596,6 +629,26 @@ def test_trace_file_format(tmp_path):
     fields = demand_line.split(" ")
     assert len(fields) == 7
     assert "," in fields[4]  # vector is comma-separated integers
+
+
+def _old_trace_lines(trace):
+    """The trace file's block lines as ``str``-joined fields, for comparison."""
+    for rec in trace.records:
+        vec = ",".join(map(str, rec.vector)) if rec.vector else "-"
+        yield (
+            f"{rec.tx.block} {rec.epoch} {rec.tx.kind} {rec.tx.user} {vec} "
+            f"{rec.cost_units} {int(rec.clamped)}\n"
+        )
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_trace_file_lines_match_str_join(tmp_path, m):
+    trace = run_simulation(SimConfig(users=3, resources=m, epochs=3, seed=17))
+    path = tmp_path / "trace.txt"
+    write_trace_file(trace, str(path))
+    header, *lines = path.read_bytes().decode("utf-8").splitlines(keepends=True)
+    assert header.startswith("# {")
+    assert lines == list(_old_trace_lines(trace))
 
 
 def test_cost_csv_round_trip(tmp_path):

@@ -165,6 +165,63 @@ def test_replenishment_once_per_transition_even_after_idle_epochs():
     machine.update_state(8)
     assert machine.epoch == 5
     assert machine.total_injected() == ResourceVector([20, 20])
+    # epoch 5 spans blocks 8 and 9; block 10 starts epoch 6
+    assert machine.update_state(9) is False
+    assert machine.update_state(10)
+    assert (machine.epoch, machine.transitions) == (6, 2)
+
+
+# --- update_state's early return ---------------------------------------------
+#
+# make_machine(es=4, offset=10): epoch e spans blocks 4e+6 .. 4e+9.
+
+
+def test_update_state_same_block_twice_is_a_no_op():
+    machine = make_machine(offset=10)
+    for block, transition in [(10, False), (14, True)]:
+        assert machine.update_state(block) is transition
+        before = copy.deepcopy(vars(machine))
+        assert machine.update_state(block) is False
+        assert vars(machine) == before
+
+
+def test_update_state_transitions_on_the_first_block_of_an_epoch_only():
+    machine = make_machine(offset=10)
+    for block, epoch, transition in [
+        (13, 1, False),  # the last block of epoch 1
+        (14, 2, True),
+        (17, 2, False),
+        (18, 3, True),
+    ]:
+        assert machine.update_state(block) is transition
+        assert (machine.epoch, machine.transitions) == (epoch, epoch - 1)
+
+
+@pytest.mark.parametrize("last, block", [(12, 11), (12, 9), (16, 15), (16, 13)])
+def test_update_state_block_below_last_seen_changes_nothing(last, block):
+    machine = make_machine(offset=10)
+    machine.update_state(last)
+    before = copy.deepcopy(vars(machine))
+    with pytest.raises(MachineError, match="precede"):
+        machine.update_state(block)
+    assert vars(machine) == before
+
+
+def test_update_state_retries_an_overflowing_transition():
+    # As in test_transition_overflow_leaves_state_unchanged: the
+    # transition into epoch 2 needs a numerator of 2**128.
+    machine = AllocationMachine(
+        MachineConfig(1, 4, 0, ResourceVector([2**24]), precision=2**40)
+    )
+    machine.register_user(0)
+    machine.demand(0, ResourceVector([1]), 0)
+    before = copy.deepcopy(vars(machine))
+    for block in (4, 5, 7):  # every later block of epoch 2 retries it
+        with pytest.raises(MachineOverflowError):
+            machine.update_state(block)
+        assert vars(machine) == before
+    assert machine.update_state(8)  # epoch 3 reads the other parity's sums
+    assert machine.epoch == 3
 
 
 # --- demand -----------------------------------------------------------------
@@ -570,7 +627,8 @@ def _fuzz_sequence(rng, precision, reserve_high, seen):
 
     * a rejected call left the state as it was, or as ``update_state``
       alone at that block would have left it;
-    * ``accounting_gap`` is zero;
+    * ``accounting_gap`` is zero, and names the units once a pool, at
+      the end, loses some;
     * a claim's task count equals ``fixed_point_reference`` over the
       demands of the epoch before, against the pool they were made on;
     * ``caller_snapshot`` equals ``snapshot()`` on the epoch, the pools,
@@ -643,6 +701,11 @@ def _fuzz_sequence(rng, precision, reserve_high, seen):
         else:
             with pytest.raises(MachineError, match="is not registered"):
                 machine.caller_snapshot(user)
+    # Units a pool loses, even past zero, show as the gap in their resource.
+    r = rng.randrange(m)
+    lost = rng.choice((1, rng.randint(2, 10**9)))
+    machine._reserves[rng.randrange(2)][r] -= lost
+    assert accounting_gap(machine) == tuple(lost if i == r else 0 for i in range(m))
 
 
 @pytest.mark.parametrize(
