@@ -159,9 +159,8 @@ class _Core:
         shares = [dominant_share(d, reserves, w)[0] for d, w in zip(vectors, weights)]
         lcm = math.lcm(*(s.numerator for s in shares))  # L
         scales = [s.denominator * (lcm // s.numerator) for s in shares]  # c_i
-        rows = [d.quantities for d in vectors]
-        columns = list(zip(*rows))
-        self.rows, self.columns, self.reserves = rows, columns, reserves.quantities
+        columns = list(zip(*vectors))
+        self.rows, self.columns, self.reserves = vectors, columns, reserves
         self.shares, self.lcm, self.scales = shares, lcm, scales
         self.drains = [sum(map(mul, scales, col)) for col in columns]  # N_r
 

@@ -68,8 +68,10 @@ class SimConfig:
             raise ValueError("demand_low must be at least 1")
         if self.demand_high < self.demand_low:
             raise ValueError("demand_high must be >= demand_low")
-        if self.per_user_reserve < 0:
-            raise ValueError("per_user_reserve must be non-negative")
+        # Every demand component is at least demand_low >= 1, so an empty
+        # reserve would stop the run at its first demand.
+        if self.per_user_reserve < 1:
+            raise ValueError("per_user_reserve must be at least 1")
 
     @property
     def epoch_span(self) -> int:
@@ -175,6 +177,12 @@ class CostModel:
 
 DEFAULT_COST_MODEL = CostModel()
 
+# Per call kind, the last epoch of a run that holds calls ``CostModel.cost``
+# may surcharge: a user's first two demands land in epochs 1 and 2, its
+# first claim in epoch 2, and the first executed update is the transition
+# into epoch 2.
+WARMUP_MAX_EPOCH = {KIND_DEMAND: 2, KIND_CLAIM: 2, KIND_UPDATE: 2}
+
 
 class BlockTx(NamedTuple):
     block: int
@@ -251,7 +259,8 @@ def build_schedule(config: SimConfig) -> list[BlockTx]:
     """One call per block: epoch 1 registers then demands, later epochs
     claim then demand.  Demand vectors are drawn fresh every epoch from
     the seeded generator, so the schedule is fully determined by the
-    config.
+    config.  They are ``ResourceVector``s, checked once here and shared
+    by the machine and the run's records.
     """
     rng = random.Random(config.seed)
     n, m = config.users, config.resources
@@ -271,7 +280,9 @@ def build_schedule(config: SimConfig) -> list[BlockTx]:
         # The draw order (user by user, component by component) is part
         # of the seeded schedule; the golden trace test pins it.
         # ``randrange(low, high + 1)`` is what ``randint(low, high)`` calls.
-        vectors = [tuple([draw(low, stop) for _ in range(m)]) for _ in range(n)]
+        vectors = [
+            ResourceVector([draw(low, stop) for _ in range(m)]) for _ in range(n)
+        ]
         for user in range(n):
             txs.append(BlockTx(block, KIND_DEMAND, user, vectors[user]))
             block += 1
@@ -367,11 +378,11 @@ def _execute(
                     echo = machine.demand(
                         tx.user, ResourceVector(tx.vector), tx.block
                     )
-                    vector = echo.vector.quantities
+                    vector = echo.vector
                     branch_events = echo.min_updates
                 else:
                     receipt = machine.claim(tx.user, tx.block)
-                    vector = receipt.share.quantities
+                    vector = receipt.share
                     task_count = receipt.task_count
                     clamped = receipt.clamped
                     ledger[tx.user] = tuple(map(add, ledger[tx.user], vector))
@@ -394,7 +405,7 @@ def _execute(
                 tx.block,
                 f"conservation identity violated: a pool is negative: {reserves}",
             )
-        injected = machine.total_injected().quantities
+        injected = machine.total_injected()
         accounted = tuple([a + b + h for a, b, h in zip(pool0, pool1, held)])
         if injected != accounted:
             _check_gap(tx.block, tuple(map(sub, injected, accounted)))

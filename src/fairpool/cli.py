@@ -17,6 +17,7 @@ from .chainsim import (
     KIND_CLAIM,
     KIND_DEMAND,
     KIND_UPDATE,
+    WARMUP_MAX_EPOCH,
     CostModel,
     CostRecord,
     SimConfig,
@@ -374,12 +375,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Warm-up exclusions by epoch: a user's first two demands land in epochs
-# 1 and 2, the first claim in epoch 2; the first two executed epoch
-# updates happen at the transitions into epochs 2 and 3.
-_WARMUP_MAX_EPOCH = {KIND_DEMAND: 2, KIND_CLAIM: 2, KIND_UPDATE: 3}
-
-
 def cmd_costfit(args: argparse.Namespace) -> int:
     try:
         records = read_cost_csv(args.csv_path)
@@ -392,7 +387,7 @@ def cmd_costfit(args: argparse.Namespace) -> int:
     for kind in (KIND_DEMAND, KIND_CLAIM, KIND_UPDATE):
         by_m: dict[int, list[int]] = {}
         for rec in records:
-            if rec.call_kind == kind and rec.epoch > _WARMUP_MAX_EPOCH[kind]:
+            if rec.call_kind == kind and rec.epoch > WARMUP_MAX_EPOCH[kind]:
                 by_m.setdefault(rec.m, []).append(rec.cost_units)
         if not by_m:
             continue

@@ -261,23 +261,23 @@ class AllocationMachine:
             raise MachineError(
                 f"block {block} precedes the last block seen, {self._last_block}"
             )
+        # The block lies at or past ``_epoch_end``, which moves only when a
+        # transition commits, so it always starts a later epoch.
         epoch = (block - cfg.offset) // cfg.epoch_span + 1
-        transition = epoch > self._epoch
-        if transition:
-            s = epoch % 2
-            refill = [
-                _checked(v + er)
-                for v, er in zip(self._reserves[1 - s], cfg.epoch_reserve)
-            ]
-            k_prime = self._compute_cycle_count(s)
-            self._epoch = epoch
-            self._epoch_end = cfg.offset + epoch * cfg.epoch_span
-            self._transitions += 1
-            self._injected = cfg.epoch_reserve.scale(1 + self._transitions)
-            self._reserves[1 - s] = refill
-            self._k_prime = k_prime
+        s = epoch % 2
+        refill = [
+            _checked(v + er)
+            for v, er in zip(self._reserves[1 - s], cfg.epoch_reserve)
+        ]
+        k_prime = self._compute_cycle_count(s)
+        self._epoch = epoch
+        self._epoch_end = cfg.offset + epoch * cfg.epoch_span
+        self._transitions += 1
+        self._injected = cfg.epoch_reserve.scale(1 + self._transitions)
+        self._reserves[1 - s] = refill
+        self._k_prime = k_prime
         self._last_block = block
-        return transition
+        return True
 
     def _compute_cycle_count(self, parity: int) -> int:
         top, pool = self._max_recip[parity], self._reserves[parity]
@@ -308,8 +308,7 @@ class AllocationMachine:
         p = cfg.precision
         recip: int | None = None
         updates = 0
-        quantities = vector.quantities
-        for r, d in enumerate(quantities):
+        for r, d in enumerate(vector):
             if d == 0:
                 continue
             if pool[r] == 0:
@@ -335,12 +334,12 @@ class AllocationMachine:
         if self._reset_epoch == e:
             # Later demands of the epoch add to its sums; the minimum
             # reciprocal is the largest dominant share.
-            sds = [a + d * recip for a, d in zip(self._sds[s], quantities)]
+            sds = [a + d * recip for a, d in zip(self._sds[s], vector)]
             if self._max_recip[s] < recip:
                 max_recip = self._max_recip[s]
         else:
             # The first demand of the epoch overwrites last round's sums.
-            sds = [d * recip for d in quantities]
+            sds = [d * recip for d in vector]
         _checked(max(sds))  # each sum bounds its non-negative terms
         self._sds[s] = sds
         self._max_recip[s] = max_recip
@@ -369,7 +368,7 @@ class AllocationMachine:
         assert demand_vec is not None
         pool = self._reserves[s]
         balance = slot.balance
-        share = [task_count * d for d in demand_vec.quantities]
+        share = [task_count * d for d in demand_vec]
         _checked(max(share))
         clamped = any(map(gt, share, pool))
         if clamped:

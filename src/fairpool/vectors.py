@@ -1,71 +1,75 @@
-"""Validated integer vector types shared by the allocators and the machine."""
+"""Validated vector types shared by the allocators and the machine.
+
+Each type is a tuple that checked its values when it was built, so it
+equals and hashes like the plain tuple of its values.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
 
-class ResourceVector:
-    """Immutable vector of non-negative integer resource quantities."""
+class ResourceVector(tuple):
+    """Immutable vector of non-negative integer resource quantities.
 
-    __slots__ = ("_q",)
+    A tuple of the quantities, checked in ``__init__``.  ``+``, ``*`` and
+    ``<`` are tuple operations (concatenation and repetition, which return
+    plain tuples, and lexicographic order), not vector arithmetic or
+    component-wise comparison.  Like
+    ``tuple(t) is t``, ``ResourceVector(v)`` is ``v`` for a
+    ``ResourceVector`` ``v``, which needs no second check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, quantities: Iterable[int]) -> "ResourceVector":
+        if type(quantities) is cls:
+            return quantities
+        return tuple.__new__(cls, quantities)
 
     def __init__(self, quantities: Iterable[int]) -> None:
-        q = tuple(quantities)
-        if not q:
+        if self is quantities:
+            return
+        if not self:
             raise ValueError("resource vector must have at least one component")
-        for v in q:
+        for v in self:
             # ``type(v) is int`` settles the common case; the full test
             # still admits int subclasses other than bool.
             if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
                 raise ValueError(f"resource quantity must be an integer, got {v!r}")
             if v < 0:
                 raise ValueError(f"resource quantity must be non-negative, got {v}")
-        self._q = q
 
     @property
     def quantities(self) -> tuple[int, ...]:
-        return self._q
-
-    def __len__(self) -> int:
-        return len(self._q)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._q)
-
-    def __getitem__(self, r: int) -> int:
-        return self._q[r]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ResourceVector):
-            return self._q == other._q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._q)
+        return self
 
     def __repr__(self) -> str:
-        return f"ResourceVector({list(self._q)})"
+        return f"ResourceVector({list(self)})"
 
     def scale(self, count: int) -> "ResourceVector":
         if count < 0:
             raise ValueError("scale count must be non-negative")
-        return ResourceVector(v * count for v in self._q)
+        return ResourceVector(v * count for v in self)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self._q)
+        return not any(self)
 
 
-class DemandSet:
-    """Per-user unit-task demand vectors with unique ids and a common length."""
+class DemandSet(tuple):
+    """Per-user unit-task demand vectors with unique ids and a common length.
 
-    __slots__ = ("_entries",)
+    A tuple of ``(user id, ResourceVector)`` pairs; ``+``, ``*`` and ``<``
+    are tuple operations, and ``+`` and ``*`` return plain tuples.
+    """
 
-    def __init__(self, entries: Iterable[tuple[int, ResourceVector]]) -> None:
-        items = tuple((int(uid), vec) for uid, vec in entries)
+    __slots__ = ()
+
+    def __new__(cls, entries: Iterable[tuple[int, ResourceVector]]) -> "DemandSet":
+        items = tuple.__new__(cls, ((int(uid), vec) for uid, vec in entries))
         seen: set[int] = set()
         m = None
         for uid, vec in items:
@@ -80,7 +84,7 @@ class DemandSet:
                 raise ValueError("all demands must have the same resource count")
             if vec.is_zero():
                 raise ValueError(f"user {uid} has an all-zero demand vector")
-        self._entries = items
+        return items
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[int]]) -> "DemandSet":
@@ -91,51 +95,33 @@ class DemandSet:
 
     @property
     def entries(self) -> tuple[tuple[int, ResourceVector], ...]:
-        return self._entries
+        return self
 
     @property
     def demands(self) -> tuple[ResourceVector, ...]:
-        return tuple(vec for _, vec in self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, DemandSet):
-            return self._entries == other._entries
-        return NotImplemented
+        return tuple(vec for _, vec in self)
 
     def __repr__(self) -> str:
-        return f"DemandSet({list(self._entries)})"
+        return f"DemandSet({list(self)})"
 
 
-class WeightVector:
-    """Strictly positive rational weights, one per resource or one per user."""
+class WeightVector(tuple):
+    """Strictly positive rational weights, one per resource or one per user.
 
-    __slots__ = ("_w",)
+    A tuple of ``Fraction`` values; ``+``, ``*`` and ``<`` are tuple
+    operations, as for ``ResourceVector``.
+    """
 
-    def __init__(self, weights: Iterable[Rational]) -> None:
-        w = tuple(Fraction(x) for x in weights)
+    __slots__ = ()
+
+    def __new__(cls, weights: Iterable[Rational]) -> "WeightVector":
+        w = tuple.__new__(cls, (Fraction(x) for x in weights))
         if not w:
             raise ValueError("weight vector must have at least one component")
         for x in w:
             if x <= 0:
                 raise ValueError(f"weights must be positive, got {x}")
-        self._w = w
-
-    def __len__(self) -> int:
-        return len(self._w)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._w)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self._w[i]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, WeightVector):
-            return self._w == other._w
-        return NotImplemented
+        return w
 
     def __repr__(self) -> str:
-        return f"WeightVector({list(self._w)})"
+        return f"WeightVector({list(self)})"

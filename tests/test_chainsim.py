@@ -673,6 +673,15 @@ def test_crosscheck_default_run_matches():
     assert report.max_abs_delta <= 1
 
 
+def test_hundreds_of_resource_types():
+    trace = run_simulation(SimConfig(users=4, resources=256, epochs=4, seed=5))
+    report = crosscheck_trace(trace)
+    assert report.claims_checked == 12
+    assert report.match_rate == 1.0
+    assert trace.clamp_count() == 0
+    assert replay(trace)
+
+
 def test_crosscheck_single_user():
     trace = run_simulation(SimConfig(users=1, resources=2, epochs=4, seed=13))
     report = crosscheck_trace(trace)

@@ -165,6 +165,19 @@ def test_costfit_round_trip_recovers_defaults(tmp_path, capsys):
     assert fits["update_state"]["intercept"] == 23539.0
 
 
+def test_costfit_fits_updates_from_epoch_3(tmp_path, capsys):
+    # Only the transition into epoch 2 carries update_setup, so a
+    # three-epoch run's epoch-3 updates are stabilized records.
+    out = tmp_path / "out"
+    code = run_cli(
+        "run", "--users", "3", "--epochs", "3", "--sweep", "2,3", "--out", str(out)
+    )
+    assert code == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("costfit", str(out / "costs.csv")) == EXIT_OK
+    assert "update_state: cost = 11295.000 * m + 23539.000" in capsys.readouterr().out
+
+
 def test_costfit_insufficient_m_values(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli(
@@ -319,6 +332,8 @@ def test_flag_and_config_give_identical_outputs(
         (["stats", "--reserve-range", "0:1"], None),
         (["crosscheck", "--demand-range", "0:3"], None),
         (["run", "--per-user-reserve", "-1"], None),
+        (["run", "--per-user-reserve", "0"], None),
+        (["crosscheck"], {"per_user_reserve": 0}),
         (["stats"], {"demand_range": [0, 2]}),
     ],
 )

@@ -1,4 +1,7 @@
+import copy
 import enum
+import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -97,3 +100,69 @@ def test_weight_vector_validation():
         WeightVector([1, 0])
     with pytest.raises(ValueError):
         WeightVector([1, -2])
+
+
+# --- vectors are validated tuples ------------------------------------------------
+
+_VECTORS = [
+    ResourceVector([3, 0, 7]),
+    WeightVector([1, Fraction(1, 2)]),
+    DemandSet.from_vectors([[1, 4], [3, 1]]),
+]
+
+
+@pytest.mark.parametrize("v", _VECTORS, ids=lambda v: type(v).__name__)
+def test_vector_is_the_tuple_of_its_values(v):
+    values = tuple(iter(v))
+    assert isinstance(v, tuple)
+    assert v == values and values == v
+    assert hash(v) == hash(values)
+    assert {v: 1}[values] == 1
+
+
+@pytest.mark.parametrize("v", _VECTORS, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize(
+    "copy_of",
+    [copy.deepcopy, copy.copy]
+    + [
+        lambda v, p=p: pickle.loads(pickle.dumps(v, p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)
+    ],
+    ids=["deepcopy", "copy"]
+    + [f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+)
+def test_vector_copies_keep_type_and_value(v, copy_of):
+    c = copy_of(v)
+    assert type(c) is type(v)
+    assert c == v
+    assert repr(c) == repr(v)
+
+
+def test_resource_vector_of_a_resource_vector_is_itself():
+    v = ResourceVector([3, 0, 7])
+    assert ResourceVector(v) is v
+    w = ResourceVector((3, 0, 7))
+    assert w is not v and w == v
+
+
+def test_vector_operators_are_tuple_operations():
+    a, b = ResourceVector([5, 8]), ResourceVector([2, 9])
+    # concatenation and repetition, as plain tuples; no vector arithmetic
+    assert a + b == (5, 8, 2, 9) and type(a + b) is tuple
+    assert a * 2 == (5, 8, 5, 8) and type(a * 2) is tuple
+    # lexicographic order, not component by component
+    assert b < a and not all(x < y for x, y in zip(b, a))
+    w = WeightVector([1, 2])
+    assert w + w == (1, 2, 1, 2) and type(w + w) is tuple
+    ds = DemandSet.from_vectors([[1, 4]])
+    assert type(ds + ds) is tuple and len(ds + ds) == 2
+
+
+def test_demand_set_and_weight_vector_values():
+    ds = DemandSet([(0, ResourceVector([1, 2])), (5, ResourceVector([2, 1]))])
+    assert ds.entries is ds
+    assert ds == ((0, (1, 2)), (5, (2, 1)))
+    assert len(ds) == 2
+    w = WeightVector([1, 2.5])
+    assert all(type(x) is Fraction for x in w)
+    assert w == (1, Fraction(5, 2))
