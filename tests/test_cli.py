@@ -332,9 +332,9 @@ def test_flag_and_config_give_identical_outputs(
         (["stats", "--reserve-range", "0:1"], None),
         (["crosscheck", "--demand-range", "0:3"], None),
         (["run", "--per-user-reserve", "-1"], None),
+        (["stats"], {"demand_range": [0, 2]}),
         (["run", "--per-user-reserve", "0"], None),
         (["crosscheck"], {"per_user_reserve": 0}),
-        (["stats"], {"demand_range": [0, 2]}),
     ],
 )
 def test_bad_settings_exit_1_without_traceback(tmp_path, capsys, argv, config):
