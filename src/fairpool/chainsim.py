@@ -13,10 +13,10 @@ total must equal everything injected, and the caller's balance must
 equal its ledger entry.  It reads all of these with one
 ``caller_snapshot`` call, as plain tuples.  On each epoch transition and
 on the last block it also recounts every balance, O(n), so a run costs
-O(m) per block averaged over an epoch.  A trace record's ``snapshot`` is
-that ``caller_snapshot``: the epoch, both pools, the cycle count and the
-caller's balance; on recount blocks it is the machine's full
-``snapshot()``, with every user's balance.  Records are NamedTuples:
+O(m) per block averaged over an epoch.  A trace record is flat and holds
+no per-user state: the call's outcome and cost, then the epoch, both
+pools and the cycle count after the call.  Balances are checked but not
+recorded, since the claimed shares imply them.  Records are NamedTuples:
 immutable, and copied with ``._replace``.
 """
 
@@ -209,7 +209,9 @@ class TraceRecord(NamedTuple):
     cost_units: int
     # Cost of the epoch transition this block's call executed, if any.
     update_cost: int | None
-    snapshot: dict
+    # Both pools and the cycle count after the call.
+    reserves: tuple[tuple[int, ...], tuple[int, ...]]
+    cycle_count: int
 
 
 @dataclass(frozen=True)
@@ -344,14 +346,14 @@ def _execute(
     This is the one fault a full recount on every block would catch
     sooner, on the next block, at O(n) per block.
 
-    Each record's ``snapshot`` is that ``caller_snapshot``: ``epoch``,
-    ``reserves``, ``cycle_count`` and the caller's ``balance``; recount
-    blocks hold the machine's full ``snapshot()`` instead.  Comparing
-    these per block, as ``replay`` does, still compares everything a
-    full snapshot holds: by induction on blocks, two runs that agree at
-    a recount (or at the fresh start) and on every later record agree on
-    everything a call could have changed since, and full snapshots are
-    compared again at the next recount.
+    A record keeps the epoch, both pools and the cycle count from that
+    ``caller_snapshot``, but no balance.  A recorded balance could never
+    be the first thing to differ between two runs, such as a run and its
+    ``replay``: each run checks every balance it reads against its own
+    ledger, and the ledger is the sum of that run's claimed shares,
+    which ``replay`` compares block by block.  So up to the first block
+    where a share differs or a check raises, both runs' balances are
+    equal, and the record needs no per-user state.
     """
     txs = list(txs)
     last = len(txs) - 1
@@ -398,8 +400,8 @@ def _execute(
                 raise MachineError(f"unknown call kind {tx.kind!r}")
         except MachineError as exc:
             raise SimulationError(tx.block, str(exc)) from exc
-        snapshot = machine.caller_snapshot(tx.user)
-        pool0, pool1 = reserves = snapshot["reserves"]
+        epoch, reserves, cycle_count, balance = machine.caller_snapshot(tx.user)
+        pool0, pool1 = reserves
         if min(pool0 + pool1) < 0:
             raise SimulationError(
                 tx.block,
@@ -410,11 +412,10 @@ def _execute(
         if injected != accounted:
             _check_gap(tx.block, tuple(map(sub, injected, accounted)))
         expected = ledger[tx.user]
-        if snapshot["balance"] != expected:
-            raise _balance_error(tx.block, tx.user, snapshot["balance"], expected)
+        if balance != expected:
+            raise _balance_error(tx.block, tx.user, balance, expected)
         if update_cost is not None or index == last:
-            snapshot = machine.snapshot()
-            balances = snapshot["balances"]
+            balances = machine.snapshot()["balances"]
             if balances != ledger:
                 for uid, balance in balances.items():
                     expected = ledger.get(uid, zeros)
@@ -422,8 +423,8 @@ def _execute(
                         raise _balance_error(tx.block, uid, balance, expected)
             _check_gap(tx.block, accounting_gap(machine))
         yield TraceRecord(
-            tx, snapshot["epoch"], vector, task_count, clamped, cost_units,
-            update_cost, snapshot,
+            tx, epoch, vector, task_count, clamped, cost_units, update_cost,
+            reserves, cycle_count,
         )
 
 
@@ -460,23 +461,22 @@ def run_simulation(
 
 
 # The record fields ``replay`` compares, in the order it names them.
-_COMPARED_FIELDS = ("epoch", "vector", "task_count", "clamped", "snapshot")
+_COMPARED_FIELDS = (
+    "epoch", "vector", "task_count", "clamped", "reserves", "cycle_count"
+)
 _compared = itemgetter(*(TraceRecord._fields.index(f) for f in _COMPARED_FIELDS))
 
 
-def replay(trace: Trace, cost_model: CostModel | None = None) -> ReplayResult:
+def replay(trace: Trace, cost_model: CostModel = DEFAULT_COST_MODEL) -> ReplayResult:
     """Re-execute the trace's transactions and compare every outcome.
 
     Blocks are re-run and compared one at a time, so the result names
     the first block that diverges or raises.  Cost units are
     annotations, not state, so they are not compared and a different
-    cost model never causes divergence.
+    cost model, the default included, never causes divergence.
     """
-    config = trace.config
-    if cost_model is None:
-        cost_model = CostModel.from_overrides(trace.header.get("cost_model", {}))
     fresh_records = _execute(
-        _make_machine(config), (rec.tx for rec in trace.records), cost_model
+        _make_machine(trace.config), (rec.tx for rec in trace.records), cost_model
     )
     try:
         for fresh, recorded in zip(fresh_records, trace.records):
@@ -532,7 +532,7 @@ def crosscheck_trace(trace: Trace) -> CrosscheckReport:
             per_user[rec.tx.user] = rec.vector
             if rec.epoch not in pool_by_epoch:
                 parity = (rec.epoch + 1) % 2
-                pool_by_epoch[rec.epoch] = rec.snapshot["reserves"][parity]
+                pool_by_epoch[rec.epoch] = rec.reserves[parity]
         elif rec.tx.kind == KIND_CLAIM:
             assert rec.task_count is not None
             claims_by_epoch.setdefault(rec.epoch, {})[rec.tx.user] = rec.task_count

@@ -204,15 +204,15 @@ class AllocationMachine:
             "balances": {uid: tuple(slot.balance) for uid, slot in self._users.items()},
         }
 
-    def caller_snapshot(self, user: int) -> dict:
-        """``snapshot()`` with only ``user``'s balance, as ``balance``: what
-        one call can change, read in O(m) with no validation."""
-        return {
-            "epoch": self._epoch,
-            "reserves": (tuple(self._reserves[0]), tuple(self._reserves[1])),
-            "cycle_count": self._k_prime,
-            "balance": tuple(self._slot(user).balance),
-        }
+    def caller_snapshot(self, user: int) -> tuple:
+        """What one call can change, read in O(m) with no validation:
+        ``(epoch, reserves, cycle_count, user's balance)`` as ``snapshot()``."""
+        return (
+            self._epoch,
+            (tuple(self._reserves[0]), tuple(self._reserves[1])),
+            self._k_prime,
+            tuple(self._slot(user).balance),
+        )
 
     def register_user(self, user: int) -> None:
         if user in self._users:

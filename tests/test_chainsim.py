@@ -84,9 +84,9 @@ _RECORDS = [
         ("call_kind", "m", "epoch", "user", "cost_units"),
     ),
     (
-        TraceRecord(_TX, 1, (1, 2), None, False, 100, None, {}),
+        TraceRecord(_TX, 1, (1, 2), None, False, 100, None, ((5, 5), (0, 0)), 0),
         ("tx", "epoch", "vector", "task_count", "clamped", "cost_units",
-         "update_cost", "snapshot"),
+         "update_cost", "reserves", "cycle_count"),
     ),
     (
         DemandRecord(0, 1, ResourceVector([1, 2]), 5, 0),
@@ -120,7 +120,7 @@ def test_epoch_reserve_scales_with_users():
     assert config.epoch_reserve == ResourceVector([1500, 1500])
     trace = run_simulation(config)
     first = trace.records[0]
-    assert first.snapshot["reserves"][0] == (1500, 1500)
+    assert first.reserves[0] == (1500, 1500)
 
 
 def test_single_user_fixed_demand_closed_form():
@@ -140,7 +140,7 @@ def test_single_user_fixed_demand_closed_form():
     assert len(claims) == 1
     assert claims[0].task_count == 150
     assert claims[0].vector == (150,)
-    assert claims[0].snapshot["reserves"][0] == (0,)
+    assert claims[0].reserves[0] == (0,)
 
 
 def test_no_demand_epoch_gives_zero_cycles():
@@ -286,7 +286,9 @@ _TAMPER = {
     "vector": lambda rec: (rec.vector[0] + 1,) + rec.vector[1:],
     "task_count": lambda rec: rec.task_count + 1,
     "clamped": lambda rec: not rec.clamped,
-    "snapshot": lambda rec: {**rec.snapshot, "cycle_count": -1},
+    "reserves": lambda rec: ((rec.reserves[0][0] + 1,) + rec.reserves[0][1:],
+                             rec.reserves[1]),
+    "cycle_count": lambda rec: -1,
 }
 
 
@@ -352,12 +354,12 @@ def test_schedule_law_demand_then_claim_next_epoch():
 def test_replenishment_law():
     config = SimConfig(users=2, resources=2, epochs=6, per_user_reserve=50, seed=8)
     trace = run_simulation(config)
-    final = trace.records[-1].snapshot
+    final = trace.records[-1].reserves
+    shares = [rec.vector for rec in trace.records if rec.tx.kind == KIND_CLAIM]
     per_resource = config.users * config.per_user_reserve
     expected_injected = per_resource * config.epochs  # init + (epochs-1) refills
     for r in range(config.resources):
-        held = final["reserves"][0][r] + final["reserves"][1][r]
-        held += sum(bal[r] for bal in final["balances"].values())
+        held = final[0][r] + final[1][r] + sum(share[r] for share in shares)
         assert held == expected_injected
 
 
@@ -505,14 +507,23 @@ def test_full_recount_runs_once_per_transition_and_at_the_end(monkeypatch):
         assert calls == {"accounting_gap": transitions + 1, "snapshot": transitions + 1}
 
 
-def test_snapshot_holds_full_state_only_on_recount_blocks():
-    trace = run_simulation(FAULT_CONFIG)
-    full = [rec.tx.block for rec in trace.records if "balances" in rec.snapshot]
-    assert full == [9, 17, 25, 32]
-    claim = trace.records[10]  # block 11: user 2's first claim
-    assert claim.tx.user == 2
-    assert set(claim.snapshot) == {"epoch", "reserves", "cycle_count", "balance"}
-    assert claim.snapshot["balance"] == claim.vector
+@pytest.mark.parametrize("users", [2, 40])
+def test_no_record_holds_per_user_state(users):
+    # No container among the fields of a record and of its tx, at any
+    # depth, holds more than m items (a vector, a pool, the pair of
+    # pools), so nothing in a record grows with the number of users.
+    m = 4
+    trace = run_simulation(SimConfig(users=users, resources=m, epochs=4, seed=17))
+
+    def walk(value):
+        if isinstance(value, (list, tuple, dict, set)):
+            assert len(value) <= m, value
+            for item in value.values() if isinstance(value, dict) else value:
+                walk(item)
+
+    for rec in trace.records:
+        for value in rec.tx + rec[1:]:
+            walk(value)
 
 
 # --- cost model -----------------------------------------------------------------
