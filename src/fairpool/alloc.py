@@ -10,6 +10,8 @@ Both multi-resource allocators and their comparison start from one integer
 core per instance (dominant shares, L, c_i and N_r), compare ratios by
 cross-multiplication and build a ``Fraction`` or a vector only for values
 they return; progressive filling computes in ``Fraction`` throughout.
+Users are positions: user i is the i-th vector of the ``DemandSet`` and
+the i-th entry of every result.
 """
 
 from __future__ import annotations
@@ -143,8 +145,9 @@ def _remaining(
 
 
 class _Core:
-    """One instance's demand rows and columns, dominant shares s_i and the
-    integers L, c_i and N_r (see pdrf_allocate), shared by both allocators."""
+    """One instance's demand rows (the ``DemandSet`` itself) and columns,
+    dominant shares s_i and the integers L, c_i and N_r (see
+    pdrf_allocate), shared by both allocators."""
 
     __slots__ = ("rows", "columns", "reserves", "shares", "lcm", "scales", "drains")
 
@@ -154,13 +157,12 @@ class _Core:
         reserves: ResourceVector,
         weights: Sequence[WeightVector] | None = None,
     ) -> None:
-        vectors = demands.demands
         weights = repeat(None) if weights is None else weights
-        shares = [dominant_share(d, reserves, w)[0] for d, w in zip(vectors, weights)]
+        shares = [dominant_share(d, reserves, w)[0] for d, w in zip(demands, weights)]
         lcm = math.lcm(*(s.numerator for s in shares))  # L
         scales = [s.denominator * (lcm // s.numerator) for s in shares]  # c_i
-        columns = list(zip(*vectors))
-        self.rows, self.columns, self.reserves = vectors, columns, reserves
+        columns = list(zip(*demands))
+        self.rows, self.columns, self.reserves = demands, columns, reserves
         self.shares, self.lcm, self.scales = shares, lcm, scales
         self.drains = [sum(map(mul, scales, col)) for col in columns]  # N_r
 
@@ -247,7 +249,7 @@ def _result(
     remaining: Sequence[int],
     cycles: Fraction = Fraction(0),
 ) -> AllocationResult:
-    allocs = tuple(d.scale(t) for d, t in zip(demands.demands, tasks))
+    allocs = tuple(d.scale(t) for d, t in zip(demands, tasks))
     return AllocationResult(tuple(tasks), allocs, ResourceVector(remaining), cycles)
 
 

@@ -261,8 +261,8 @@ def build_schedule(config: SimConfig) -> list[BlockTx]:
     """One call per block: epoch 1 registers then demands, later epochs
     claim then demand.  Demand vectors are drawn fresh every epoch from
     the seeded generator, so the schedule is fully determined by the
-    config.  They are ``ResourceVector``s, checked once here and shared
-    by the machine and the run's records.
+    config.  They are plain tuples; ``_execute`` checks each one where
+    it enters the machine, so a replayed schedule is checked too.
     """
     rng = random.Random(config.seed)
     n, m = config.users, config.resources
@@ -282,9 +282,7 @@ def build_schedule(config: SimConfig) -> list[BlockTx]:
         # The draw order (user by user, component by component) is part
         # of the seeded schedule; the golden trace test pins it.
         # ``randrange(low, high + 1)`` is what ``randint(low, high)`` calls.
-        vectors = [
-            ResourceVector([draw(low, stop) for _ in range(m)]) for _ in range(n)
-        ]
+        vectors = [tuple([draw(low, stop) for _ in range(m)]) for _ in range(n)]
         for user in range(n):
             txs.append(BlockTx(block, KIND_DEMAND, user, vectors[user]))
             block += 1
@@ -522,7 +520,7 @@ def crosscheck_trace(trace: Trace) -> CrosscheckReport:
     the machine's task counts exactly) and to the exact-rational
     precomputed allocator (reported as deltas).
     """
-    demands_by_epoch: dict[int, dict[int, tuple[int, ...]]] = {}
+    demands_by_epoch: dict[int, dict[int, ResourceVector]] = {}
     pool_by_epoch: dict[int, tuple[int, ...]] = {}
     claims_by_epoch: dict[int, dict[int, int]] = {}
     for rec in trace.records:
@@ -548,12 +546,7 @@ def crosscheck_trace(trace: Trace) -> CrosscheckReport:
             continue
         pool = pool_by_epoch[epoch - 1]
         expected = reference_task_counts(demands, pool)
-        rational = pdrf_allocate(
-            DemandSet(
-                (uid, ResourceVector(vec)) for uid, vec in demands.items()
-            ),
-            ResourceVector(pool),
-        )
+        rational = pdrf_allocate(DemandSet(demands.values()), ResourceVector(pool))
         rational_by_user = dict(zip(demands.keys(), rational.task_counts))
         epochs_checked += 1
         for user, machine_tasks in sorted(claims.items()):

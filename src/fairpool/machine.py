@@ -133,8 +133,9 @@ class DemandRecord(NamedTuple):
 class _UserSlot:
     demand: list[ResourceVector | None] = field(default_factory=lambda: [None, None])
     recip: list[int] = field(default_factory=lambda: [0, 0])
+    # Epoch of the demand held at each parity, 0 for none yet.
+    demand_epoch: list[int] = field(default_factory=lambda: [0, 0])
     balance: list[int] = field(default_factory=list)
-    last_demand_epoch: int = 0
     last_claim_epoch: int = 0
 
 
@@ -295,7 +296,8 @@ class AllocationMachine:
         slot = self._slot(user)
         self.update_state(block)
         e = self._epoch
-        if slot.last_demand_epoch == e:
+        s = (e + 1) % 2
+        if slot.demand_epoch[s] == e:
             raise MachineError(f"user {user} already demanded in epoch {e}")
         cfg = self._cfg
         if len(vector) != cfg.resource_count:
@@ -303,7 +305,6 @@ class AllocationMachine:
                 f"demand has {len(vector)} components, machine has "
                 f"{cfg.resource_count} resources"
             )
-        s = (e + 1) % 2
         pool = self._reserves[s]
         p = cfg.precision
         recip: int | None = None
@@ -346,7 +347,7 @@ class AllocationMachine:
         self._reset_epoch = e
         slot.demand[s] = vector
         slot.recip[s] = recip
-        slot.last_demand_epoch = e
+        slot.demand_epoch[s] = e
         return DemandRecord(user, e, vector, recip, updates)
 
     def claim(self, user: int, block: int) -> ClaimReceipt:
@@ -354,13 +355,15 @@ class AllocationMachine:
         slot = self._slot(user)
         self.update_state(block)
         e = self._epoch
-        if slot.last_demand_epoch == 0 or slot.last_demand_epoch != e - 1:
+        s = e % 2
+        # Only the other parity's stamp is read, so a demand made earlier
+        # in this epoch does not hide the claim.
+        if slot.demand_epoch[s] == 0 or slot.demand_epoch[s] != e - 1:
             raise MachineError(
                 f"user {user} has no demand registered in epoch {e - 1}"
             )
         if slot.last_claim_epoch == e:
             raise MachineError(f"user {user} already claimed in epoch {e}")
-        s = e % 2
         p = self._cfg.precision
         ratio = fixed_floor_div(slot.recip[s] * p, self._max_recip[s])
         task_count = fixed_floor_div(ratio * self._k_prime, p * p)

@@ -1,7 +1,8 @@
 """Validated vector types shared by the allocators and the machine.
 
 Each type is a tuple that checked its values when it was built, so it
-equals and hashes like the plain tuple of its values.
+equals and hashes like the plain tuple of its values.  There is one way
+to build each: every constructor call makes a new tuple and checks it.
 """
 
 from __future__ import annotations
@@ -18,21 +19,13 @@ class ResourceVector(tuple):
     A tuple of the quantities, checked in ``__init__``.  ``+``, ``*`` and
     ``<`` are tuple operations (concatenation and repetition, which return
     plain tuples, and lexicographic order), not vector arithmetic or
-    component-wise comparison.  Like
-    ``tuple(t) is t``, ``ResourceVector(v)`` is ``v`` for a
-    ``ResourceVector`` ``v``, which needs no second check.
+    component-wise comparison.  ``ResourceVector(v)`` always builds and
+    checks a new vector, even for a ``ResourceVector`` ``v``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, quantities: Iterable[int]) -> "ResourceVector":
-        if type(quantities) is cls:
-            return quantities
-        return tuple.__new__(cls, quantities)
-
     def __init__(self, quantities: Iterable[int]) -> None:
-        if self is quantities:
-            return
         if not self:
             raise ValueError("resource vector must have at least one component")
         for v in self:
@@ -60,46 +53,31 @@ class ResourceVector(tuple):
 
 
 class DemandSet(tuple):
-    """Per-user unit-task demand vectors with unique ids and a common length.
+    """Per-user unit-task demand vectors of a common length.
 
-    A tuple of ``(user id, ResourceVector)`` pairs; ``+``, ``*`` and ``<``
-    are tuple operations, and ``+`` and ``*`` return plain tuples.
+    A tuple of ``ResourceVector``s, positional: user i is element i, and
+    every allocation result lists users in the same order.  ``+``, ``*``
+    and ``<`` are tuple operations, and ``+`` and ``*`` return plain
+    tuples.
     """
 
     __slots__ = ()
 
-    def __new__(cls, entries: Iterable[tuple[int, ResourceVector]]) -> "DemandSet":
-        items = tuple.__new__(cls, ((int(uid), vec) for uid, vec in entries))
-        seen: set[int] = set()
-        m = None
-        for uid, vec in items:
-            if uid in seen:
-                raise ValueError(f"duplicate user id {uid}")
-            seen.add(uid)
+    def __new__(cls, demands: Iterable[ResourceVector]) -> "DemandSet":
+        items = tuple.__new__(cls, demands)
+        for user, vec in enumerate(items):
             if not isinstance(vec, ResourceVector):
                 raise ValueError("demand must be a ResourceVector")
-            if m is None:
-                m = len(vec)
-            elif len(vec) != m:
+            # Element 0 passed the type check before any comparison.
+            if len(vec) != len(items[0]):
                 raise ValueError("all demands must have the same resource count")
             if vec.is_zero():
-                raise ValueError(f"user {uid} has an all-zero demand vector")
+                raise ValueError(f"user {user} has an all-zero demand vector")
         return items
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[int]]) -> "DemandSet":
-        """Build a demand set with user ids assigned in order from 0."""
-        return cls(
-            (uid, ResourceVector(vec)) for uid, vec in enumerate(vectors)
-        )
-
-    @property
-    def entries(self) -> tuple[tuple[int, ResourceVector], ...]:
-        return self
-
-    @property
-    def demands(self) -> tuple[ResourceVector, ...]:
-        return tuple(vec for _, vec in self)
+        return cls(map(ResourceVector, vectors))
 
     def __repr__(self) -> str:
         return f"DemandSet({list(self)})"

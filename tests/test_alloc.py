@@ -200,7 +200,7 @@ def test_drf_sharing_incentive_identical_demands():
 def test_zero_reserve_nobody_demands_is_skipped():
     demands = DemandSet.from_vectors([[3, 0], [5, 0]])
     reserves = ResourceVector([100, 0])
-    assert dominant_share(demands.demands[0], reserves) == (Fraction(3, 100), 0)
+    assert dominant_share(demands[0], reserves) == (Fraction(3, 100), 0)
     assert reference_task_counts({0: (3, 0), 1: (5, 0)}, (100, 0)) == {
         0: 16,
         1: 10,
@@ -240,7 +240,7 @@ def _scan_drf_loop(demands, shares, reserves):
 
 
 def _assert_matches_scan(demands, reserves):
-    vectors = demands.demands
+    vectors = demands
     shares = [dominant_share(d, reserves)[0] for d in vectors]
     tasks, remaining = _scan_drf_loop(vectors, shares, reserves)
     result = drf_allocate(demands, reserves)
@@ -311,7 +311,7 @@ def test_drf_stopping_certificate_at_huge_reserves():
         reserves = ResourceVector(rng.randint(10**12, 2 * 10**12) for _ in range(m))
         instances.append((demands, reserves))
     for demands, reserves in instances:
-        vectors = demands.demands
+        vectors = demands
         shares = [dominant_share(d, reserves)[0] for d in vectors]
         tasks = drf_allocate(demands, reserves).task_counts
         assert sum(tasks) > 10**10
@@ -383,7 +383,7 @@ def test_pdrf_task_counts_monotone_in_dominant_share():
         m = rng.randint(1, 4)
         demands, reserves = _random_instance(rng, n, m)
         result = pdrf_allocate(demands, reserves)
-        shares = [dominant_share(d, reserves)[0] for d in demands.demands]
+        shares = [dominant_share(d, reserves)[0] for d in demands]
         for a in range(n):
             for b in range(n):
                 if shares[a] <= shares[b]:
@@ -397,9 +397,7 @@ def test_pdrf_invariant_under_uniform_scaling():
         m = rng.randint(1, 4)
         demands, reserves = _random_instance(rng, n, m)
         factor = rng.randint(2, 5)
-        scaled = DemandSet(
-            (uid, d.scale(factor)) for uid, d in demands.entries
-        )
+        scaled = DemandSet(d.scale(factor) for d in demands)
         base = pdrf_allocate(demands, reserves)
         scaled_result = pdrf_allocate(scaled, reserves.scale(factor))
         assert base.task_counts == scaled_result.task_counts
@@ -540,7 +538,7 @@ def _oracle_dominant_share(demand, weights, reserves):
 
 
 def _oracle_pdrf(demands, reserves, weights):
-    vectors = demands.demands
+    vectors = demands
     shares = [
         _oracle_dominant_share(d, w, reserves)[0] for d, w in zip(vectors, weights)
     ]
@@ -568,7 +566,7 @@ def _assert_matches_oracle(demands, reserves, weights=None):
     weights in the oracle."""
     unit = [WeightVector([1] * len(reserves))] * len(demands)
     oracle_weights = unit if weights is None else weights
-    for d, w in zip(demands.demands, oracle_weights):
+    for d, w in zip(demands, oracle_weights):
         assert dominant_share(d, reserves, w) == _oracle_dominant_share(
             d, w, reserves
         )

@@ -76,19 +76,19 @@ def test_resource_vector_arithmetic():
 
 def test_demand_set_validation():
     ds = DemandSet.from_vectors([[1, 4], [3, 1]])
-    assert [uid for uid, _ in ds.entries] == [0, 1]
-    assert ds.demands[1] == ResourceVector([3, 1])
-    with pytest.raises(ValueError):
-        DemandSet([(0, ResourceVector([1, 2])), (0, ResourceVector([2, 1]))])
+    assert ds[1] == ResourceVector([3, 1])
     with pytest.raises(ValueError):
         DemandSet.from_vectors([[1, 2], [1, 2, 3]])
     with pytest.raises(ValueError):
         DemandSet.from_vectors([[0, 0]])
+    # an (id, vector) pair is not a demand: users are positions
+    with pytest.raises(ValueError, match="^demand must be a ResourceVector$"):
+        DemandSet([(0, ResourceVector([1, 2]))])
 
 
 def test_demand_set_allows_zero_components():
     ds = DemandSet.from_vectors([[0, 5]])
-    assert ds.demands[0][0] == 0
+    assert ds[0][0] == 0
 
 
 def test_weight_vector_validation():
@@ -138,11 +138,10 @@ def test_vector_copies_keep_type_and_value(v, copy_of):
     assert repr(c) == repr(v)
 
 
-def test_resource_vector_of_a_resource_vector_is_itself():
+def test_resource_vector_of_a_resource_vector_is_a_new_equal_vector():
     v = ResourceVector([3, 0, 7])
-    assert ResourceVector(v) is v
-    w = ResourceVector((3, 0, 7))
-    assert w is not v and w == v
+    w = ResourceVector(v)
+    assert w is not v and w == v and type(w) is ResourceVector
 
 
 def test_vector_operators_are_tuple_operations():
@@ -159,9 +158,8 @@ def test_vector_operators_are_tuple_operations():
 
 
 def test_demand_set_and_weight_vector_values():
-    ds = DemandSet([(0, ResourceVector([1, 2])), (5, ResourceVector([2, 1]))])
-    assert ds.entries is ds
-    assert ds == ((0, (1, 2)), (5, (2, 1)))
+    ds = DemandSet([ResourceVector([1, 2]), ResourceVector([2, 1])])
+    assert ds == ((1, 2), (2, 1))
     assert len(ds) == 2
     w = WeightVector([1, 2.5])
     assert all(type(x) is Fraction for x in w)
