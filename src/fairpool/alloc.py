@@ -7,9 +7,11 @@ precomputed variant take optional weights; unit weights, the default,
 give the unweighted form.  Everything here is exact, so results are
 bit-reproducible and usable as ground truth for the fixed-point machine.
 Both multi-resource allocators and their comparison start from one integer
-core per instance (dominant shares, L, c_i and N_r), compare ratios by
-cross-multiplication and build a ``Fraction`` or a vector only for values
-they return; progressive filling computes in ``Fraction`` throughout.
+core per instance: each dominant share s_i as an integer key x_i = s_i * M
+over one common denominator M, and from the keys the cycle multiples c_i
+and per-resource drains N_r.  They compare ratios by cross-multiplication
+and build a ``Fraction`` or a vector only for values they return;
+progressive filling computes in ``Fraction`` throughout.
 Users are positions: user i is the i-th vector of the ``DemandSet`` and
 the i-th entry of every result.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heapreplace
 from itertools import repeat
-from operator import le, mul, sub
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .vectors import DemandSet, Rational, ResourceVector, WeightVector
@@ -144,12 +146,40 @@ def _remaining(
     return [res - sum(map(mul, tasks, col)) for res, col in zip(reserves, columns)]
 
 
-class _Core:
-    """One instance's demand rows (the ``DemandSet`` itself) and columns,
-    dominant shares s_i and the integers L, c_i and N_r (see
-    pdrf_allocate), shared by both allocators."""
+def _raise_first_error(
+    demands: DemandSet,
+    reserves: ResourceVector,
+    weights: Sequence[Sequence[Rational]],
+) -> None:
+    """Raise the ValueError that dominant_share raises first, in user order."""
+    for d, w in zip(demands, weights):
+        dominant_share(d, reserves, w)
+    raise AssertionError("every dominant share is valid")
 
-    __slots__ = ("rows", "columns", "reserves", "shares", "lcm", "scales", "drains")
+
+class _Core:
+    """One instance's integers, shared by both allocators.
+
+    Besides the demand rows (the ``DemandSet`` itself) and columns:
+
+    * M, a common denominator of every ratio d_ir / (w_ir * R_r): the lcm
+      of the positive R_r * w_ir.numerator over the distinct weight
+      vectors w.  Unit weights, the default, are one such vector.
+    * q^w_r = w_r.denominator * (M // (R_r * w_r.numerator)), one scale
+      vector per distinct w, and 0 where R_r = 0.
+    * The key x_i = max_r d_ir * q^w_r = s_i * M: user i's dominant share
+      as an integer over M.
+    * C = lcm(x_i) and c_i = C // x_i, an integer proportional to 1/s_i.
+    * N_r = sum_i c_i * d_ir, resource r's drain per cycle.
+
+    No ``Fraction`` is built.  An invalid instance goes to dominant_share
+    user by user, so it raises the error, and from the user, that
+    computing each share on its own would.
+    """
+
+    __slots__ = (
+        "rows", "columns", "reserves", "lcm", "keys", "scale", "scales", "drains"
+    )
 
     def __init__(
         self,
@@ -157,13 +187,31 @@ class _Core:
         reserves: ResourceVector,
         weights: Sequence[WeightVector] | None = None,
     ) -> None:
-        weights = repeat(None) if weights is None else weights
-        shares = [dominant_share(d, reserves, w)[0] for d, w in zip(demands, weights)]
-        lcm = math.lcm(*(s.numerator for s in shares))  # L
-        scales = [s.denominator * (lcm // s.numerator) for s in shares]  # c_i
+        m = len(reserves)
+        weights = [(1,) * m] * len(demands) if weights is None else weights
+        qs = dict.fromkeys(weights)  # q^w per distinct weight vector w
+        if any(len(w) != m for w in qs) or demands and len(demands[0]) != m:
+            _raise_first_error(demands, reserves, weights)
+        lcm = math.lcm(  # M
+            *(res * x.numerator for w in qs for res, x in zip(reserves, w) if res)
+        )
+        for w in qs:
+            qs[w] = [
+                x.denominator * (lcm // (res * x.numerator)) if res else 0
+                for res, x in zip(reserves, w)
+            ]
+        # x_i = max(map(mul, d_i, q^w_i)), with the loop over users in C.
+        per_user = map(qs.__getitem__, weights)
+        keys = list(map(max, map(map, repeat(mul), demands, per_user)))
         columns = list(zip(*demands))
+        if 0 in keys or 0 in reserves and any(
+            any(col) for res, col in zip(reserves, columns) if not res
+        ):
+            _raise_first_error(demands, reserves, weights)
+        scale = math.lcm(*keys)  # C
+        scales = [scale // x for x in keys]  # c_i
         self.rows, self.columns, self.reserves = demands, columns, reserves
-        self.shares, self.lcm, self.scales = shares, lcm, scales
+        self.lcm, self.keys, self.scale, self.scales = lcm, keys, scale, scales
         self.drains = [sum(map(mul, scales, col)) for col in columns]  # N_r
 
 
@@ -176,55 +224,52 @@ def _drf_loop(core: _Core) -> tuple[list[int], list[int]]:
     reserves.  This function returns the same counts without running the
     loop task by task.
 
-    Integer keys: with D = lcm of the share denominators, k_i = s_i * D is
-    an integer and the loop grants, in order, the picks (t * k_i, i) for
+    Integer keys: the core's x_i = s_i * M are integers in the ratio of
+    the shares, so the loop grants, in order, the picks (t * x_i, i) for
     t = 0, 1, ... over all users, smallest first.  Let F(K) be the total
-    demand of the picks with key below K; each user has ceil(K / k_i) of
+    demand of the picks with key below K; each user has ceil(K / x_i) of
     them, and they are a prefix of the pick order.  Demands are
     non-negative, so consumption only grows along the order: the loop
     stops at the first pick whose cumulative total exceeds the reserves,
     and any prefix with F(K) <= R is granted in full.  So the loop's stop
     is a pick with key K*, the largest K with F(K) <= R.
 
-    Bracketing K*: ceil(K / k_i) lies in [K / k_i, K / k_i + 1), and with
-    the core's integers (L = lcm of the share numerators, c_i = b_i * L / a_i
-    for s_i = a_i / b_i, N_r = sum_i c_i * d_ir) sum_i d_ir / k_i is
-    N_r / (L * D).  Over resources with N_r > 0 (others are never
-    consumed), lo = min floor(max(0, R_r - sum_i d_ir) * L * D / N_r) thus
-    has F(lo) <= R, and K* <= hi = min floor(R_r * L * D / N_r).  The
-    bracket holds sum_i (hi // k_i - (lo - 1) // k_i) picks, at most n
-    once lo = hi.  While it holds more than 2n, testing F at its middle
-    halves it.  That takes at most log2(hi - lo) steps and is rare: the
-    jump to lo usually leaves a handful of picks, whatever the reserves.
+    Bracketing K*: ceil(K / x_i) lies in [K / x_i, K / x_i + 1), and
+    sum_i d_ir / x_i = sum_i c_i * d_ir / C = N_r / C.  Over resources
+    with N_r > 0 (others are never consumed),
+    lo = min floor(max(0, R_r - sum_i d_ir) * C / N_r) thus has
+    F(lo) <= R, and K* <= hi = min floor(R_r * C / N_r).  The bracket
+    holds sum_i (hi // x_i - (lo - 1) // x_i) picks, at most n once
+    lo = hi.  While it holds more than 2n, testing F at its middle halves
+    it.  That takes at most log2(hi - lo) steps and is rare: the jump to
+    lo usually leaves a handful of picks, whatever the reserves.
 
-    From lo, a heap on (t_i * k_i, i) replays the loop's own picks until
+    From lo, a heap on (t_i * x_i, i) replays the loop's own picks until
     the first one that does not fit, at most 2n + 1 of them.
     """
     rows, columns, reserves = core.rows, core.columns, core.reserves
-    den = math.lcm(*(s.denominator for s in core.shares))  # D
-    keys = [s.numerator * (den // s.denominator) for s in core.shares]  # k_i
-    scale = core.lcm * den
+    keys, scale = core.keys, core.scale
     # (R_r, sum_i d_ir, N_r) for the resources with N_r > 0.
     drains = [t for t in zip(reserves, map(sum, columns), core.drains) if t[2]]
     lo = min(max(0, res - total) * scale // drain for res, total, drain in drains)
     hi = min(res * scale // drain for res, _, drain in drains)
-    while lo < hi and sum(hi // k - (lo - 1) // k for k in keys) > 2 * len(keys):
+    while lo < hi and sum(hi // x - (lo - 1) // x for x in keys) > 2 * len(keys):
         mid = (lo + hi + 1) // 2
-        if min(_remaining(columns, [-(-mid // k) for k in keys], reserves)) >= 0:
+        if min(_remaining(columns, [-(-mid // x) for x in keys], reserves)) >= 0:
             lo = mid
         else:
             hi = mid - 1
-    tasks = [-(-lo // k) for k in keys]
+    tasks = [-(-lo // x) for x in keys]
     remaining = _remaining(columns, tasks, reserves)
     assert min(remaining) >= 0
-    heap = [(t * k, i) for i, (t, k) in enumerate(zip(tasks, keys))]
+    heap = [(t * x, i) for i, (t, x) in enumerate(zip(tasks, keys))]
     heapify(heap)
     while True:
         key, i = heap[0]
-        d = rows[i]
-        if not all(map(le, d, remaining)):
+        after = list(map(sub, remaining, rows[i]))
+        if min(after) < 0:
             return tasks, remaining
-        remaining = [a - b for a, b in zip(remaining, d)]
+        remaining = after
         tasks[i] += 1
         heapreplace(heap, (key + keys[i], i))
 
@@ -279,14 +324,16 @@ def pdrf_allocate(
     user (see dominant_share); omitting it means unit weights.
 
     One cycle gives user i s*/s_i tasks, where s_i is its dominant share
-    and s* the largest.  All of it is integer arithmetic: with
-    s_i = a_i/b_i in lowest terms, let L = lcm(a_i) and
-    c_i = b_i * (L / a_i), an integer proportional to 1/s_i.  A cycle
-    drains resource r in proportion to N_r = sum_i c_i * d_ir.  The
-    binding resource minimises R_r / N_r (compared by cross-multiplication,
-    skipping N_r = 0), user i gets R_r * c_i // N_r tasks, and the cycle
-    count is R_r * L * b* / (N_r * a*) for s* = a*/b*, which is
-    R_r * c* / N_r with c* = min c_i.
+    and s* the largest.  All of it is integer arithmetic on the core's
+    keys x_i = s_i * M (see _Core): with C = lcm(x_i), c_i = C // x_i is
+    an integer proportional to 1/s_i, and a cycle drains resource r in
+    proportion to N_r = sum_i c_i * d_ir.  The binding resource minimises
+    R_r / N_r (compared by cross-multiplication, skipping N_r = 0), user i
+    gets R_r * c_i // N_r tasks, and the cycle count is R_r * c* / N_r,
+    where c* = min c_i belongs to the user with share s*.  Scaling every
+    c_i by one factor scales every N_r by it too, so it cancels in each
+    floor and in the reduced cycle count: any integers proportional to
+    1/s_i give the same result.
     """
     n = len(demands)
     if weights is not None and len(weights) != n:

@@ -360,6 +360,7 @@ def _execute(
     calls: dict[tuple[str, int], int] = {}  # (kind, user) -> calls so far
     ledger: dict[int, tuple[int, ...]] = {}  # user -> balance, from receipts
     held = zeros  # per-resource total of the ledger
+    last_reserves = None  # the previous record's pools
     for index, tx in enumerate(txs):
         vector: tuple[int, ...] | None = None
         task_count: int | None = None
@@ -399,6 +400,9 @@ def _execute(
         except MachineError as exc:
             raise SimulationError(tx.block, str(exc)) from exc
         epoch, reserves, cycle_count, balance = machine.caller_snapshot(tx.user)
+        if reserves == last_reserves:
+            reserves = last_reserves  # unchanged pools share one tuple
+        last_reserves = reserves
         pool0, pool1 = reserves
         if min(pool0 + pool1) < 0:
             raise SimulationError(

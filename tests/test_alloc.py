@@ -487,21 +487,29 @@ def test_compare_raises_like_drf_allocate(reserves):
 def test_compare_shares_one_core_and_builds_no_vector(monkeypatch):
     demands = DemandSet.from_vectors([[1, 4], [3, 1], [2, 2]])
     reserves = ResourceVector([9, 18])
-    calls = {"dominant_share": 0, "ResourceVector": 0}
-    share, init = alloc.dominant_share, ResourceVector.__init__
+    calls = {"_Core": 0, "ResourceVector": 0, "dominant_share": 0}
+    core_init, init = alloc._Core.__init__, ResourceVector.__init__
+    share = alloc.dominant_share
 
-    def counted_share(*args):
-        calls["dominant_share"] += 1
-        return share(*args)
+    def counted_core(self, *args):
+        calls["_Core"] += 1
+        core_init(self, *args)
 
     def counted_init(self, quantities):
         calls["ResourceVector"] += 1
         init(self, quantities)
 
-    monkeypatch.setattr(alloc, "dominant_share", counted_share)
+    def counted_share(*args):
+        calls["dominant_share"] += 1
+        return share(*args)
+
+    monkeypatch.setattr(alloc._Core, "__init__", counted_core)
     monkeypatch.setattr(ResourceVector, "__init__", counted_init)
+    monkeypatch.setattr(alloc, "dominant_share", counted_share)
     compare_pdrf_drf(demands, reserves)
-    assert calls == {"dominant_share": 3, "ResourceVector": 0}
+    # The core keys each share as an integer; dominant_share only reports
+    # the error of an invalid instance.
+    assert calls == {"_Core": 1, "ResourceVector": 0, "dominant_share": 0}
 
 
 def test_compare_soft_invariant_small_sample():
@@ -613,3 +621,131 @@ def test_pdrf_matches_fraction_oracle_with_fractional_weights():
             for _ in range(n)
         ]
         _assert_matches_oracle(demands, reserves, weights)
+
+
+# --- integer keys against dominant_share and both oracles ------------------
+#
+# The core keys user i's dominant share as the integer x_i = s_i * M over
+# one common denominator M.  A seeded stream checks every key against
+# dominant_share, and both allocators against the Fraction oracle and the
+# scanning loop, on instances the shared-reserve stream never draws.
+
+
+def _differential_instance(rng, m):
+    n = rng.randint(1, 8 if m <= 8 else 4)
+    rows = []
+    for _ in range(n):
+        row = [rng.randint(0, 9) for _ in range(m)]
+        row[rng.randrange(m)] = rng.randint(1, 9)
+        rows.append(row)
+    reserves = [rng.randint(1, rng.choice([30, 300, 3000])) for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        # A resource nobody demands, with a zero reserve.
+        unused = rng.randrange(m)
+        for row in rows:
+            row[unused] = 0
+            if not any(row):
+                row[(unused + 1) % m] = 1
+        reserves[unused] = 0
+    weights = None
+    if rng.random() < 0.5:
+        # Users share some weight vectors and differ in others.
+        kinds = [
+            WeightVector(
+                Fraction(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(m)
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        weights = [rng.choice(kinds) for _ in range(n)]
+    return DemandSet.from_vectors(rows), ResourceVector(reserves), weights
+
+
+def _assert_core_matches_oracles(demands, reserves, weights):
+    m = len(reserves)
+    per_user = weights or [WeightVector([1] * m)] * len(demands)
+    core = alloc._Core(demands, reserves, weights)
+    for x, d, w in zip(core.keys, demands, per_user):
+        assert Fraction(x, core.lcm) == dominant_share(d, reserves, w)[0]
+    # The Fraction oracle divides by every reserve, so it runs without
+    # the resources whose reserve is zero; nobody demands those.
+    used = [r for r in range(m) if reserves[r]]
+    result = pdrf_allocate(demands, reserves, weights)
+    tasks, _, remaining, cycles = _oracle_pdrf(
+        DemandSet.from_vectors([[d[r] for r in used] for d in demands]),
+        ResourceVector(reserves[r] for r in used),
+        [WeightVector(w[r] for r in used) for w in per_user],
+    )
+    assert result.task_counts == tuple(tasks)
+    assert result.cycles == cycles
+    assert [result.remaining[r] for r in used] == list(remaining)
+    assert all(result.remaining[r] == 0 for r in range(m) if r not in used)
+    if weights is None:
+        shares = [dominant_share(d, reserves)[0] for d in demands]
+        loop, left = _scan_drf_loop(demands, shares, reserves)
+        drf = drf_allocate(demands, reserves)
+        assert drf.task_counts == tuple(loop)
+        assert drf.remaining == ResourceVector(left)
+        deltas = compare_pdrf_drf(demands, reserves).deltas
+        assert deltas == tuple(a - b for a, b in zip(loop, tasks))
+
+
+@pytest.mark.parametrize(
+    "m_values, count",
+    [((1, 2, 3, 4, 5, 8), 1000), ((64,), 40), ((256,), 12)],
+    ids=["m-up-to-8", "m-64", "m-256"],
+)
+def test_integer_keys_match_dominant_share_and_oracles(m_values, count):
+    rng = random.Random(15 + len(m_values) * 1000 + max(m_values))
+    for _ in range(count):
+        m = rng.choice(m_values)
+        _assert_core_matches_oracles(*_differential_instance(rng, m))
+
+
+def _raised(call):
+    with pytest.raises(ValueError) as error:
+        call()
+    return str(error.value)
+
+
+_ZERO = "positive demand against a zero reserve for resource {}"
+
+
+@pytest.mark.parametrize(
+    "rows, reserves, weights, message",
+    [
+        # Both users demand against a zero reserve: user 0's first one wins.
+        ([[1, 0, 3], [2, 4, 5]], [5, 0, 0], None, _ZERO.format(2)),
+        ([[0, 2, 1], [4, 0, 0]], [0, 0, 3], None, _ZERO.format(1)),
+        # A short weight vector raises at its user: before that user's own
+        # zero reserve and a later user's, after an earlier user's.
+        ([[1, 1], [1, 1]], [5, 5], [[1, 1], [1]], "need one weight per resource"),
+        ([[0, 1], [1, 1]], [0, 5], [[1, 1], [1]], "need one weight per resource"),
+        ([[1, 0], [1, 0], [0, 1]], [5, 0], [[1, 1], [1], [1, 1]],
+         "need one weight per resource"),
+        ([[1, 1], [1, 1]], [0, 5], [[1, 1], [1]], _ZERO.format(0)),
+        # Demand and reserves differ in length; the weights are checked first.
+        ([[1, 2], [2, 1]], [5, 5, 5], None,
+         "demand and reserves must have the same resource count"),
+        ([[1, 2], [2, 1]], [5, 5, 5], [[1, 1], [1, 1]],
+         "need one weight per resource"),
+        ([[1, 2], [2, 1]], [5, 5, 5], [[1, 1, 1], [1, 1, 1]],
+         "demand and reserves must have the same resource count"),
+    ],
+    ids=[
+        "two-zero-reserves-first-user", "two-zero-reserves-lowest-resource",
+        "short-weight-vector", "short-weight-vector-before-own-zero-reserve",
+        "short-weight-vector-before-later-zero-reserve",
+        "earlier-zero-reserve-before-short-weight-vector",
+        "resource-count", "weights-before-resource-count",
+        "resource-count-with-weights",
+    ],
+)
+def test_core_raises_the_first_users_error(rows, reserves, weights, message):
+    demands = DemandSet.from_vectors(rows)
+    reserves = ResourceVector(reserves)
+    if weights is None:
+        assert _raised(lambda: drf_allocate(demands, reserves)) == message
+        assert _raised(lambda: compare_pdrf_drf(demands, reserves)) == message
+    else:
+        weights = [WeightVector(w) for w in weights]
+    assert _raised(lambda: pdrf_allocate(demands, reserves, weights)) == message

@@ -526,6 +526,16 @@ def test_no_record_holds_per_user_state(users):
             walk(value)
 
 
+def test_unchanged_pools_share_the_previous_records_tuple():
+    # Register and most demand blocks leave both pools as they were; such
+    # a record holds the previous record's pools object, not a copy.
+    trace = run_simulation(SimConfig(users=6, resources=3, epochs=4, seed=17))
+    pairs = list(zip(trace.records, trace.records[1:]))
+    same = [b for a, b in pairs if a.reserves == b.reserves]
+    assert len(same) > len(pairs) // 3
+    assert all(a.reserves is b.reserves for a, b in pairs if a.reserves == b.reserves)
+
+
 # --- cost model -----------------------------------------------------------------
 
 

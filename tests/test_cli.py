@@ -137,6 +137,26 @@ def test_stats_independent_reserve_mode(tmp_path):
     assert summary["reserve_mode"] == "independent"
 
 
+@pytest.mark.parametrize(
+    "mode, digest",
+    [
+        ("--no-independent-reserves",
+         "4079f25b08acef192bb3112f725ae6db18e9184be59944a7e87635d7fbd51987"),
+        ("--independent-reserves",
+         "b692630979bdab22a4dd2874e803bc120c62996c54c9061b227f1031db96b311"),
+    ],
+    ids=["shared", "independent"],
+)
+def test_stats_json_golden_digest(tmp_path, mode, digest):
+    # Pins every count, rate and histogram bin of two seeded comparisons
+    # of the DRF loop and precomputed DRF, so a rewrite of the allocator
+    # core that changes any task count changes the file.
+    out = tmp_path / "out"
+    argv = ["--users", "10", "--resources", "4", "--trials", "400", "--seed", "3"]
+    assert run_cli("stats", *argv, mode, "--out", str(out)) == EXIT_OK
+    assert hashlib.sha256((out / "stats.json").read_bytes()).hexdigest() == digest
+
+
 def test_costfit_round_trip_recovers_defaults(tmp_path, capsys):
     out = tmp_path / "out"
     config = tmp_path / "config.json"
