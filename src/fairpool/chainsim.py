@@ -202,7 +202,8 @@ class CostRecord(NamedTuple):
 class TraceRecord(NamedTuple):
     tx: BlockTx
     epoch: int
-    # Demand blocks echo the demand vector; claim blocks carry the share.
+    # Demand blocks carry the accepted demand vector (the transaction's own
+    # tuple); claim blocks carry the share.
     vector: tuple[int, ...] | None
     task_count: int | None
     clamped: bool
@@ -317,32 +318,19 @@ def _execute(
 
     The harness keeps its own ledger from the calls' receipts: each
     user's balance (a zero entry at registration, plus every claimed
-    share) and ``held``, their per-resource total.  A call can change
-    only the two pools, the epoch and cycle count, and the caller's
-    balance, so every block reads just those, in O(m), with one
-    ``machine.caller_snapshot(user)`` call that returns them as tuples
-    without building a validated vector, and checks:
-
-    * no quantity in either pool is negative (a ``ResourceVector`` would
-      have refused one; here it is an explicit check that raises at this
-      block);
-    * ``total_injected() == pool0 + pool1 + held``, component by
-      component;
-    * the caller's machine balance equals its ledger entry.
-
-    A full O(n) recount runs on each block whose call executed an
-    epoch transition and on the last block: first every balance in the
-    machine's ``snapshot()`` is compared with the ledger, then
-    ``accounting_gap`` sums the pools' and balances' columns.  An epoch
-    spans two blocks per user, so this averages O(m) per block.  A fault
-    inside a call (a wrong credit, a pool losing units, units moved
-    between the pools until one is negative) raises ``SimulationError``
-    at that block.  A non-caller's balance changed outside any call is
-    not seen per block; it raises at that user's next call, the next
-    transition or the final block, whichever comes first, and so does
-    one driven negative, since neither comparison validates a balance.
-    This is the one fault a full recount on every block would catch
-    sooner, on the next block, at O(n) per block.
+    share) and ``held``, their per-resource total, and runs the checks
+    the module docstring lists.  A pool's negative quantity is an
+    explicit check, since no ``ResourceVector`` is built; the recount
+    compares every balance in ``snapshot()`` with the ledger, then checks
+    ``accounting_gap``.  A fault inside a call (a wrong credit, a pool
+    losing units, units moved between the pools until one is negative)
+    raises ``SimulationError`` at that block.  A non-caller's balance
+    changed outside any call is not seen per block; it raises at that
+    user's next call, the next transition or the final block, whichever
+    comes first, and so does one driven negative, since neither
+    comparison validates a balance.  This is the one fault a full
+    recount on every block would catch sooner, on the next block, at
+    O(n) per block.
 
     A record keeps the epoch, both pools and the cycle count from that
     ``caller_snapshot``, but no balance.  A recorded balance could never
@@ -376,11 +364,10 @@ def _execute(
                 branch_events = 0
                 if tx.kind == KIND_DEMAND:
                     assert tx.vector is not None
-                    echo = machine.demand(
-                        tx.user, ResourceVector(tx.vector), tx.block
-                    )
-                    vector = echo.vector
-                    branch_events = echo.min_updates
+                    vector = tx.vector  # the record shares the schedule's tuple
+                    branch_events = machine.demand(
+                        tx.user, ResourceVector(vector), tx.block
+                    ).min_updates
                 else:
                     receipt = machine.claim(tx.user, tx.block)
                     vector = receipt.share
@@ -531,7 +518,7 @@ def crosscheck_trace(trace: Trace) -> CrosscheckReport:
         if rec.tx.kind == KIND_DEMAND:
             assert rec.vector is not None
             per_user = demands_by_epoch.setdefault(rec.epoch, {})
-            per_user[rec.tx.user] = rec.vector
+            per_user[rec.tx.user] = ResourceVector(rec.vector)
             if rec.epoch not in pool_by_epoch:
                 parity = (rec.epoch + 1) % 2
                 pool_by_epoch[rec.epoch] = rec.reserves[parity]

@@ -158,6 +158,10 @@ def build_parser() -> _Parser:
     costfit = sub.add_parser("costfit", help="fit cost-vs-resources lines to costs.csv")
     costfit.add_argument("csv_path", metavar="COSTS.CSV")
     costfit.add_argument("--out", metavar="DIR", help="output directory")
+    costfit.add_argument(
+        "--gas-limit", type=_positive_int, metavar="G",
+        help="also print, per call kind, the largest m whose fitted cost is at most G",
+    )
 
     return parser
 
@@ -375,6 +379,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _largest_m(fit: RegressionFit, limit: int) -> str:
+    """The largest m >= 1 whose fitted cost is at most ``limit``, "none" if
+    m = 1 costs more, "unbounded" if the line never rises and some m fits."""
+    if fit.slope > 0:
+        m = math.floor((limit - fit.intercept) / fit.slope)
+        return str(m) if m >= 1 else "none"
+    return "unbounded" if fit.slope < 0 or fit.intercept <= limit else "none"
+
+
 def cmd_costfit(args: argparse.Namespace) -> int:
     try:
         records = read_cost_csv(args.csv_path)
@@ -413,6 +426,9 @@ def cmd_costfit(args: argparse.Namespace) -> int:
             f"per-m means: {float(mean_fit.slope):.3f} * m + "
             f"{float(mean_fit.intercept):.3f})"
         )
+        if args.gas_limit:
+            print(f"{kind}: largest m with fitted cost <= {args.gas_limit}: "
+                  f"{_largest_m(fit, args.gas_limit)}")
         payload[kind] = {
             "slope": float(fit.slope),
             "intercept": float(fit.intercept),

@@ -12,12 +12,15 @@ intermediate must fit in 128 bits, and each is checked once: as an
 operand of ``fixed_floor_div``, which checks both, or where it is formed,
 a vector of non-negative values through its largest component.
 
-State layout per parity (index 0 or 1):
-
-* ``reserves``            pool of resource units claims drain
-* ``scaled_demand_sums``  per-resource sum of demand times reciprocal share
-* ``max_recip_ds``        the minimum stored reciprocal, i.e. the largest
-                          dominant share among last epoch's demanders
+State, laid out as a contract stores it.  Per parity (index 0 or 1): the
+pool claims drain (``_reserves``), the per-resource sum of demand times
+reciprocal share (``_sds``), and the minimum stored reciprocal, i.e. the
+largest dominant share among last epoch's demanders (``_max_recip``).
+Per user, one list per field, indexed through ``_users[user]``: per
+parity the demand vector, its reciprocal and its epoch (0 for none yet),
+then the balance and the epoch of the last claim.  Demands and balances
+are immutable tuples; every user shares one zeros tuple until it first
+demands or claims.
 
 The cycle count is a single scalar recomputed at every epoch transition
 for the pool claims are about to drain.
@@ -26,7 +29,7 @@ for the pool claims are about to drain.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add, gt, sub
 from typing import NamedTuple
 
@@ -82,6 +85,9 @@ class MachineConfig:
     * the scaled demand sum ``sds_r`` is at most
       ``n * precision * P_r`` for n users demanding resource r.
 
+    So at the default precision a pool stays below about 2**44 units
+    (``isqrt(INT_LIMIT) // precision``) and n * P_r < 2**108, whatever m.
+
     An overflowing transition changes nothing and is not terminal: calls in
     epochs of its parity raise (their transitions read the same demand
     sums), but one in an epoch of the other parity transitions; the demands
@@ -129,16 +135,6 @@ class DemandRecord(NamedTuple):
     min_updates: int
 
 
-@dataclass(slots=True)
-class _UserSlot:
-    demand: list[ResourceVector | None] = field(default_factory=lambda: [None, None])
-    recip: list[int] = field(default_factory=lambda: [0, 0])
-    # Epoch of the demand held at each parity, 0 for none yet.
-    demand_epoch: list[int] = field(default_factory=lambda: [0, 0])
-    balance: list[int] = field(default_factory=list)
-    last_claim_epoch: int = 0
-
-
 class AllocationMachine:
     """Serialized single-writer state driven by block-stamped calls."""
 
@@ -156,7 +152,13 @@ class AllocationMachine:
         # commits, so it always belongs to ``_epoch``.
         self._epoch_end = config.offset + config.epoch_span
         self._reset_epoch = 0
-        self._users: dict[int, _UserSlot] = {}
+        self._users: dict[int, int] = {}  # user -> index, in registration order
+        self._demand: list[list[tuple[int, ...]]] = [[], []]
+        self._recip: list[list[int]] = [[], []]
+        self._demand_epoch: list[list[int]] = [[], []]
+        self._balance: list[tuple[int, ...]] = []
+        self._claim_epoch: list[int] = []
+        self._zeros = (0,) * m
         self._transitions = 0
         self._injected = config.epoch_reserve  # total_injected() before any transition
 
@@ -180,8 +182,9 @@ class AllocationMachine:
     def reserve_pool(self, parity: int) -> ResourceVector:
         return ResourceVector(self._reserves[parity])
 
-    def balance_of(self, user: int) -> ResourceVector:
-        return ResourceVector(self._slot(user).balance)
+    def balance_of(self, user: int) -> tuple[int, ...]:
+        """The user's balance, the stored tuple itself."""
+        return self._balance[self._index(user)]
 
     def demand_pool_parity(self) -> int:
         """Pool index demands registered now would be stored against."""
@@ -202,7 +205,7 @@ class AllocationMachine:
             "epoch": self._epoch,
             "reserves": (tuple(self._reserves[0]), tuple(self._reserves[1])),
             "cycle_count": self._k_prime,
-            "balances": {uid: tuple(slot.balance) for uid, slot in self._users.items()},
+            "balances": dict(zip(self._users, self._balance)),
         }
 
     def caller_snapshot(self, user: int) -> tuple:
@@ -212,15 +215,17 @@ class AllocationMachine:
             self._epoch,
             (tuple(self._reserves[0]), tuple(self._reserves[1])),
             self._k_prime,
-            tuple(self._slot(user).balance),
+            self._balance[self._index(user)],
         )
 
     def register_user(self, user: int) -> None:
         if user in self._users:
             raise MachineError(f"user {user} is already registered")
-        slot = _UserSlot()
-        slot.balance = [0] * self._cfg.resource_count
-        self._users[user] = slot
+        self._users[user] = len(self._balance)
+        for column in (*self._demand, self._balance):
+            column.append(self._zeros)
+        for column in (*self._recip, *self._demand_epoch, self._claim_epoch):
+            column.append(0)
         if 2 * len(self._users) > self._cfg.epoch_span:
             warnings.warn(
                 f"epoch span {self._cfg.epoch_span} is shorter than two blocks "
@@ -270,7 +275,14 @@ class AllocationMachine:
             _checked(v + er)
             for v, er in zip(self._reserves[1 - s], cfg.epoch_reserve)
         ]
-        k_prime = self._compute_cycle_count(s)
+        top, pool, p = self._max_recip[s], self._reserves[s], cfg.precision
+        # A resource demanded by nobody imposes no bound; with none
+        # demanded there is nothing to claim.
+        k_prime = min(
+            (fixed_floor_div(top * pool[r] * p, total)
+             for r, total in enumerate(self._sds[s]) if total),
+            default=0,
+        )
         self._epoch = epoch
         self._epoch_end = cfg.offset + epoch * cfg.epoch_span
         self._transitions += 1
@@ -280,24 +292,13 @@ class AllocationMachine:
         self._last_block = block
         return True
 
-    def _compute_cycle_count(self, parity: int) -> int:
-        top, pool = self._max_recip[parity], self._reserves[parity]
-        p = self._cfg.precision
-        # A resource demanded by nobody imposes no bound; with none
-        # demanded there is nothing to claim.
-        return min(
-            (fixed_floor_div(top * pool[r] * p, total)
-             for r, total in enumerate(self._sds[parity]) if total),
-            default=0,
-        )
-
     def demand(self, user: int, vector: ResourceVector, block: int) -> DemandRecord:
         """Register a demand vector for the next epoch's claim round."""
-        slot = self._slot(user)
+        i = self._index(user)
         self.update_state(block)
         e = self._epoch
         s = (e + 1) % 2
-        if slot.demand_epoch[s] == e:
+        if self._demand_epoch[s][i] == e:
             raise MachineError(f"user {user} already demanded in epoch {e}")
         cfg = self._cfg
         if len(vector) != cfg.resource_count:
@@ -345,46 +346,44 @@ class AllocationMachine:
         self._sds[s] = sds
         self._max_recip[s] = max_recip
         self._reset_epoch = e
-        slot.demand[s] = vector
-        slot.recip[s] = recip
-        slot.demand_epoch[s] = e
+        self._demand[s][i] = vector
+        self._recip[s][i] = recip
+        self._demand_epoch[s][i] = e
         return DemandRecord(user, e, vector, recip, updates)
 
     def claim(self, user: int, block: int) -> ClaimReceipt:
         """Pay out the share reserved by the user's previous-epoch demand."""
-        slot = self._slot(user)
+        i = self._index(user)
         self.update_state(block)
         e = self._epoch
         s = e % 2
         # Only the other parity's stamp is read, so a demand made earlier
         # in this epoch does not hide the claim.
-        if slot.demand_epoch[s] == 0 or slot.demand_epoch[s] != e - 1:
+        stamp = self._demand_epoch[s][i]
+        if stamp == 0 or stamp != e - 1:
             raise MachineError(
                 f"user {user} has no demand registered in epoch {e - 1}"
             )
-        if slot.last_claim_epoch == e:
+        if self._claim_epoch[i] == e:
             raise MachineError(f"user {user} already claimed in epoch {e}")
         p = self._cfg.precision
-        ratio = fixed_floor_div(slot.recip[s] * p, self._max_recip[s])
+        ratio = fixed_floor_div(self._recip[s][i] * p, self._max_recip[s])
         task_count = fixed_floor_div(ratio * self._k_prime, p * p)
-        demand_vec = slot.demand[s]
-        assert demand_vec is not None
         pool = self._reserves[s]
-        balance = slot.balance
-        share = [task_count * d for d in demand_vec]
+        share = [task_count * d for d in self._demand[s][i]]
         _checked(max(share))
         clamped = any(map(gt, share, pool))
         if clamped:
             share = list(map(min, share, pool))
         # Checked before any unit moves, so an overflow changes nothing.
-        credited = list(map(add, balance, share))
+        credited = tuple(map(add, self._balance[i], share))
         _checked(max(credited))
         pool[:] = map(sub, pool, share)
-        balance[:] = credited
-        slot.last_claim_epoch = e
+        self._balance[i] = credited
+        self._claim_epoch[i] = e
         return ClaimReceipt(user, e, task_count, ResourceVector(share), clamped)
 
-    def _slot(self, user: int) -> _UserSlot:
+    def _index(self, user: int) -> int:
         try:
             return self._users[user]
         except KeyError:
@@ -396,11 +395,8 @@ def accounting_gap(machine: AllocationMachine) -> tuple[int, ...]:
 
     Zero everywhere iff the conservation identity holds exactly.  Sums
     the columns of both pools and every balance as the machine holds
-    them, plain lists with no validation, so a negative quantity left
-    by a fault shows in the gap instead of raising.
+    them, plain lists and tuples with no validation, so a negative
+    quantity left by a fault shows in the gap instead of raising.
     """
-    held = map(
-        sum,
-        zip(*machine._reserves, *(slot.balance for slot in machine._users.values())),
-    )
+    held = map(sum, zip(*machine._reserves, *machine._balance))
     return tuple(map(sub, machine.total_injected(), held))

@@ -391,11 +391,18 @@ def _corrupt_during(monkeypatch, method, at_block, corrupt):
     monkeypatch.setattr(AllocationMachine, method, faulty)
 
 
+def _add_units(machine, user, count):
+    """Add ``count`` units of resource 0 to ``user``'s machine balance."""
+    i = machine._users[user]
+    balance = machine._balance[i]
+    machine._balance[i] = (balance[0] + count, *balance[1:])
+
+
 def _credit(user):
     """Credit one unit to ``user``, or to the caller if None."""
 
     def corrupt(machine, caller):
-        machine._users[caller if user is None else user].balance[0] += 1
+        _add_units(machine, caller if user is None else user, 1)
 
     return corrupt
 
@@ -447,8 +454,8 @@ def _move_units(count):
     """Move ``count`` units of resource 0 from user 1's balance to user 2's."""
 
     def corrupt(machine, caller):
-        machine._users[1].balance[0] -= count
-        machine._users[2].balance[0] += count
+        _add_units(machine, 1, -count)
+        _add_units(machine, 2, count)
 
     return corrupt
 

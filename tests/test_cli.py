@@ -172,8 +172,14 @@ def test_costfit_round_trip_recovers_defaults(tmp_path, capsys):
     )
     assert code == EXIT_OK
     capsys.readouterr()
-    code = run_cli("costfit", str(out / "costs.csv"), "--out", str(out))
+    code = run_cli(
+        "costfit", str(out / "costs.csv"), "--out", str(out), "--gas-limit", "30000000"
+    )
     assert code == EXIT_OK
+    # The published lines under a 30,000,000 block gas limit, as README states.
+    lines = capsys.readouterr().out.splitlines()
+    for kind, m in (("demand", 2199), ("claim", 1980), ("update_state", 2653)):
+        assert f"{kind}: largest m with fitted cost <= 30000000: {m}" in lines
     fits = json.loads((out / "costfit.json").read_text())
     assert fits["claim"]["slope"] == 15130.0
     assert fits["claim"]["intercept"] == 36486.0
@@ -207,6 +213,41 @@ def test_costfit_insufficient_m_values(tmp_path, capsys):
     capsys.readouterr()
     # single m in the CSV cannot anchor a line
     assert run_cli("costfit", str(out / "costs.csv")) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "limit, demand, claim",
+    [
+        ("29", "2", "none"),  # demand costs 30 at m = 3
+        ("30", "3", "none"),  # a cost equal to the limit fits
+        ("50", "5", "unbounded"),  # claim's flat line fits every m
+    ],
+)
+def test_costfit_gas_limit_largest_m(tmp_path, capsys, limit, demand, claim):
+    # Epoch 3 is past every warm-up, so each row is a stabilized record:
+    # demand costs 10 * m, claim a flat 50, update_state falls with m.
+    path = tmp_path / "costs.csv"
+    rows = [
+        "demand,1,3,0,10", "demand,2,3,0,20",
+        "claim,1,3,0,50", "claim,2,3,0,50",
+        "update_state,1,3,0,30", "update_state,2,3,0,20",
+    ]
+    path.write_text("call_kind,m,epoch,user,cost_units\n" + "\n".join(rows) + "\n")
+    assert run_cli("costfit", str(path), "--gas-limit", limit) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1::2] == [
+        f"demand: largest m with fitted cost <= {limit}: {demand}",
+        f"claim: largest m with fitted cost <= {limit}: {claim}",
+        f"update_state: largest m with fitted cost <= {limit}: unbounded",
+    ]
+
+
+@pytest.mark.parametrize("limit", ["0", "-5", "1.5"])
+def test_costfit_gas_limit_must_be_a_positive_integer(tmp_path, capsys, limit):
+    path = tmp_path / "costs.csv"
+    path.write_text("call_kind,m,epoch,user,cost_units\nclaim,1,3,0,50\n")
+    assert run_cli("costfit", str(path), "--gas-limit", limit) == EXIT_USAGE
+    assert "--gas-limit: expected a positive integer" in capsys.readouterr().err
 
 
 def test_costfit_missing_file():
@@ -422,7 +463,9 @@ def _credit_claimer_at(monkeypatch, at_block, resources):
     def faulty(self, user, block):
         receipt = original(self, user, block)
         if block == at_block and self.config.resource_count == resources:
-            self._users[user].balance[0] += 1
+            i = self._users[user]
+            balance = self._balance[i]
+            self._balance[i] = (balance[0] + 1, *balance[1:])
         return receipt
 
     monkeypatch.setattr(AllocationMachine, "claim", faulty)

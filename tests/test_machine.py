@@ -1,7 +1,9 @@
 import collections
 import copy
+import gc
+import math
 import random
-from dataclasses import fields
+import tracemalloc
 
 import pytest
 
@@ -525,11 +527,21 @@ def test_snapshot_fields():
 
 
 def _state(machine, user):
+    """Every field a call can write: the snapshot, the sums and minima, and
+    each of the user's fields (both parities' demand, reciprocal and
+    stamp, the balance and the claim stamp)."""
+    i = machine._users[user]
+    per_parity = [
+        (machine._demand[s][i], machine._recip[s][i], machine._demand_epoch[s][i])
+        for s in (0, 1)
+    ]
     return (
         machine.snapshot(),
         copy.deepcopy(machine._sds),
         list(machine._max_recip),
-        copy.deepcopy(machine._users[user]),
+        per_parity,
+        machine._balance[i],
+        machine._claim_epoch[i],
     )
 
 
@@ -556,13 +568,14 @@ def test_demand_overflow_leaves_state_unchanged():
 
 def test_claim_overflow_leaves_state_unchanged():
     machine = run_worked_epoch()
-    machine._users[0].balance[1] = INT_LIMIT  # the share [3, 12] overflows it
+    i = machine._users[0]
+    machine._balance[i] = (0, INT_LIMIT)  # the share [3, 12] overflows it
     machine.update_state(4)
     before = _state(machine, 0)
     with pytest.raises(MachineOverflowError):
         machine.claim(0, 4)
     assert _state(machine, 0) == before
-    machine._users[0].balance[1] = 0
+    machine._balance[i] = (0, 0)
     assert machine.claim(0, 4).share == ResourceVector([3, 12])
 
 
@@ -634,31 +647,86 @@ def test_scaled_demand_sum_bound(reserve):
         assert machine.demand(1, ResourceVector([1]), 1).recip_share == 2**63 * reserve
 
 
+@pytest.mark.parametrize("extra", [0, 1])
+def test_default_precision_pool_bound(extra):
+    # At the default precision a 1-unit demand stores the reciprocal p * P,
+    # so the cycle-count numerator is p**2 * P**2: the largest pool whose
+    # transition fits is isqrt(INT_LIMIT) // p, about 2**44 units.
+    pool = math.isqrt(INT_LIMIT) // DEFAULT_PRECISION + extra
+    assert pool.bit_length() == 45
+    machine = AllocationMachine(MachineConfig(1, 2, 0, ResourceVector([pool])))
+    machine.register_user(0)
+    machine.demand(0, ResourceVector([1]), 0)
+
+    def state():
+        return _state(machine, 0), machine.transitions, machine.total_injected()
+
+    if extra:
+        before = state()
+        with pytest.raises(MachineOverflowError):
+            machine.update_state(2)
+        assert state() == before
+    else:
+        assert machine.update_state(2)
+        assert machine.claim(0, 2).share == ResourceVector([pool])
+
+
+# --- memory per user ------------------------------------------------------------
+
+
+def test_retained_bytes_per_user():
+    # One list per field behind one user index, with shared immutable
+    # balances, retains about 160 B per user after registration and 270 B
+    # after one demand and one claim (CPython 3.11, m = 5).  Each bound
+    # sits below the 445 and 477 B of one object per user holding its own
+    # small lists, so that layout fails it.
+    n, m = 20_000, 5
+    rng = random.Random(8)
+    vectors = [ResourceVector([rng.randint(1, 10) for _ in range(m)]) for _ in range(n)]
+    config = MachineConfig(m, 2 * n, 1, ResourceVector((150 * n,) * m))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        machine = AllocationMachine(config)
+        for u in range(n):
+            machine.register_user(u)
+        registered = (tracemalloc.get_traced_memory()[0] - base) / n
+        for u in range(n):
+            machine.demand(u, vectors[u], 1 + n + u)  # epoch 1
+        for u in range(n):
+            machine.claim(u, 1 + 2 * n + u)  # epoch 2
+        cycled = (tracemalloc.get_traced_memory()[0] - base) / n
+    finally:
+        tracemalloc.stop()
+    assert not any(accounting_gap(machine))
+    assert registered < 300, f"{registered:.0f} B per registered user"
+    assert cycled < 400, f"{cycled:.0f} B per user after a demand and a claim"
+
+
 # --- seeded call-sequence fuzzer ----------------------------------------------
 
 
 def _copy_state(machine):
     """A copy of the machine that shares only immutable values.
 
-    Lists (the pools, sums and minima, one level deep) and every user
-    slot's lists are copied; any other value is shared, so it must be
-    hashable: an int, the frozen config or a vector.
+    Lists are copied, and so are the lists they hold (the per-parity
+    pools, sums and user fields); the user index is copied too.  Any
+    other value is shared, so it must be hashable: an int, a tuple, the
+    frozen config or a vector.
     """
 
     def fresh(value):
         if type(value) is list:
             return [list(v) if type(v) is list else v for v in value]
+        if type(value) is dict:
+            return dict(value)
         hash(value)
         return value
 
     twin = copy.copy(machine)
     for name, value in vars(machine).items():
-        if name != "_users":
-            setattr(twin, name, fresh(value))
-    twin._users = {
-        uid: type(slot)(**{f.name: fresh(getattr(slot, f.name)) for f in fields(slot)})
-        for uid, slot in machine._users.items()
-    }
+        setattr(twin, name, fresh(value))
     return twin
 
 
