@@ -76,23 +76,19 @@ class MachineConfig:
 
     Headroom: every intermediate must fit in 128 bits (``INT_LIMIT``),
     or the call raises ``MachineOverflowError``.  Let P_r be what pool r
-    holds when it is used.  This carries leftovers across refills, so it
-    can exceed ``epoch_reserve[r]``.  Every user demanding resource r
-    stores a reciprocal of at most ``precision * P_r``, so:
-
-    * the cycle-count numerator ``max_recip * P_r * precision`` is at
-      most ``precision**2 * P_r**2``;
-    * the scaled demand sum ``sds_r`` is at most
-      ``n * precision * P_r`` for n users demanding resource r.
-
-    So at the default precision a pool stays below about 2**44 units
-    (``isqrt(INT_LIMIT) // precision``) and n * P_r < 2**108, whatever m.
-
-    An overflowing transition changes nothing and is not terminal: calls in
-    epochs of its parity raise (their transitions read the same demand
-    sums), but one in an epoch of the other parity transitions; the demands
-    behind those sums are never claimed, and that epoch's first demand
-    replaces them.
+    holds when it is used, leftovers carried across refills included.
+    Every user demanding resource r stores a reciprocal of at most
+    ``precision * P_r``, so the cycle-count numerator
+    ``max_recip * P_r * precision`` is at most ``precision**2 * P_r**2``
+    and the scaled demand sum ``sds_r`` at most ``n * precision * P_r``
+    for n users demanding r.  So at the default precision a pool stays
+    below about 2**44 units (``isqrt(INT_LIMIT) // precision``) and
+    n * P_r < 2**108, whatever m.  Once its transition has succeeded, a
+    claim's division cannot overflow and its shares need no clamp;
+    ``claim`` argues both and compares its counts with exact ``pdrf``.
+    An overflowing transition changes nothing, and only calls in its own
+    epoch raise: a later epoch transitions with a cycle count of 0, since
+    nobody demanded in the epoch before it.
     """
 
     resource_count: int
@@ -275,14 +271,14 @@ class AllocationMachine:
             _checked(v + er)
             for v, er in zip(self._reserves[1 - s], cfg.epoch_reserve)
         ]
-        top, pool, p = self._max_recip[s], self._reserves[s], cfg.precision
-        # A resource demanded by nobody imposes no bound; with none
-        # demanded there is nothing to claim.
-        k_prime = min(
-            (fixed_floor_div(top * pool[r] * p, total)
-             for r, total in enumerate(self._sds[s]) if total),
-            default=0,
-        )
+        # Only the epoch just ended has claims; an undemanded resource is no bound.
+        k_prime = 0
+        if self._reset_epoch == epoch - 1:
+            top, pool, p = self._max_recip[s], self._reserves[s], cfg.precision
+            k_prime = min(
+                fixed_floor_div(top * pool[r] * p, total)
+                for r, total in enumerate(self._sds[s]) if total
+            )
         self._epoch = epoch
         self._epoch_end = cfg.offset + epoch * cfg.epoch_span
         self._transitions += 1
@@ -352,7 +348,17 @@ class AllocationMachine:
         return DemandRecord(user, e, vector, recip, updates)
 
     def claim(self, user: int, block: int) -> ClaimReceipt:
-        """Pay out the share reserved by the user's previous-epoch demand."""
+        """Pay out the share reserved by the user's previous-epoch demand.
+
+        One floored division: tasks = recip * k' // (max_recip * p).  The
+        clamp is only a guard: k' <= max_recip * P_r * p / S_r for every
+        demanded r, so the epoch's shares sum to at most P_r.  Headroom:
+        S_r >= recip at the user's dominant resource r, so recip * k' is at
+        most max_recip * P_r * p, which the transition checked, and
+        max_recip * p is no larger: only the credited balance can overflow.
+        A seeded search finds counts one above exact ``pdrf`` at p <= 10
+        and none at p >= 100.
+        """
         i = self._index(user)
         self.update_state(block)
         e = self._epoch
@@ -366,9 +372,8 @@ class AllocationMachine:
             )
         if self._claim_epoch[i] == e:
             raise MachineError(f"user {user} already claimed in epoch {e}")
-        p = self._cfg.precision
-        ratio = fixed_floor_div(self._recip[s][i] * p, self._max_recip[s])
-        task_count = fixed_floor_div(ratio * self._k_prime, p * p)
+        scale = self._max_recip[s] * self._cfg.precision
+        task_count = fixed_floor_div(self._recip[s][i] * self._k_prime, scale)
         pool = self._reserves[s]
         share = [task_count * d for d in self._demand[s][i]]
         _checked(max(share))

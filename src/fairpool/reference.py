@@ -3,7 +3,7 @@
 Recomputes, from a full demand set and the pool reserves it was
 registered against, exactly what the machine's incremental buffers and
 floored divisions produce: reciprocal shares, their minimum, the scaled
-demand sums, the cycle count, and the per-user task counts.
+demand sums, the cycle count, and the per-user task counts (one floor each).
 
 Deliberately shares no code with the machine module so the two
 implementations can cross-check each other.
@@ -71,17 +71,12 @@ def fixed_point_reference(
             cycle = bound
     assert cycle is not None
 
-    tasks = []
-    for recip in recips:
-        ratio = (recip * precision) // min_recip
-        tasks.append((ratio * cycle) // (precision * precision))
-
     return FixedPointOutcome(
         recip_shares=tuple(recips),
         min_recip=min_recip,
         scaled_sums=tuple(sums),
         cycle_count=cycle,
-        task_counts=tuple(tasks),
+        task_counts=tuple(recip * cycle // (min_recip * precision) for recip in recips),
     )
 
 

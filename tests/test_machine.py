@@ -120,6 +120,20 @@ def test_update_state_without_demands_gives_zero_cycles():
     assert machine.cycle_count == 0
 
 
+def test_transition_after_an_epoch_without_demands_reads_no_old_sums():
+    # Epoch 4 uses the pool of epoch 1's demands, but nobody demanded in
+    # epoch 3, so it has nothing to pay out and must not read those sums.
+    machine = AllocationMachine(MachineConfig(1, 4, 0, ResourceVector([100])))
+    machine.register_user(0)
+    machine.demand(0, ResourceVector([3]), 0)
+    assert machine.claim(0, 4).task_count == 33
+    assert machine.update_state(8) and machine.cycle_count == 0
+    assert machine.update_state(12) and machine.epoch == 4
+    assert machine.cycle_count == 0
+    with pytest.raises(MachineError, match="no demand registered in epoch 3"):
+        machine.claim(0, 12)
+
+
 def test_update_state_rejects_blocks_before_offset():
     machine = make_machine(offset=10)
     with pytest.raises(MachineError):
@@ -882,11 +896,14 @@ def test_demand_reserve_operand_bound(reserve):
         assert machine.demand(0, ResourceVector([1]), 0).recip_share == p * reserve
 
 
-@pytest.mark.parametrize("precision", [2**59 - 1, 2**59])
+@pytest.mark.parametrize("precision", [2**59 - 1, 2**59, 2**62])
 def test_claim_reciprocal_operand_bound(precision):
     # User 1 demands [1] from a pool of 2**10 and stores the reciprocal
-    # p * 2**10, so its claim forms p**2 * 2**10; user 0's larger demand
-    # keeps the cycle count, and so ratio * k', below that.
+    # p * 2**10, while user 0's demand of [2**20] sets the minimum.  The
+    # claim's numerator recip * k' stays within the transition's
+    # max_recip * 2**10 * p, so a claim whose transition succeeded pays.
+    # 2**59 - 1 is no multiple of 2**10, so its floors leave 511 tasks.
+    tasks = 511 if precision % 2**10 else 512
     machine = AllocationMachine(
         MachineConfig(1, 4, 0, ResourceVector([2**10]), precision=precision)
     )
@@ -894,18 +911,17 @@ def test_claim_reciprocal_operand_bound(precision):
     machine.register_user(1)
     machine.demand(0, ResourceVector([2**20]), 0)
     machine.demand(1, ResourceVector([1]), 1)
-    operand = precision * 2**10 * precision
-    if operand > INT_LIMIT:
-        with pytest.raises(MachineOverflowError, match=f"value {operand} "):
-            machine.claim(1, 4)
-        assert machine.balance_of(1) == ResourceVector([0])
-    else:
-        assert machine.claim(1, 4).task_count > 0
+    assert machine.update_state(4)
+    receipt = machine.claim(1, 4)
+    assert receipt.task_count == tasks and not receipt.clamped
+    assert machine.balance_of(1) == (tasks,)
+    assert machine.reserve_pool(0) == ResourceVector([2**10 - tasks])
+    assert not any(accounting_gap(machine))
 
 
 def test_transition_overflow_is_not_terminal():
     # User 0's demand stores the reciprocal 2**64, so the transition into
-    # an even epoch, which reads its sums, needs a numerator of 2**128.
+    # epoch 2, which reads its sums, needs a numerator of 2**128.
     machine = AllocationMachine(
         MachineConfig(1, 4, 0, ResourceVector([2**24]), precision=2**40)
     )
@@ -916,18 +932,18 @@ def test_transition_overflow_is_not_terminal():
         (machine.claim, (0, 4)),
         (machine.demand, (1, ResourceVector([1]), 6)),
         (machine.update_state, (7,)),
-        (machine.update_state, (13,)),  # epoch 4 reads the same sums
     ]:
         with pytest.raises(MachineOverflowError):
             call(*args)
         assert machine.epoch == 1
         assert not any(accounting_gap(machine))
-    assert machine.update_state(9)  # epoch 3 reads the other parity's sums
-    assert machine.epoch == 3
-    with pytest.raises(MachineError, match="no demand registered in epoch 2"):
-        machine.claim(0, 9)  # user 0's demand of epoch 1 is never claimed
-    machine.demand(1, ResourceVector([2**10]), 10)  # replaces the sums
-    receipt = machine.claim(1, 13)
-    assert (receipt.epoch, receipt.task_count) == (4, 2**15)
-    assert receipt.share == ResourceVector([2**25])
+    # Nobody demanded in epoch 3, so epoch 4 reads no sums.
+    assert machine.update_state(13)
+    assert (machine.epoch, machine.cycle_count) == (4, 0)
+    with pytest.raises(MachineError, match="no demand registered in epoch 3"):
+        machine.claim(0, 13)  # user 0's demand of epoch 1 is never claimed
+    machine.demand(1, ResourceVector([2**10]), 14)
+    receipt = machine.claim(1, 17)
+    assert (receipt.epoch, receipt.task_count) == (5, 2**14)
+    assert receipt.share == ResourceVector([2**24])
     assert not any(accounting_gap(machine))

@@ -87,3 +87,28 @@ def test_reference_within_one_task_of_exact_rational():
             assert abs(f - e) <= 1
     # floors in the fixed-point path only rarely move a whole task
     assert nonzero <= total * 0.05
+
+
+@pytest.mark.parametrize("precision", [10**6, 10**12])
+def test_reference_at_or_one_below_exact_pdrf(precision):
+    # Each resource draws its own reserve, the setting where floors cost
+    # most.  One floor per claim leaves 0.55% of these users one task
+    # below exact at both precisions; a floor on a ratio before the
+    # product with k' would leave 1.63%.
+    rng = random.Random(7)
+    under = users = 0
+    for _ in range(1500):
+        n = rng.randint(2, 30)
+        m = rng.randint(1, 8)
+        demands = [[rng.randint(1, 10) for _ in range(m)] for _ in range(n)]
+        reserves = [n * rng.randint(20, 300) for _ in range(m)]
+        fixed = fixed_point_reference(demands, reserves, precision).task_counts
+        exact = pdrf_allocate(
+            DemandSet.from_vectors(demands), ResourceVector(reserves)
+        ).task_counts
+        for f, e in zip(fixed, exact):
+            assert e - 1 <= f <= e
+            under += f < e
+        users += n
+    assert users == 24_187
+    assert under <= users // 100
