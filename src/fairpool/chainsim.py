@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -83,15 +83,12 @@ class SimConfig:
         return ResourceVector((per_resource,) * self.resources)
 
 
-# Override key -> the CostModel fields it sets, slope before intercept.
-_COEFFICIENTS = {
-    "claim": ("claim_slope", "claim_intercept"),
-    "demand": ("demand_slope", "demand_intercept"),
-    "update_state": ("update_slope", "update_intercept"),
-    "branch_unit": ("branch_unit",),
-    "demand_setup": ("demand_setup",),
-    "claim_setup": ("claim_setup",),
-    "update_setup": ("update_setup",),
+# Call kind -> (its setup surcharge field, how many of a user's first
+# calls of that kind pay it).
+_SETUP = {
+    KIND_DEMAND: ("demand_setup", 2),
+    KIND_CLAIM: ("claim_setup", 1),
+    KIND_UPDATE: ("update_setup", 1),
 }
 
 
@@ -99,58 +96,44 @@ _COEFFICIENTS = {
 class CostModel:
     """Affine per-call cost in the resource count, plus a branch surcharge.
 
-    Default coefficients are the fitted stabilized-call costs from the
-    reference deployment benchmarks; ``branch_unit`` prices each update
-    of the running reciprocal-share minimum during a demand call.
-    Setup surcharges model first-call buffer initialization and are off
-    by default.
+    The field names are the override keys of ``as_dict``,
+    ``from_overrides`` and ``--coefficients``.  ``claim``, ``demand`` and
+    ``update_state`` are each call kind's (slope, intercept) pair; the
+    defaults are the fitted stabilized-call costs from the reference
+    deployment benchmarks.  ``branch_unit`` prices each update of the
+    running reciprocal-share minimum during a demand call.  Setup
+    surcharges model first-call buffer initialization and are off by
+    default.
     """
 
-    claim_slope: int = 15_130
-    claim_intercept: int = 36_486
-    demand_slope: int = 13_616
-    demand_intercept: int = 47_245
-    update_slope: int = 11_295
-    update_intercept: int = 23_539
+    claim: tuple[int, int] = (15_130, 36_486)
+    demand: tuple[int, int] = (13_616, 47_245)
+    update_state: tuple[int, int] = (11_295, 23_539)
     branch_unit: int = 500
     demand_setup: int = 0  # added to a user's first two demand calls
     claim_setup: int = 0  # added to a user's first claim call
     update_setup: int = 0  # added to the first executed transition
 
-    def base_cost(self, kind: str, m: int, branch_events: int = 0) -> int:
-        if m < 1:
-            raise ValueError("resource count must be at least 1")
-        if kind == KIND_CLAIM:
-            return self.claim_slope * m + self.claim_intercept
-        if kind == KIND_DEMAND:
-            return (
-                self.demand_slope * m
-                + self.demand_intercept
-                + self.branch_unit * branch_events
-            )
-        if kind == KIND_UPDATE:
-            return self.update_slope * m + self.update_intercept
-        raise ValueError(f"no cost model for call kind {kind!r}")
-
     def cost(self, kind: str, m: int, branch_events: int, ordinal: int) -> int:
         """Cost of the ordinal-th call of this kind (per user, 1-based)."""
-        total = self.base_cost(kind, m, branch_events)
-        if kind == KIND_DEMAND and ordinal <= 2:
-            total += self.demand_setup
-        elif kind == KIND_CLAIM and ordinal == 1:
-            total += self.claim_setup
-        elif kind == KIND_UPDATE and ordinal == 1:
-            total += self.update_setup
+        if m < 1:
+            raise ValueError("resource count must be at least 1")
+        if kind not in _SETUP:
+            raise ValueError(f"no cost model for call kind {kind!r}")
+        slope, intercept = getattr(self, kind)
+        total = slope * m + intercept + self.branch_unit * branch_events
+        setup, first_calls = _SETUP[kind]
+        if ordinal <= first_calls:
+            total += getattr(self, setup)
         return total
 
     def as_dict(self) -> dict:
         """Coefficients by override key: a [slope, intercept] pair per call
         kind, a plain integer for each surcharge."""
-        out: dict = {}
-        for key, fields in _COEFFICIENTS.items():
-            values = [getattr(self, name) for name in fields]
-            out[key] = values if len(values) == 2 else values[0]
-        return out
+        return {
+            key: list(value) if type(value) is tuple else value
+            for key, value in asdict(self).items()
+        }
 
     @classmethod
     def from_overrides(cls, overrides: object) -> "CostModel":
@@ -161,17 +144,18 @@ class CostModel:
         """
         if not isinstance(overrides, Mapping):
             raise ValueError(f"cost coefficients must be an object, got {overrides!r}")
-        kwargs: dict[str, int] = {}
+        defaults = {f.name: f.default for f in fields(cls)}
+        kwargs: dict[str, object] = {}
         for key, value in overrides.items():
-            if key not in _COEFFICIENTS:
+            if key not in defaults:
                 raise ValueError(f"unknown cost coefficient {key!r}")
-            fields = _COEFFICIENTS[key]
-            values = value if len(fields) == 2 else [value]
-            shaped = isinstance(values, (list, tuple)) and len(values) == len(fields)
+            pair = type(defaults[key]) is tuple
+            values = value if pair else [value]
+            shaped = not pair or isinstance(value, (list, tuple)) and len(value) == 2
             if not shaped or any(type(v) is not int for v in values):
-                want = "a pair of integers" if len(fields) == 2 else "an integer"
+                want = "a pair of integers" if pair else "an integer"
                 raise ValueError(f"cost coefficient {key!r} must be {want}: {value!r}")
-            kwargs.update(zip(fields, values))
+            kwargs[key] = tuple(values) if pair else value
         return cls(**kwargs)
 
 
@@ -333,7 +317,9 @@ def _execute(
     O(n) per block.
 
     A record keeps the epoch, both pools and the cycle count from that
-    ``caller_snapshot``, but no balance.  A recorded balance could never
+    ``caller_snapshot``, but no balance.  The pools are the machine's
+    stored pair, so the records of blocks that change neither pool share
+    one tuple.  A recorded balance could never
     be the first thing to differ between two runs, such as a run and its
     ``replay``: each run checks every balance it reads against its own
     ledger, and the ledger is the sum of that run's claimed shares,
@@ -348,7 +334,6 @@ def _execute(
     calls: dict[tuple[str, int], int] = {}  # (kind, user) -> calls so far
     ledger: dict[int, tuple[int, ...]] = {}  # user -> balance, from receipts
     held = zeros  # per-resource total of the ledger
-    last_reserves = None  # the previous record's pools
     for index, tx in enumerate(txs):
         vector: tuple[int, ...] | None = None
         task_count: int | None = None
@@ -387,9 +372,6 @@ def _execute(
         except MachineError as exc:
             raise SimulationError(tx.block, str(exc)) from exc
         epoch, reserves, cycle_count, balance = machine.caller_snapshot(tx.user)
-        if reserves == last_reserves:
-            reserves = last_reserves  # unchanged pools share one tuple
-        last_reserves = reserves
         pool0, pool1 = reserves
         if min(pool0 + pool1) < 0:
             raise SimulationError(

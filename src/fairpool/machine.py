@@ -13,14 +13,15 @@ operand of ``fixed_floor_div``, which checks both, or where it is formed,
 a vector of non-negative values through its largest component.
 
 State, laid out as a contract stores it.  Per parity (index 0 or 1): the
-pool claims drain (``_reserves``), the per-resource sum of demand times
+pool claims drain (``_reserves``, an immutable pair of tuples, replaced
+whole by a claim or a refill), the per-resource sum of demand times
 reciprocal share (``_sds``), and the minimum stored reciprocal, i.e. the
 largest dominant share among last epoch's demanders (``_max_recip``).
 Per user, one list per field, indexed through ``_users[user]``: per
 parity the demand vector, its reciprocal and its epoch (0 for none yet),
 then the balance and the epoch of the last claim.  Demands and balances
 are immutable tuples; every user shares one zeros tuple until it first
-demands or claims.
+demands or claims.  So the pools and a balance are read without a copy.
 
 The cycle count is a single scalar recomputed at every epoch transition
 for the pool claims are about to drain.
@@ -138,7 +139,7 @@ class AllocationMachine:
         self._cfg = config
         m = config.resource_count
         # Parity 0 is the demand-target pool of epoch 1.
-        self._reserves: list[list[int]] = [list(config.epoch_reserve), [0] * m]
+        self._reserves = (tuple(config.epoch_reserve), (0,) * m)
         self._sds: list[list[int]] = [[0] * m, [0] * m]
         self._max_recip: list[int] = [0, 0]
         self._k_prime = 0
@@ -176,6 +177,8 @@ class AllocationMachine:
         return self._transitions
 
     def reserve_pool(self, parity: int) -> ResourceVector:
+        if parity not in (0, 1):
+            raise ValueError(f"pool parity must be 0 or 1, got {parity!r}")
         return ResourceVector(self._reserves[parity])
 
     def balance_of(self, user: int) -> tuple[int, ...]:
@@ -199,7 +202,7 @@ class AllocationMachine:
         """Self-describing state record; stable across identical call sequences."""
         return {
             "epoch": self._epoch,
-            "reserves": (tuple(self._reserves[0]), tuple(self._reserves[1])),
+            "reserves": self._reserves,
             "cycle_count": self._k_prime,
             "balances": dict(zip(self._users, self._balance)),
         }
@@ -209,7 +212,7 @@ class AllocationMachine:
         ``(epoch, reserves, cycle_count, user's balance)`` as ``snapshot()``."""
         return (
             self._epoch,
-            (tuple(self._reserves[0]), tuple(self._reserves[1])),
+            self._reserves,
             self._k_prime,
             self._balance[self._index(user)],
         )
@@ -267,10 +270,8 @@ class AllocationMachine:
         # transition commits, so it always starts a later epoch.
         epoch = (block - cfg.offset) // cfg.epoch_span + 1
         s = epoch % 2
-        refill = [
-            _checked(v + er)
-            for v, er in zip(self._reserves[1 - s], cfg.epoch_reserve)
-        ]
+        refill = tuple(map(add, self._reserves[1 - s], cfg.epoch_reserve))
+        _checked(max(refill))
         # Only the epoch just ended has claims; an undemanded resource is no bound.
         k_prime = 0
         if self._reset_epoch == epoch - 1:
@@ -283,7 +284,8 @@ class AllocationMachine:
         self._epoch_end = cfg.offset + epoch * cfg.epoch_span
         self._transitions += 1
         self._injected = cfg.epoch_reserve.scale(1 + self._transitions)
-        self._reserves[1 - s] = refill
+        keep = self._reserves[s]
+        self._reserves = (keep, refill) if s == 0 else (refill, keep)
         self._k_prime = k_prime
         self._last_block = block
         return True
@@ -383,7 +385,8 @@ class AllocationMachine:
         # Checked before any unit moves, so an overflow changes nothing.
         credited = tuple(map(add, self._balance[i], share))
         _checked(max(credited))
-        pool[:] = map(sub, pool, share)
+        left, keep = tuple(map(sub, pool, share)), self._reserves[1 - s]
+        self._reserves = (left, keep) if s == 0 else (keep, left)
         self._balance[i] = credited
         self._claim_epoch[i] = e
         return ClaimReceipt(user, e, task_count, ResourceVector(share), clamped)

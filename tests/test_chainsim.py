@@ -307,7 +307,7 @@ def test_replay_names_the_one_tampered_field(field_name):
 def test_replay_ignores_cost_coefficients():
     config = SimConfig(users=2, resources=2, epochs=3, seed=5)
     trace = run_simulation(config)
-    other = CostModel(claim_slope=1, claim_intercept=1, demand_slope=1)
+    other = CostModel(claim=(1, 1), demand=(1, 47_245))
     assert replay(trace, cost_model=other)
 
 
@@ -408,15 +408,19 @@ def _credit(user):
 
 
 def _drain_demand_pool(machine, caller):
-    machine._reserves[machine.demand_pool_parity()][0] -= 1
+    pools = [list(pool) for pool in machine._reserves]
+    pools[machine.demand_pool_parity()][0] -= 1
+    machine._reserves = tuple(map(tuple, pools))
 
 
 def _overdraw_claim_pool(machine, caller):
     """Move the claim pool's first component, plus one unit, into the
     demand pool: every total still balances, but the claim pool holds -1."""
-    claim_pool = machine._reserves[machine.epoch % 2]
-    machine._reserves[machine.demand_pool_parity()][0] += claim_pool[0] + 1
+    pools = [list(pool) for pool in machine._reserves]
+    claim_pool = pools[machine.epoch % 2]
+    pools[machine.demand_pool_parity()][0] += claim_pool[0] + 1
     claim_pool[0] = -1
+    machine._reserves = tuple(map(tuple, pools))
 
 
 @pytest.mark.parametrize(
@@ -547,24 +551,22 @@ def test_unchanged_pools_share_the_previous_records_tuple():
 
 
 def test_base_cost_defaults():
-    base_cost = DEFAULT_COST_MODEL.base_cost
-    assert base_cost(KIND_CLAIM, 10) == 15_130 * 10 + 36_486
-    assert base_cost(KIND_DEMAND, 10) == 13_616 * 10 + 47_245
-    assert base_cost(KIND_UPDATE, 10) == 11_295 * 10 + 23_539
+    # Ordinal 3 is past every setup surcharge.
+    cost = DEFAULT_COST_MODEL.cost
+    assert cost(KIND_CLAIM, 10, 0, 3) == 15_130 * 10 + 36_486
+    assert cost(KIND_DEMAND, 10, 0, 3) == 13_616 * 10 + 47_245
+    assert cost(KIND_UPDATE, 10, 0, 3) == 11_295 * 10 + 23_539
 
 
 def test_base_cost_branch_surcharge():
     model = CostModel(branch_unit=500)
-    assert (
-        model.base_cost(KIND_DEMAND, 5, branch_events=3)
-        == 13_616 * 5 + 47_245 + 1500
-    )
+    assert model.cost(KIND_DEMAND, 5, 3, 3) == 13_616 * 5 + 47_245 + 1500
     with pytest.raises(ValueError):
-        DEFAULT_COST_MODEL.base_cost("bogus", 5)
+        DEFAULT_COST_MODEL.cost("bogus", 5, 0, 3)
 
 
 def test_cost_overrides_round_trip():
-    model = CostModel(claim_slope=1, claim_intercept=2, branch_unit=0, update_setup=7)
+    model = CostModel(claim=(1, 2), branch_unit=0, update_setup=7)
     assert model.as_dict()["claim"] == [1, 2]
     assert CostModel.from_overrides(model.as_dict()) == model
     assert CostModel.from_overrides({}) == DEFAULT_COST_MODEL
@@ -599,7 +601,8 @@ def test_claim_costs_affine_exact_across_sweep():
         claim_costs = {
             c.cost_units for c in trace.costs if c.call_kind == KIND_CLAIM
         }
-        assert claim_costs == {model.claim_slope * m + model.claim_intercept}
+        slope, intercept = model.claim
+        assert claim_costs == {slope * m + intercept}
 
 
 def test_demand_cost_spread_bounded_by_branch_term():

@@ -204,6 +204,37 @@ def test_costfit_fits_updates_from_epoch_3(tmp_path, capsys):
     assert "update_state: cost = 11295.000 * m + 23539.000" in capsys.readouterr().out
 
 
+def test_costfit_recovers_every_override_through_the_warm_up(tmp_path, capsys):
+    # Every setup surcharge is on, and costfit skips the epochs that pay
+    # them, so each kind's fit is its override line exactly.
+    out = tmp_path / "out"
+    coefficients = {
+        "claim": [7, 11],
+        "demand": [5, 3],
+        "update_state": [2, 9],
+        "branch_unit": 0,
+        "demand_setup": 1000,
+        "claim_setup": 700,
+        "update_setup": 300,
+    }
+    code = run_cli(
+        "run",
+        "--users", "3",
+        "--epochs", "5",
+        "--sweep", "2,5,10",
+        "--coefficients", json.dumps(coefficients),
+        "--out", str(out),
+    )
+    assert code == EXIT_OK
+    assert run_cli("costfit", str(out / "costs.csv"), "--out", str(out)) == EXIT_OK
+    capsys.readouterr()
+    fits = json.loads((out / "costfit.json").read_text())
+    assert sorted(fits) == ["claim", "demand", "update_state"]
+    for kind, fit in fits.items():
+        assert [fit["slope"], fit["intercept"]] == coefficients[kind]
+        assert fit["r_squared"] == 1.0
+
+
 def test_costfit_insufficient_m_values(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli(

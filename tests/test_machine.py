@@ -62,6 +62,13 @@ def test_init_pools_and_epoch():
     assert machine.cycle_count == 0
 
 
+@pytest.mark.parametrize("parity", [-1, 2])
+def test_reserve_pool_rejects_a_parity_other_than_0_or_1(parity):
+    machine = make_machine(er=(1500, 1500))
+    with pytest.raises(ValueError, match=f"got {parity}"):
+        machine.reserve_pool(parity)
+
+
 def test_init_zero_reserve_is_inert_but_valid():
     machine = AllocationMachine(
         MachineConfig(1, 2, 0, ResourceVector([0]))
@@ -725,9 +732,9 @@ def _copy_state(machine):
     """A copy of the machine that shares only immutable values.
 
     Lists are copied, and so are the lists they hold (the per-parity
-    pools, sums and user fields); the user index is copied too.  Any
-    other value is shared, so it must be hashable: an int, a tuple, the
-    frozen config or a vector.
+    sums and user fields); the user index is copied too.  Any other
+    value is shared, so it must be hashable: an int, a tuple such as the
+    pair of pools, the frozen config or a vector.
     """
 
     def fresh(value):
@@ -835,7 +842,9 @@ def _fuzz_sequence(rng, precision, reserve_high, seen, m=None):
     # Units a pool loses, even past zero, show as the gap in their resource.
     r = rng.randrange(m)
     lost = rng.choice((1, rng.randint(2, 10**9)))
-    machine._reserves[rng.randrange(2)][r] -= lost
+    pools = [list(pool) for pool in machine._reserves]
+    pools[rng.randrange(2)][r] -= lost
+    machine._reserves = tuple(map(tuple, pools))
     assert accounting_gap(machine) == tuple(lost if i == r else 0 for i in range(m))
 
 
@@ -872,7 +881,7 @@ def test_call_sequence_fuzzer(precision, reserve_highs, m, sequences):
 def test_claim_clamps_share_to_what_the_pool_holds():
     machine = run_worked_epoch()
     machine.update_state(4)  # user 0's share is 3 tasks of [1, 4]: [3, 12]
-    machine._reserves[0] = [2, 5]
+    machine._reserves = ((2, 5), machine._reserves[1])
     receipt = machine.claim(0, 4)
     assert receipt.task_count == 3
     assert receipt.share == ResourceVector([2, 5])
