@@ -177,9 +177,7 @@ class _Core:
     computing each share on its own would.
     """
 
-    __slots__ = (
-        "rows", "columns", "reserves", "lcm", "keys", "scale", "scales", "drains"
-    )
+    __slots__ = ("rows", "columns", "reserves", "keys", "scale", "scales", "drains")
 
     def __init__(
         self,
@@ -211,7 +209,7 @@ class _Core:
         scale = math.lcm(*keys)  # C
         scales = [scale // x for x in keys]  # c_i
         self.rows, self.columns, self.reserves = demands, columns, reserves
-        self.lcm, self.keys, self.scale, self.scales = lcm, keys, scale, scales
+        self.keys, self.scale, self.scales = keys, scale, scales
         self.drains = [sum(map(mul, scales, col)) for col in columns]  # N_r
 
 

@@ -300,11 +300,13 @@ def _execute(
     transition's is the machine's transition count, since every run
     starts from a fresh machine.
 
-    The harness keeps its own ledger from the calls' receipts: each
-    user's balance (a zero entry at registration, plus every claimed
-    share) and ``held``, their per-resource total, and runs the checks
-    the module docstring lists.  A pool's negative quantity is an
-    explicit check, since no ``ResourceVector`` is built; the recount
+    A demand's vector is checked as a ``ResourceVector`` where it enters
+    the machine; a missing or invalid one raises ``SimulationError`` at
+    its block.  The harness keeps its own ledger from the calls'
+    receipts: each user's balance (a zero entry at registration, plus
+    every claimed share) and ``held``, their per-resource total, and runs
+    the checks the module docstring lists.  A pool's negative quantity is
+    an explicit check, since no ``ResourceVector`` is built; the recount
     compares every balance in ``snapshot()`` with the ledger, then checks
     ``accounting_gap``.  A fault inside a call (a wrong credit, a pool
     losing units, units moved between the pools until one is negative)
@@ -319,80 +321,80 @@ def _execute(
     A record keeps the epoch, both pools and the cycle count from that
     ``caller_snapshot``, but no balance.  The pools are the machine's
     stored pair, so the records of blocks that change neither pool share
-    one tuple.  A recorded balance could never
-    be the first thing to differ between two runs, such as a run and its
-    ``replay``: each run checks every balance it reads against its own
-    ledger, and the ledger is the sum of that run's claimed shares,
-    which ``replay`` compares block by block.  So up to the first block
-    where a share differs or a check raises, both runs' balances are
-    equal, and the record needs no per-user state.
+    one tuple.  A recorded balance could never be the first thing to
+    differ between two runs, such as a run and its ``replay``: each run
+    checks every balance it reads against its own ledger, and the ledger
+    is the sum of that run's claimed shares, which ``replay`` compares
+    block by block.  So up to the first block where a share differs or a
+    check raises, both runs' balances are equal, and the record needs no
+    per-user state.
     """
     txs = list(txs)
     last = len(txs) - 1
     m = machine.config.resource_count
     zeros = (0,) * m
-    calls: dict[tuple[str, int], int] = {}  # (kind, user) -> calls so far
+    calls: dict[str, dict[int, int]] = {KIND_DEMAND: {}, KIND_CLAIM: {}}  # so far
     ledger: dict[int, tuple[int, ...]] = {}  # user -> balance, from receipts
     held = zeros  # per-resource total of the ledger
     for index, tx in enumerate(txs):
-        vector: tuple[int, ...] | None = None
+        block, kind, user, vector = tx
         task_count: int | None = None
         clamped = False
         cost_units = 0
         update_cost: int | None = None
         try:
-            if tx.kind == KIND_REGISTER:
-                machine.register_user(tx.user)
-                ledger[tx.user] = zeros
-            elif tx.kind in (KIND_DEMAND, KIND_CLAIM):
-                transitions = machine.transitions  # moves if the call transitions
+            if kind == KIND_REGISTER:
+                vector = None
+                machine.register_user(user)
+                ledger[user] = zeros
+            elif kind in calls:
+                before = machine.transitions  # moves if the call transitions
                 branch_events = 0
-                if tx.kind == KIND_DEMAND:
-                    assert tx.vector is not None
-                    vector = tx.vector  # the record shares the schedule's tuple
-                    branch_events = machine.demand(
-                        tx.user, ResourceVector(vector), tx.block
-                    ).min_updates
+                if kind == KIND_DEMAND:
+                    # The entry check; the record shares the schedule's tuple.
+                    if vector is None:
+                        raise SimulationError(block, "demand carries no vector")
+                    try:
+                        checked = ResourceVector(vector)
+                    except ValueError as exc:
+                        raise SimulationError(block, str(exc)) from exc
+                    branch_events = machine.demand(user, checked, block).min_updates
                 else:
-                    receipt = machine.claim(tx.user, tx.block)
-                    vector = receipt.share
-                    task_count = receipt.task_count
-                    clamped = receipt.clamped
-                    ledger[tx.user] = tuple(map(add, ledger[tx.user], vector))
+                    _, _, task_count, vector, clamped = machine.claim(user, block)
+                    ledger[user] = tuple(map(add, ledger[user], vector))
                     held = tuple(map(add, held, vector))
-                if machine.transitions != transitions:
-                    update_cost = cost_model.cost(
-                        KIND_UPDATE, m, 0, machine.transitions
-                    )
-                key = (tx.kind, tx.user)
-                ordinal = calls[key] = calls.get(key, 0) + 1
-                cost_units = cost_model.cost(tx.kind, m, branch_events, ordinal)
+                after = machine.transitions
+                if after != before:
+                    update_cost = cost_model.cost(KIND_UPDATE, m, 0, after)
+                per_user = calls[kind]
+                ordinal = per_user[user] = per_user.get(user, 0) + 1
+                cost_units = cost_model.cost(kind, m, branch_events, ordinal)
             else:
-                raise MachineError(f"unknown call kind {tx.kind!r}")
+                raise MachineError(f"unknown call kind {kind!r}")
         except MachineError as exc:
-            raise SimulationError(tx.block, str(exc)) from exc
-        epoch, reserves, cycle_count, balance = machine.caller_snapshot(tx.user)
+            raise SimulationError(block, str(exc)) from exc
+        epoch, reserves, cycle_count, balance = machine.caller_snapshot(user)
         pool0, pool1 = reserves
         if min(pool0 + pool1) < 0:
             raise SimulationError(
-                tx.block,
+                block,
                 f"conservation identity violated: a pool is negative: {reserves}",
             )
         injected = machine.total_injected()
         accounted = tuple([a + b + h for a, b, h in zip(pool0, pool1, held)])
         if injected != accounted:
-            _check_gap(tx.block, tuple(map(sub, injected, accounted)))
-        expected = ledger[tx.user]
+            _check_gap(block, tuple(map(sub, injected, accounted)))
+        expected = ledger[user]
         if balance != expected:
-            raise _balance_error(tx.block, tx.user, balance, expected)
+            raise _balance_error(block, user, balance, expected)
         if update_cost is not None or index == last:
             balances = machine.snapshot()["balances"]
             if balances != ledger:
                 for uid, balance in balances.items():
                     expected = ledger.get(uid, zeros)
                     if balance != expected:
-                        raise _balance_error(tx.block, uid, balance, expected)
-            _check_gap(tx.block, accounting_gap(machine))
+                        raise _balance_error(block, uid, balance, expected)
+            _check_gap(block, accounting_gap(machine))
         yield TraceRecord(
             tx, epoch, vector, task_count, clamped, cost_units, update_cost,
             reserves, cycle_count,

@@ -21,7 +21,7 @@ Per user, one list per field, indexed through ``_users[user]``: per
 parity the demand vector, its reciprocal and its epoch (0 for none yet),
 then the balance and the epoch of the last claim.  Demands and balances
 are immutable tuples; every user shares one zeros tuple until it first
-demands or claims.  So the pools and a balance are read without a copy.
+demands or claims.  No pool, balance or claimed share is copied out.
 
 The cycle count is a single scalar recomputed at every epoch transition
 for the pool claims are about to drain.
@@ -113,7 +113,7 @@ class ClaimReceipt(NamedTuple):
     user: int
     epoch: int
     task_count: int
-    share: ResourceVector
+    share: tuple[int, ...]  # the plain tuple the claim checked and credited
     clamped: bool
 
 
@@ -377,11 +377,11 @@ class AllocationMachine:
         scale = self._max_recip[s] * self._cfg.precision
         task_count = fixed_floor_div(self._recip[s][i] * self._k_prime, scale)
         pool = self._reserves[s]
-        share = [task_count * d for d in self._demand[s][i]]
+        share = tuple([task_count * d for d in self._demand[s][i]])
         _checked(max(share))
         clamped = any(map(gt, share, pool))
         if clamped:
-            share = list(map(min, share, pool))
+            share = tuple(map(min, share, pool))
         # Checked before any unit moves, so an overflow changes nothing.
         credited = tuple(map(add, self._balance[i], share))
         _checked(max(credited))
@@ -389,7 +389,7 @@ class AllocationMachine:
         self._reserves = (left, keep) if s == 0 else (keep, left)
         self._balance[i] = credited
         self._claim_epoch[i] = e
-        return ClaimReceipt(user, e, task_count, ResourceVector(share), clamped)
+        return ClaimReceipt(user, e, task_count, share, clamped)
 
     def _index(self, user: int) -> int:
         try:

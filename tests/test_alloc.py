@@ -626,9 +626,10 @@ def test_pdrf_matches_fraction_oracle_with_fractional_weights():
 # --- integer keys against dominant_share and both oracles ------------------
 #
 # The core keys user i's dominant share as the integer x_i = s_i * M over
-# one common denominator M.  A seeded stream checks every key against
-# dominant_share, and both allocators against the Fraction oracle and the
-# scanning loop, on instances the shared-reserve stream never draws.
+# one common denominator M.  A seeded stream checks that every key over
+# dominant_share is one positive integer, and both allocators against the
+# Fraction oracle and the scanning loop, on instances the shared-reserve
+# stream never draws.
 
 
 def _differential_instance(rng, m):
@@ -664,8 +665,15 @@ def _assert_core_matches_oracles(demands, reserves, weights):
     m = len(reserves)
     per_user = weights or [WeightVector([1] * m)] * len(demands)
     core = alloc._Core(demands, reserves, weights)
-    for x, d, w in zip(core.keys, demands, per_user):
-        assert Fraction(x, core.lcm) == dominant_share(d, reserves, w)[0]
+    # Each key x_i is s_i * M for one positive integer M shared by every
+    # user: the proportionality both allocators rely on.
+    ratios = {
+        Fraction(x) / dominant_share(d, reserves, w)[0]
+        for x, d, w in zip(core.keys, demands, per_user)
+    }
+    assert len(ratios) == 1
+    common = ratios.pop()
+    assert common.denominator == 1 and common > 0
     # The Fraction oracle divides by every reserve, so it runs without
     # the resources whose reserve is zero; nobody demands those.
     used = [r for r in range(m) if reserves[r]]

@@ -738,6 +738,23 @@ def test_one_update_state_call_per_demand_or_claim_block(monkeypatch):
     assert calls == blocks
 
 
+def test_one_vector_check_per_demand_and_none_per_claim(monkeypatch):
+    built = []
+    init = ResourceVector.__init__
+
+    def counted(self, quantities):
+        built.append(tuple(self))
+        init(self, quantities)
+
+    monkeypatch.setattr(ResourceVector, "__init__", counted)
+    trace = run_simulation(SimConfig(users=20, resources=3, epochs=4, seed=1))
+    kinds = collections.Counter(r.tx.kind for r in trace.records)
+    assert (kinds[KIND_DEMAND], kinds[KIND_CLAIM]) == (80, 60)
+    # One entry check per demand, one total_injected per transition (3)
+    # and the config's epoch reserve; claims return plain tuples.
+    assert len(built) == 80 + 3 + 1
+
+
 def test_replay_returns_a_simulation_error_as_its_result():
     trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
     records = list(trace.records)
@@ -766,3 +783,26 @@ def test_crosscheck_keeps_the_first_ten_mismatches(monkeypatch):
         (e, u) for e in (2, 3, 4) for u in range(4)
     ][:10]
     assert all(ref == got + 1 for _, _, got, ref in report.mismatches)
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        ((-1, 2), "resource quantity must be non-negative, got -1"),
+        ((1.5, 2), "resource quantity must be an integer, got 1.5"),
+        (None, "demand carries no vector"),
+        ((1,), "demand has 1 components, machine has 2 resources"),
+        ((0, 0), "demand must have a positive component"),
+    ],
+    ids=["negative", "fractional", "missing", "short", "all-zero"],
+)
+def test_replay_names_the_block_of_a_demand_that_fails_its_entry_check(
+    vector, message
+):
+    trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
+    records = list(trace.records)
+    k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_DEMAND)
+    records[k] = records[k]._replace(tx=records[k].tx._replace(vector=vector))
+    result = replay(dataclasses.replace(trace, records=tuple(records)))
+    assert (result.ok, result.diverged_at) == (False, 3)
+    assert result.reason == f"block 3: {message}"

@@ -340,6 +340,29 @@ def test_claim_worked_example():
     assert machine.balance_of(1) == ResourceVector([6, 2])
 
 
+@pytest.mark.parametrize("pool", [None, (2, 5)], ids=["unclamped", "clamped"])
+def test_claim_returns_the_tuple_it_checked_and_builds_no_vector(monkeypatch, pool):
+    machine = run_worked_epoch()
+    machine.update_state(4)  # the transition's total_injected is a vector
+    if pool is not None:
+        machine._reserves = (pool, machine._reserves[1])
+    built = []
+    init = ResourceVector.__init__
+
+    def counted(self, quantities):
+        built.append(tuple(self))
+        init(self, quantities)
+
+    monkeypatch.setattr(ResourceVector, "__init__", counted)
+    for user, block in ((0, 4), (1, 5)):
+        before = machine.balance_of(user)
+        receipt = machine.claim(user, block)
+        assert type(receipt.share) is tuple
+        gained = tuple(a - b for a, b in zip(machine.balance_of(user), before))
+        assert receipt.share == gained
+    assert built == []
+
+
 def test_claim_max_share_user_gets_cycle_floor():
     machine = run_worked_epoch()
     receipt = machine.claim(1, 4)  # user 1 holds the largest dominant share
