@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heapreplace
 from itertools import repeat
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .vectors import DemandSet, Rational, ResourceVector, WeightVector
@@ -158,7 +158,7 @@ def _raise_first_error(
 
 
 class _Core:
-    """One instance's integers, shared by both allocators.
+    """One instance's integers and pdrf allocation, shared by both allocators.
 
     Besides the demand rows (the ``DemandSet`` itself) and columns:
 
@@ -171,13 +171,17 @@ class _Core:
       as an integer over M.
     * C = lcm(x_i) and c_i = C // x_i, an integer proportional to 1/s_i.
     * N_r = sum_i c_i * d_ir, resource r's drain per cycle.
+    * The binding pair (R_b, N_b), the smallest R_r / N_r over N_r > 0,
+      hi = floor(R_b * C / N_b), and pdrf's task counts hi // x_i
+      = R_b * c_i // N_b (as c_i = C / x_i) with the reserves they leave.
 
     No ``Fraction`` is built.  An invalid instance goes to dominant_share
     user by user, so it raises the error, and from the user, that
-    computing each share on its own would.
+    computing each share on its own would.  The set must not be empty.
     """
 
-    __slots__ = ("rows", "columns", "reserves", "keys", "scale", "scales", "drains")
+    __slots__ = ("rows", "columns", "reserves", "keys", "scale", "scales",
+                 "drains", "bound", "hi", "tasks", "remaining")
 
     def __init__(
         self,
@@ -210,80 +214,70 @@ class _Core:
         scales = [scale // x for x in keys]  # c_i
         self.rows, self.columns, self.reserves = demands, columns, reserves
         self.keys, self.scale, self.scales = keys, scale, scales
-        self.drains = [sum(map(mul, scales, col)) for col in columns]  # N_r
+        self.drains = drains = [sum(map(mul, scales, col)) for col in columns]  # N_r
+        bound_reserve, bound_drain = 1, 0  # 1/0 is unbounded: the first drain binds
+        for reserve, drain in zip(reserves, drains):
+            if drain and reserve * bound_drain < bound_reserve * drain:
+                bound_reserve, bound_drain = reserve, drain
+        assert bound_drain  # every demand has a positive component
+        self.bound = bound_reserve, bound_drain
+        self.hi = hi = bound_reserve * scale // bound_drain
+        self.tasks = tasks = [hi // x for x in keys]
+        self.remaining = remaining = _remaining(columns, tasks, reserves)
+        assert min(remaining) >= 0
 
 
 def _drf_loop(core: _Core) -> tuple[list[int], list[int]]:
-    """Task counts and leftover reserves of the task-by-task DRF loop.
+    """The task-by-task DRF loop's task counts and leftover reserves.
 
-    The loop repeatedly selects the user with the minimum allocated share
-    t_i * s_i (ties: lowest position) and grants one task; it stops the
-    first time the selected user's demand no longer fits the remaining
-    reserves.  This function returns the same counts without running the
-    loop task by task.
+    The loop grants one task at a time to the user with the minimum
+    allocated share t_i * s_i (ties: lowest position), and stops the
+    first time that user's demand does not fit the remaining reserves R.
+    With the core's keys x_i = s_i * M, it grants the picks (t * x_i, i),
+    t = 0, 1, ..., in ascending order.  Let F(K) be the total demand of
+    the picks with key below K, ceil(K / x_i) per user.  Consumption only
+    grows along the order, so the loop grants its longest prefix that fits.
 
-    Integer keys: the core's x_i = s_i * M are integers in the ratio of
-    the shares, so the loop grants, in order, the picks (t * x_i, i) for
-    t = 0, 1, ... over all users, smallest first.  Let F(K) be the total
-    demand of the picks with key below K; each user has ceil(K / x_i) of
-    them, and they are a prefix of the pick order.  Demands are
-    non-negative, so consumption only grows along the order: the loop
-    stops at the first pick whose cumulative total exceeds the reserves,
-    and any prefix with F(K) <= R is granted in full.  So the loop's stop
-    is a pick with key K*, the largest K with F(K) <= R.
+    As sum_i d_ir / x_i = N_r / C, F(K) >= K * N_r / C, so F(hi + 1) > R
+    at the binding resource: the picks with key <= hi do not all fit.
+    They give pdrf's counts plus one and leave pdrf's remainder less the
+    column sums.  A heap of each user's last pick gives picks back,
+    largest (key, i) first, until the remainder is non-negative.  So the
+    loop's counts are pdrf's plus one per user, less the picks given back.
 
-    Bracketing K*: ceil(K / x_i) lies in [K / x_i, K / x_i + 1), and
-    sum_i d_ir / x_i = sum_i c_i * d_ir / C = N_r / C.  Over resources
-    with N_r > 0 (others are never consumed),
-    lo = min floor(max(0, R_r - sum_i d_ir) * C / N_r) thus has
-    F(lo) <= R, and K* <= hi = min floor(R_r * C / N_r).  The bracket
-    holds sum_i (hi // x_i - (lo - 1) // x_i) picks, at most n once
-    lo = hi.  While it holds more than 2n, testing F at its middle halves
-    it.  That takes at most log2(hi - lo) steps and is rare: the jump to
-    lo usually leaves a handful of picks, whatever the reserves.
-
-    From lo, a heap on (t_i * x_i, i) replays the loop's own picks until
-    the first one that does not fit, at most 2n + 1 of them.
+    If 2n + 1 picks given back do not fit: over N_r > 0, lo = min
+    floor(max(0, R_r - sum_i d_ir) * C / N_r) has F(lo) <= R.  While
+    [lo, hi] holds more than 2n picks, sum_i (hi // x_i - (lo - 1) // x_i),
+    at most n once lo = hi, testing F at its middle halves it in at most
+    log2(hi - lo) steps.  The walk restarts at hi, none below lo goes back.
     """
-    rows, columns, reserves = core.rows, core.columns, core.reserves
-    keys, scale = core.keys, core.scale
-    # (R_r, sum_i d_ir, N_r) for the resources with N_r > 0.
-    drains = [t for t in zip(reserves, map(sum, columns), core.drains) if t[2]]
-    lo = min(max(0, res - total) * scale // drain for res, total, drain in drains)
-    hi = min(res * scale // drain for res, _, drain in drains)
-    while lo < hi and sum(hi // x - (lo - 1) // x for x in keys) > 2 * len(keys):
-        mid = (lo + hi + 1) // 2
-        if min(_remaining(columns, [-(-mid // x) for x in keys], reserves)) >= 0:
-            lo = mid
-        else:
-            hi = mid - 1
-    tasks = [-(-lo // x) for x in keys]
-    remaining = _remaining(columns, tasks, reserves)
-    assert min(remaining) >= 0
-    heap = [(t * x, i) for i, (t, x) in enumerate(zip(tasks, keys))]
-    heapify(heap)
-    while True:
-        key, i = heap[0]
-        after = list(map(sub, remaining, rows[i]))
-        if min(after) < 0:
-            return tasks, remaining
-        remaining = after
-        tasks[i] += 1
-        heapreplace(heap, (key + keys[i], i))
-
-
-def _pdrf(core: _Core) -> tuple[list[int], list[int], tuple[int, int]]:
-    """pdrf_allocate's task counts, leftover reserves and cycle count pair."""
-    # 1/0 stands for an unbounded ratio, so the first drained resource binds.
-    bound_reserve, bound_drain = 1, 0
-    for reserve, drain in zip(core.reserves, core.drains):
-        if drain and reserve * bound_drain < bound_reserve * drain:
-            bound_reserve, bound_drain = reserve, drain
-    assert bound_drain  # every demand has a positive component
-    tasks = [bound_reserve * c // bound_drain for c in core.scales]
-    remaining = _remaining(core.columns, tasks, core.reserves)
-    assert min(remaining) >= 0
-    return tasks, remaining, (bound_reserve * min(core.scales), bound_drain)
+    rows, columns, reserves, keys = core.rows, core.columns, core.reserves, core.keys
+    totals = list(map(sum, columns))  # sum_i d_ir
+    lo, hi = 0, core.hi
+    tasks = [t + 1 for t in core.tasks]  # the picks with key <= hi
+    remaining = list(map(sub, core.remaining, totals))
+    while True:  # at most twice: the second walk gives back at most 2n picks
+        assert min(remaining) < 0  # F(hi + 1) > R
+        heap = [((1 - t) * x, -i) for i, (t, x) in enumerate(zip(tasks, keys))]
+        heapify(heap)  # (-key, -i) of each user's last pick
+        for _ in range(2 * len(keys) + 1):
+            key, i = heap[0]
+            assert -key >= lo  # F(lo) <= R, so no pick below lo is given back
+            tasks[-i] -= 1
+            remaining = list(map(add, remaining, rows[-i]))
+            if min(remaining) >= 0:
+                return tasks, remaining
+            heapreplace(heap, (key + keys[-i], i))
+        drains = [t for t in zip(reserves, totals, core.drains) if t[2]]
+        lo = min(max(0, res - tot) * core.scale // n_r for res, tot, n_r in drains)
+        while lo < hi and sum(hi // x - (lo - 1) // x for x in keys) > 2 * len(keys):
+            mid = (lo + hi + 1) // 2
+            if min(_remaining(columns, [-(-mid // x) for x in keys], reserves)) >= 0:
+                lo = mid
+            else:
+                hi = mid - 1
+        tasks = [hi // x + 1 for x in keys]
+        remaining = _remaining(columns, tasks, reserves)
 
 
 def _result(
@@ -300,9 +294,10 @@ def drf_allocate(demands: DemandSet, reserves: ResourceVector) -> AllocationResu
     """Dominant-resource-fair allocation: the task-by-task loop's result.
 
     This is the reference ground truth the precomputed allocator is
-    measured against.  ``_drf_loop`` reaches the loop's stopping point
-    without granting tasks one at a time, so the cost does not depend on
-    the reserve size, apart from a rarely needed search logarithmic in it.
+    measured against.  ``_drf_loop`` derives it from pdrf's counts plus
+    one per user, less the picks that do not fit, so its cost does not
+    depend on the reserve size, apart from a search logarithmic in it
+    that runs only when more than 2n + 1 picks lie past the stop.
     """
     if not len(demands):
         return AllocationResult((), (), reserves, Fraction(0))
@@ -340,14 +335,19 @@ def pdrf_allocate(
         )
     if not n:
         return AllocationResult((), (), reserves, Fraction(0))
-    tasks, remaining, cycles = _pdrf(_Core(demands, reserves, weights))
-    return _result(demands, tasks, remaining, Fraction(*cycles))
+    core = _Core(demands, reserves, weights)
+    cycles = Fraction(core.bound[0] * min(core.scales), core.bound[1])
+    return _result(demands, core.tasks, core.remaining, cycles)
 
 
 def compare_pdrf_drf(demands: DemandSet, reserves: ResourceVector) -> DiffStats:
     """Tabulate per-user task-count deltas of both allocators, which run
-    on one shared core; no result vectors are built."""
+    on one shared core; no result vectors are built.  The loop's counts
+    are pdrf's plus one per user, less the picks that do not fit (see
+    _drf_loop), so ``under_by_more`` is 0 by construction."""
+    if not len(demands):
+        return DiffStats((), 0, 0, 0, 0)
     core = _Core(demands, reserves)
-    deltas = tuple(map(sub, _drf_loop(core)[0], _pdrf(core)[0])) if core.rows else ()
+    deltas = tuple(map(sub, _drf_loop(core)[0], core.tasks))
     more, over = sum(d > 1 for d in deltas), sum(d < 0 for d in deltas)
     return DiffStats(deltas, deltas.count(0), deltas.count(1), more, over)

@@ -301,11 +301,13 @@ def _execute(
     starts from a fresh machine.
 
     A demand's vector is checked as a ``ResourceVector`` where it enters
-    the machine; a missing or invalid one raises ``SimulationError`` at
-    its block.  The harness keeps its own ledger from the calls'
-    receipts: each user's balance (a zero entry at registration, plus
-    every claimed share) and ``held``, their per-resource total, and runs
-    the checks the module docstring lists.  A pool's negative quantity is
+    the machine; a missing, non-iterable or invalid one raises
+    ``SimulationError`` at its block, as does a transaction without
+    exactly four fields, at the block its first field names.  The
+    harness keeps its own ledger from the calls' receipts: each user's
+    balance (a zero entry at registration, plus every claimed share) and
+    ``held``, their per-resource total, and runs the checks the module
+    docstring lists.  A pool's negative quantity is
     an explicit check, since no ``ResourceVector`` is built; the recount
     compares every balance in ``snapshot()`` with the ledger, then checks
     ``accounting_gap``.  A fault inside a call (a wrong credit, a pool
@@ -337,7 +339,11 @@ def _execute(
     ledger: dict[int, tuple[int, ...]] = {}  # user -> balance, from receipts
     held = zeros  # per-resource total of the ledger
     for index, tx in enumerate(txs):
-        block, kind, user, vector = tx
+        try:
+            block, kind, user, vector = tx
+        except ValueError as exc:
+            message = f"transaction has {len(tx)} fields, not 4"
+            raise SimulationError(tx[0], message) from exc
         task_count: int | None = None
         clamped = False
         cost_units = 0
@@ -356,7 +362,7 @@ def _execute(
                         raise SimulationError(block, "demand carries no vector")
                     try:
                         checked = ResourceVector(vector)
-                    except ValueError as exc:
+                    except (TypeError, ValueError) as exc:  # not iterable, or invalid
                         raise SimulationError(block, str(exc)) from exc
                     branch_events = machine.demand(user, checked, block).min_updates
                 else:

@@ -178,9 +178,17 @@ def test_drf_terminates_on_first_unfit_selection():
 
 
 def test_drf_empty_demand_set():
-    result = drf_allocate(DemandSet([]), ResourceVector([5, 5]))
-    assert result.task_counts == ()
-    assert result.remaining == ResourceVector([5, 5])
+    # Every allocator and the comparison return an empty result and build
+    # no core, whose binding resource needs at least one demand.
+    empty = DemandSet([])
+    for reserves in (ResourceVector([5, 5]), ResourceVector([5, 0])):
+        for result in (
+            drf_allocate(empty, reserves),
+            pdrf_allocate(empty, reserves),
+            pdrf_allocate(empty, reserves, []),
+        ):
+            assert result == alloc.AllocationResult((), (), reserves, Fraction(0))
+        assert compare_pdrf_drf(empty, reserves) == alloc.DiffStats((), 0, 0, 0, 0)
 
 
 def test_drf_sharing_incentive_identical_demands():
@@ -512,9 +520,45 @@ def test_compare_shares_one_core_and_builds_no_vector(monkeypatch):
     assert calls == {"_Core": 1, "ResourceVector": 0, "dominant_share": 0}
 
 
+def test_one_pass_over_the_reserves_per_instance(monkeypatch):
+    # _remaining is the pass over every user and resource.  The core makes
+    # one for pdrf, and the loop's result is derived from it; only the
+    # bisection fallback makes more.
+    calls = []
+    remaining = alloc._remaining
+
+    def counted(*args):
+        calls[-1] += 1
+        return remaining(*args)
+
+    monkeypatch.setattr(alloc, "_remaining", counted)
+    rng = random.Random(0)  # criterion 4's stream
+    for _ in range(10_000):
+        demands = DemandSet.from_vectors(
+            [[rng.randint(1, 10) for _ in range(4)] for _ in range(10)]
+        )
+        calls.append(0)
+        compare_pdrf_drf(demands, ResourceVector((rng.randint(100, 1000),) * 4))
+    assert set(calls) == {1}
+    # The m-up-to-8 stream of test_integer_keys_match_dominant_share_and_oracles
+    # takes the fallback on some unweighted instance, so that the scan oracle
+    # checks it.
+    calls.clear()
+    rng = random.Random(15 + 6 * 1000 + 8)
+    for _ in range(1000):
+        demands, reserves, weights = _differential_instance(
+            rng, rng.choice((1, 2, 3, 4, 5, 8))
+        )
+        if weights is None:
+            calls.append(0)
+            compare_pdrf_drf(demands, reserves)
+    assert max(calls) > 1
+
+
 def test_compare_soft_invariant_small_sample():
-    # Underallocation by more than one task never happens for the
-    # terminating loop; overallocation is possible but rare.
+    # The loop's counts are pdrf's plus one per user, less the picks that
+    # do not fit: by construction, pdrf never underallocates by more than
+    # one task.  Overallocation is possible but rare.
     rng = random.Random(8)
     under_more = 0
     for _ in range(1000):

@@ -793,8 +793,9 @@ def test_crosscheck_keeps_the_first_ten_mismatches(monkeypatch):
         (None, "demand carries no vector"),
         ((1,), "demand has 1 components, machine has 2 resources"),
         ((0, 0), "demand must have a positive component"),
+        (5, "'int' object is not iterable"),
     ],
-    ids=["negative", "fractional", "missing", "short", "all-zero"],
+    ids=["negative", "fractional", "missing", "short", "all-zero", "non-iterable"],
 )
 def test_replay_names_the_block_of_a_demand_that_fails_its_entry_check(
     vector, message
@@ -806,3 +807,17 @@ def test_replay_names_the_block_of_a_demand_that_fails_its_entry_check(
     result = replay(dataclasses.replace(trace, records=tuple(records)))
     assert (result.ok, result.diverged_at) == (False, 3)
     assert result.reason == f"block 3: {message}"
+
+
+@pytest.mark.parametrize(
+    "fields", [lambda tx: tx[:3], lambda tx: (*tx, None)], ids=["short", "long"]
+)
+def test_replay_names_the_block_of_a_transaction_of_the_wrong_arity(fields):
+    trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
+    records = list(trace.records)
+    k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_DEMAND)
+    records[k] = records[k]._replace(tx=fields(tuple(records[k].tx)))
+    result = replay(dataclasses.replace(trace, records=tuple(records)))
+    assert (result.ok, result.diverged_at) == (False, 3)
+    arity = len(records[k].tx)
+    assert result.reason == f"block 3: transaction has {arity} fields, not 4"
