@@ -340,6 +340,21 @@ def pdrf_allocate(
     return _result(demands, core.tasks, core.remaining, cycles)
 
 
+def pdrf_task_counts(
+    rows: Sequence[Sequence[int]], reserves: Sequence[int]
+) -> tuple[int, ...]:
+    """``pdrf_allocate``'s unweighted task counts, read off the core alone.
+
+    ``rows`` are plain integer tuples of one length, as ``DemandSet``
+    would hold them, and ``reserves`` a plain tuple; neither is checked
+    as a vector, so they must already be valid (non-negative, each row
+    with a positive component).  No result vector is built.
+    """
+    if not rows:
+        return ()
+    return tuple(_Core(rows, reserves).tasks)
+
+
 def compare_pdrf_drf(demands: DemandSet, reserves: ResourceVector) -> DiffStats:
     """Tabulate per-user task-count deltas of both allocators, which run
     on one shared core; no result vectors are built.  The loop's counts

@@ -8,16 +8,20 @@ state never depends on them.
 
 The harness checks conservation against its own ledger of claimed
 shares.  Every block it checks, in O(m), what the call can change: the
-two pools must hold no negative quantity, the pools plus the ledger's
-total must equal everything injected, and the caller's balance must
-equal its ledger entry.  It reads all of these with one
-``caller_snapshot`` call, as plain tuples.  On each epoch transition and
-on the last block it also recounts every balance, O(n), so a run costs
-O(m) per block averaged over an epoch.  A trace record is flat and holds
-no per-user state: the call's outcome and cost, then the epoch, both
-pools and the cycle count after the call.  Balances are checked but not
-recorded, since the claimed shares imply them.  Records are NamedTuples:
-immutable, and copied with ``._replace``.
+caller's balance must equal its ledger entry, the two pools must hold no
+negative quantity, and the pools plus the ledger's total must equal
+everything injected.  It reads these with one ``caller_snapshot`` call,
+as plain tuples.  The pool and total checks run only where one of their
+inputs is a new object: the machine's stored pool pair, its injected
+total, or the ledger's total.  Claims and transitions replace them; a
+demand block replaces none, so it would re-check the same immutable
+tuples, and a fault that moves units must replace one.  On each epoch
+transition and on the last block it also recounts every balance, O(n),
+so a run costs O(m) per block averaged over an epoch.  A trace record is
+flat and holds no per-user state: the call's outcome and cost, then the
+epoch, both pools and the cycle count after the call.  Balances are
+checked but not recorded, since the claimed shares imply them.  Records
+are NamedTuples: immutable, and copied with ``._replace``.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ from dataclasses import asdict, dataclass, fields
 from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .alloc import pdrf_allocate
+# Not called here, but perfbench's tracer replaces ``pdrf_allocate`` by
+# name in this module as well as in ``alloc``.
+from .alloc import pdrf_allocate, pdrf_task_counts  # noqa: F401
 from .machine import AllocationMachine, MachineConfig, MachineError, accounting_gap
 from .reference import reference_task_counts
-from .vectors import DemandSet, ResourceVector
+from .vectors import ResourceVector
 
 GENERATOR_ID = "python-random-mt19937"
 TRACE_FORMAT = "fairpool-trace-v1"
@@ -307,18 +313,29 @@ def _execute(
     harness keeps its own ledger from the calls' receipts: each user's
     balance (a zero entry at registration, plus every claimed share) and
     ``held``, their per-resource total, and runs the checks the module
-    docstring lists.  A pool's negative quantity is
-    an explicit check, since no ``ResourceVector`` is built; the recount
-    compares every balance in ``snapshot()`` with the ledger, then checks
-    ``accounting_gap``.  A fault inside a call (a wrong credit, a pool
-    losing units, units moved between the pools until one is negative)
-    raises ``SimulationError`` at that block.  A non-caller's balance
-    changed outside any call is not seen per block; it raises at that
-    user's next call, the next transition or the final block, whichever
-    comes first, and so does one driven negative, since neither
-    comparison validates a balance.  This is the one fault a full
-    recount on every block would catch sooner, on the next block, at
-    O(n) per block.
+    docstring lists.  A pool's negative quantity is an explicit check,
+    since no ``ResourceVector`` is built; the recount compares every
+    balance in ``snapshot()`` with the ledger, then checks
+    ``accounting_gap``.  The transition count is read once per call
+    block and compared with the count after the last transition.
+
+    The pool and total checks remember the pool pair, the injected
+    vector and ``held`` that last passed them, and run again only when
+    one of the three is a different object: on a claim, a transition
+    and the first block.  Tuples of ints cannot change behind an
+    unchanged identity, so an object that passed still would.  The pair
+    is remembered only while it and both pools are plain tuples, and
+    the injected vector only while it is a tuple; a list swapped in is
+    checked on every block.  A fault inside a call raises
+    ``SimulationError`` at that block: a wrong credit fails the caller's
+    balance check, and a pool losing units, units moved between the
+    pools until one is negative, or a changed injected total must
+    replace one of the three.  A non-caller's balance changed outside
+    any call is not seen per block; it raises at that user's next call,
+    the next transition or the final block, whichever comes first, and
+    so does one driven negative, since neither comparison validates a
+    balance.  This is the one fault a full recount on every block would
+    catch sooner, on the next block, at O(n) per block.
 
     A record keeps the epoch, both pools and the cycle count from that
     ``caller_snapshot``, but no balance.  The pools are the machine's
@@ -338,6 +355,10 @@ def _execute(
     calls: dict[str, dict[int, int]] = {KIND_DEMAND: {}, KIND_CLAIM: {}}  # so far
     ledger: dict[int, tuple[int, ...]] = {}  # user -> balance, from receipts
     held = zeros  # per-resource total of the ledger
+    transitions = machine.transitions
+    # The pool pair, injected vector and ``held`` that last passed the
+    # pool and total checks.
+    passed: tuple = (None, None, None)
     for index, tx in enumerate(txs):
         try:
             block, kind, user, vector = tx
@@ -354,7 +375,6 @@ def _execute(
                 machine.register_user(user)
                 ledger[user] = zeros
             elif kind in calls:
-                before = machine.transitions  # moves if the call transitions
                 branch_events = 0
                 if kind == KIND_DEMAND:
                     # The entry check; the record shares the schedule's tuple.
@@ -370,7 +390,8 @@ def _execute(
                     ledger[user] = tuple(map(add, ledger[user], vector))
                     held = tuple(map(add, held, vector))
                 after = machine.transitions
-                if after != before:
+                if after != transitions:  # the call transitioned
+                    transitions = after
                     update_cost = cost_model.cost(KIND_UPDATE, m, 0, after)
                 per_user = calls[kind]
                 ordinal = per_user[user] = per_user.get(user, 0) + 1
@@ -380,16 +401,22 @@ def _execute(
         except MachineError as exc:
             raise SimulationError(block, str(exc)) from exc
         epoch, reserves, cycle_count, balance = machine.caller_snapshot(user)
-        pool0, pool1 = reserves
-        if min(pool0 + pool1) < 0:
-            raise SimulationError(
-                block,
-                f"conservation identity violated: a pool is negative: {reserves}",
-            )
         injected = machine.total_injected()
-        accounted = tuple([a + b + h for a, b, h in zip(pool0, pool1, held)])
-        if injected != accounted:
-            _check_gap(block, tuple(map(sub, injected, accounted)))
+        if reserves is not passed[0] or injected is not passed[1] or held is not passed[2]:
+            pool0, pool1 = reserves
+            if min(pool0 + pool1) < 0:
+                raise SimulationError(
+                    block,
+                    f"conservation identity violated: a pool is negative: {reserves}",
+                )
+            accounted = tuple([a + b + h for a, b, h in zip(pool0, pool1, held)])
+            if injected != accounted:
+                _check_gap(block, tuple(map(sub, injected, accounted)))
+            # Only tuples cannot change behind an unchanged identity.
+            if type(reserves) is type(pool0) is type(pool1) is tuple and isinstance(
+                injected, tuple
+            ):
+                passed = reserves, injected, held
         expected = ledger[user]
         if balance != expected:
             raise _balance_error(block, user, balance, expected)
@@ -452,13 +479,17 @@ def replay(trace: Trace, cost_model: CostModel = DEFAULT_COST_MODEL) -> ReplayRe
     Blocks are re-run and compared one at a time, so the result names
     the first block that diverges or raises.  Cost units are
     annotations, not state, so they are not compared and a different
-    cost model, the default included, never causes divergence.
+    cost model, the default included, never causes divergence.  Whole
+    records are compared first; only two that differ are compared field
+    by field, which also names the field.
     """
     fresh_records = _execute(
         _make_machine(trace.config), (rec.tx for rec in trace.records), cost_model
     )
     try:
         for fresh, recorded in zip(fresh_records, trace.records):
+            if fresh == recorded:
+                continue
             got, want = _compared(fresh), _compared(recorded)
             if got != want:
                 field_name = next(
@@ -499,16 +530,18 @@ def crosscheck_trace(trace: Trace) -> CrosscheckReport:
     For each epoch, the demand set and the demand-pool reserves recorded
     in the trace are fed to the batch fixed-point reference (must match
     the machine's task counts exactly) and to the exact-rational
-    precomputed allocator (reported as deltas).
+    precomputed allocator (reported as deltas).  Both read the recorded
+    tuples as they are: every demand passed the machine's entry check,
+    and a pool is what the machine held, so no vector is rebuilt.
     """
-    demands_by_epoch: dict[int, dict[int, ResourceVector]] = {}
+    demands_by_epoch: dict[int, dict[int, tuple[int, ...]]] = {}
     pool_by_epoch: dict[int, tuple[int, ...]] = {}
     claims_by_epoch: dict[int, dict[int, int]] = {}
     for rec in trace.records:
         if rec.tx.kind == KIND_DEMAND:
             assert rec.vector is not None
             per_user = demands_by_epoch.setdefault(rec.epoch, {})
-            per_user[rec.tx.user] = ResourceVector(rec.vector)
+            per_user[rec.tx.user] = rec.vector
             if rec.epoch not in pool_by_epoch:
                 parity = (rec.epoch + 1) % 2
                 pool_by_epoch[rec.epoch] = rec.reserves[parity]
@@ -527,8 +560,8 @@ def crosscheck_trace(trace: Trace) -> CrosscheckReport:
             continue
         pool = pool_by_epoch[epoch - 1]
         expected = reference_task_counts(demands, pool)
-        rational = pdrf_allocate(DemandSet(demands.values()), ResourceVector(pool))
-        rational_by_user = dict(zip(demands.keys(), rational.task_counts))
+        rational = pdrf_task_counts(list(demands.values()), pool)
+        rational_by_user = dict(zip(demands, rational))
         epochs_checked += 1
         for user, machine_tasks in sorted(claims.items()):
             claims_checked += 1

@@ -9,8 +9,9 @@ the next round of demands.  Dominant shares are stored as floored
 reciprocals scaled by a precision factor, so no call ever needs a loop
 over the user set and every division is an exact integer floor.  Every
 intermediate must fit in 128 bits, and each is checked once: as an
-operand of ``fixed_floor_div``, which checks both, or where it is formed,
-a vector of non-negative values through its largest component.
+operand of ``fixed_floor_div``, which checks both (``demand`` makes the
+same check inline), or where it is formed, a vector of non-negative
+values through its largest component.
 
 State, laid out as a contract stores it.  Per parity (index 0 or 1): the
 pool claims drain (``_reserves``, an immutable pair of tuples, replaced
@@ -99,6 +100,14 @@ class MachineConfig:
     precision: int = DEFAULT_PRECISION
 
     def __post_init__(self) -> None:
+        # The machine scales this vector and trusts its components, so a
+        # plain sequence is checked and stored as a ResourceVector here.
+        if not isinstance(self.epoch_reserve, ResourceVector):
+            try:
+                reserve = ResourceVector(self.epoch_reserve)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"epoch_reserve: {exc}") from None
+            object.__setattr__(self, "epoch_reserve", reserve)
         if self.resource_count < 1:
             raise ValueError("resource_count must be at least 1")
         if self.epoch_span < 1:
@@ -291,7 +300,13 @@ class AllocationMachine:
         return True
 
     def demand(self, user: int, vector: ResourceVector, block: int) -> DemandRecord:
-        """Register a demand vector for the next epoch's claim round."""
+        """Register a demand vector for the next epoch's claim round.
+
+        Each reciprocal candidate ``p * pool[r] // d`` is divided inline
+        after the operand check ``fixed_floor_div`` makes; that function
+        is called only for an operand the check rejects, so it raises
+        the same error, for the same resource, as calling it every time.
+        """
         i = self._index(user)
         self.update_state(block)
         e = self._epoch
@@ -315,7 +330,11 @@ class AllocationMachine:
                 raise MachineError(
                     f"resource {r} has no reserve in the demand pool"
                 )
-            candidate = fixed_floor_div(p * pool[r], d)
+            scaled = p * pool[r]
+            if 0 <= scaled <= INT_LIMIT and 0 < d <= INT_LIMIT:
+                candidate = scaled // d
+            else:
+                candidate = fixed_floor_div(scaled, d)
             if recip is None:
                 recip = candidate
             elif candidate < recip:

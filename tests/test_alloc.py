@@ -384,6 +384,25 @@ def test_pdrf_conservation_and_nonnegative_remaining():
             assert [u + r for u, r in zip(used, result.remaining)] == list(reserves)
 
 
+def test_pdrf_task_counts_on_plain_tuples_match_pdrf_allocate():
+    # Zero components and zero reserves (undemanded) included.
+    rng = random.Random(21)
+    for _ in range(300):
+        n, m = rng.randint(1, 8), rng.randint(1, 5)
+        rows = [tuple(rng.randint(0, 10) for _ in range(m)) for _ in range(n)]
+        rows = [row if any(row) else (1,) * m for row in rows]
+        reserves = tuple(
+            rng.randint(50, 500) if any(col) else rng.choice((0, 7))
+            for col in zip(*rows)
+        )
+        counts = alloc.pdrf_task_counts(rows, reserves)
+        assert type(counts) is tuple
+        assert counts == pdrf_allocate(
+            DemandSet.from_vectors(rows), ResourceVector(reserves)
+        ).task_counts
+    assert alloc.pdrf_task_counts([], (5, 5)) == ()
+
+
 def test_pdrf_task_counts_monotone_in_dominant_share():
     rng = random.Random(5)
     for _ in range(200):

@@ -304,6 +304,21 @@ def test_replay_names_the_one_tampered_field(field_name):
     assert result.reason == f"{field_name} diverged at block {block}"
 
 
+@pytest.mark.parametrize("field_name", list(_TAMPER))
+def test_replay_under_another_cost_model_names_the_tampered_field(field_name):
+    # Every record's cost differs from the replay's, so no whole record
+    # compares equal and each block falls back to comparing fields.
+    trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
+    records = list(trace.records)
+    k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_CLAIM)
+    records[k] = records[k]._replace(**{field_name: _TAMPER[field_name](records[k])})
+    other = CostModel(claim=(1, 1), demand=(1, 47_245), update_state=(2, 3))
+    result = replay(dataclasses.replace(trace, records=tuple(records)), other)
+    block = records[k].tx.block
+    assert (result.ok, result.diverged_at) == (False, block)
+    assert result.reason == f"{field_name} diverged at block {block}"
+
+
 def test_replay_ignores_cost_coefficients():
     config = SimConfig(users=2, resources=2, epochs=3, seed=5)
     trace = run_simulation(config)
@@ -423,6 +438,12 @@ def _overdraw_claim_pool(machine, caller):
     machine._reserves = tuple(map(tuple, pools))
 
 
+def _grow_injected(machine, caller):
+    """Replace the injected total with a vector one unit larger."""
+    injected = machine._injected
+    machine._injected = ResourceVector((injected[0] + 1, *injected[1:]))
+
+
 @pytest.mark.parametrize(
     "method, at_block, corrupt",
     [
@@ -430,6 +451,8 @@ def _overdraw_claim_pool(machine, caller):
         pytest.param("claim", 11, _drain_demand_pool, id="pool-drained-in-claim"),
         pytest.param("demand", 22, _drain_demand_pool, id="pool-drained-in-demand"),
         pytest.param("claim", 11, _overdraw_claim_pool, id="pool-negative-in-claim"),
+        pytest.param("demand", 22, _overdraw_claim_pool, id="pool-negative-in-demand"),
+        pytest.param("demand", 22, _grow_injected, id="injected-grown-in-demand"),
     ],
 )
 def test_fault_in_a_call_raises_at_that_block(monkeypatch, method, at_block, corrupt):
@@ -452,6 +475,31 @@ def test_negative_pool_stops_run_and_replay_at_that_block(monkeypatch):
     result = replay(trace)
     assert not result
     assert result.diverged_at == 30
+
+
+def test_pools_changed_in_place_raise_at_that_block(monkeypatch):
+    # Block 21 swaps in list pools holding the same units, so nothing is
+    # wrong yet; block 22 takes a unit from one in place.  The pair is
+    # the same object at both blocks, but list pools are never trusted
+    # to be unchanged, so block 22 is checked.
+    def corrupt(machine, caller):
+        if machine._last_block == 21:
+            machine._reserves = tuple(map(list, machine._reserves))
+        else:
+            machine._reserves[machine.demand_pool_parity()][0] -= 1
+
+    original = AllocationMachine.demand
+
+    def faulty(self, user, vector, block):
+        result = original(self, user, vector, block)
+        if block in (21, 22):
+            corrupt(self, user)
+        return result
+
+    monkeypatch.setattr(AllocationMachine, "demand", faulty)
+    with pytest.raises(SimulationError, match="conservation identity") as info:
+        run_simulation(FAULT_CONFIG)
+    assert info.value.block == 22
 
 
 def _move_units(count):

@@ -85,6 +85,39 @@ def test_init_validation():
         MachineConfig(2, 2, 0, ResourceVector([1]))
 
 
+@pytest.mark.parametrize("reserve", [(9, 18), [9, 18]], ids=["tuple", "list"])
+def test_config_builds_a_plain_epoch_reserve_as_a_vector(reserve):
+    config = MachineConfig(2, 4, 0, reserve)
+    assert type(config.epoch_reserve) is ResourceVector
+    assert config.epoch_reserve == (9, 18)
+    machine = AllocationMachine(config)
+    assert machine.update_state(4)  # the transition scales the reserve
+    assert machine.total_injected() == (18, 36)
+    assert machine.reserve_pool(1) == (9, 18)
+
+
+@pytest.mark.parametrize(
+    "reserve, message",
+    [
+        ((5, -7), "resource quantity must be non-negative, got -7"),
+        ([5, 7.0], "resource quantity must be an integer, got 7.0"),
+        ((True, 7), "resource quantity must be an integer, got True"),
+        (5, "'int' object is not iterable"),
+        ((), "resource vector must have at least one component"),
+    ],
+    ids=["negative", "float", "bool", "not-iterable", "empty"],
+)
+def test_config_rejects_an_invalid_epoch_reserve_naming_the_field(reserve, message):
+    with pytest.raises(ValueError) as info:
+        MachineConfig(2, 4, 0, reserve)
+    assert str(info.value) == f"epoch_reserve: {message}"
+
+
+def test_config_keeps_a_vector_epoch_reserve_as_it_is():
+    reserve = ResourceVector([9, 18])
+    assert MachineConfig(2, 4, 0, reserve).epoch_reserve is reserve
+
+
 def test_epoch_at_deployment_block():
     machine = make_machine(es=20, offset=100)
     machine.update_state(100)
@@ -926,6 +959,32 @@ def test_demand_reserve_operand_bound(reserve):
             machine.demand(0, ResourceVector([1]), 0)
     else:
         assert machine.demand(0, ResourceVector([1]), 0).recip_share == p * reserve
+
+
+@pytest.mark.parametrize(
+    "pool, vector",
+    [
+        ((9, -1), (1, 1)),  # a pool driven negative by a fault
+        ((9, 18), (1, -1)),  # an unchecked plain tuple
+        ((9, 18), (2**128, 1)),
+        ((9, 18), (2**128, -1)),
+        ((9, 18), (-1, 2**128)),
+        ((2**128, 18), (1, 1)),
+    ],
+)
+def test_demand_raises_what_fixed_floor_div_raises_first(pool, vector):
+    # The inline division check defers to fixed_floor_div, resource by
+    # resource, for every operand it rejects.
+    machine = make_machine()
+    machine.register_user(0)
+    machine._reserves = (pool, machine._reserves[1])
+    with pytest.raises(MachineError) as expected:
+        for r, d in enumerate(vector):
+            fixed_floor_div(P * pool[r], d)
+    with pytest.raises(type(expected.value)) as got:
+        machine.demand(0, vector, 0)
+    assert str(got.value) == str(expected.value)
+    assert machine._demand_epoch[0] == [0]
 
 
 @pytest.mark.parametrize("precision", [2**59 - 1, 2**59, 2**62])
