@@ -21,7 +21,13 @@ so a run costs O(m) per block averaged over an epoch.  A trace record is
 flat and holds no per-user state: the call's outcome and cost, then the
 epoch, both pools and the cycle count after the call.  Balances are
 checked but not recorded, since the claimed shares imply them.  Records
-are NamedTuples: immutable, and copied with ``._replace``.
+are NamedTuples: immutable, and copied with ``._replace``.  The harness
+builds ``BlockTx``, ``TraceRecord`` and ``CostRecord`` with
+``tuple.__new__``, which skips the NamedTuple's Python-level constructor,
+its arity check and its defaults (a register or claim ``BlockTx`` passes
+its ``None`` vector); adding a field means updating each construction
+site, and ``test_records_built_on_hot_paths_are_well_formed`` checks that
+every record has all its fields.
 """
 
 from __future__ import annotations
@@ -48,12 +54,21 @@ KIND_DEMAND = "demand"
 KIND_CLAIM = "claim"
 KIND_UPDATE = "update_state"
 
+# Builds a record without the NamedTuple's Python-level ``__new__``; it
+# checks no arity and applies no default, so each call site passes every
+# field.
+_new = tuple.__new__
+
 
 class SimulationError(Exception):
-    """Machine error with the offending block attached."""
+    """Machine error with the offending block attached.
 
-    def __init__(self, block: int, message: str) -> None:
-        super().__init__(f"block {block}: {message}")
+    ``block`` is None for a transaction too malformed to name a block;
+    its message names the transaction's position in the schedule.
+    """
+
+    def __init__(self, block: int | None, message: str) -> None:
+        super().__init__(message if block is None else f"block {block}: {message}")
         self.block = block
 
 
@@ -225,13 +240,13 @@ class Trace:
         rows: list[CostRecord] = []
         for rec in self.records:
             if rec.update_cost is not None:
-                rows.append(
-                    CostRecord(KIND_UPDATE, m, rec.epoch, rec.tx.user, rec.update_cost)
-                )
+                rows.append(_new(
+                    CostRecord, (KIND_UPDATE, m, rec.epoch, rec.tx.user, rec.update_cost)
+                ))
             if rec.tx.kind != KIND_REGISTER:
-                rows.append(
-                    CostRecord(rec.tx.kind, m, rec.epoch, rec.tx.user, rec.cost_units)
-                )
+                rows.append(_new(
+                    CostRecord, (rec.tx.kind, m, rec.epoch, rec.tx.user, rec.cost_units)
+                ))
         return tuple(rows)
 
     def clamp_count(self) -> int:
@@ -264,18 +279,18 @@ def build_schedule(config: SimConfig) -> list[BlockTx]:
     for epoch in range(1, config.epochs + 1):
         if epoch == 1:
             for user in range(n):
-                txs.append(BlockTx(block, KIND_REGISTER, user))
+                txs.append(_new(BlockTx, (block, KIND_REGISTER, user, None)))
                 block += 1
         else:
             for user in range(n):
-                txs.append(BlockTx(block, KIND_CLAIM, user))
+                txs.append(_new(BlockTx, (block, KIND_CLAIM, user, None)))
                 block += 1
         # The draw order (user by user, component by component) is part
         # of the seeded schedule; the golden trace test pins it.
         # ``randrange(low, high + 1)`` is what ``randint(low, high)`` calls.
         vectors = [tuple([draw(low, stop) for _ in range(m)]) for _ in range(n)]
         for user in range(n):
-            txs.append(BlockTx(block, KIND_DEMAND, user, vectors[user]))
+            txs.append(_new(BlockTx, (block, KIND_DEMAND, user, vectors[user])))
             block += 1
     return txs
 
@@ -309,7 +324,9 @@ def _execute(
     A demand's vector is checked as a ``ResourceVector`` where it enters
     the machine; a missing, non-iterable or invalid one raises
     ``SimulationError`` at its block, as does a transaction without
-    exactly four fields, at the block its first field names.  The
+    exactly four fields, at the block its first field names; one with
+    no first field, such as ``()``, ``None`` or an int, raises it with
+    no block, naming its position in the schedule.  The
     harness keeps its own ledger from the calls' receipts: each user's
     balance (a zero entry at registration, plus every claimed share) and
     ``held``, their per-resource total, and runs the checks the module
@@ -362,9 +379,8 @@ def _execute(
     for index, tx in enumerate(txs):
         try:
             block, kind, user, vector = tx
-        except ValueError as exc:
-            message = f"transaction has {len(tx)} fields, not 4"
-            raise SimulationError(tx[0], message) from exc
+        except (TypeError, ValueError) as exc:
+            raise _malformed_error(index, tx) from exc
         task_count: int | None = None
         clamped = False
         cost_units = 0
@@ -428,9 +444,21 @@ def _execute(
                     if balance != expected:
                         raise _balance_error(block, uid, balance, expected)
             _check_gap(block, accounting_gap(machine))
-        yield TraceRecord(
+        yield _new(TraceRecord, (
             tx, epoch, vector, task_count, clamped, cost_units, update_cost,
             reserves, cycle_count,
+        ))
+
+
+def _malformed_error(index: int, tx: object) -> SimulationError:
+    """The error for a transaction that does not unpack into four fields:
+    at the block its first field names, or, for one with no first field
+    or none at all, at its position in the schedule."""
+    try:
+        return SimulationError(tx[0], f"transaction has {len(tx)} fields, not 4")
+    except (TypeError, LookupError):
+        return SimulationError(
+            None, f"transaction {index} of the schedule has no block: {tx!r}"
         )
 
 
@@ -477,11 +505,12 @@ def replay(trace: Trace, cost_model: CostModel = DEFAULT_COST_MODEL) -> ReplayRe
     """Re-execute the trace's transactions and compare every outcome.
 
     Blocks are re-run and compared one at a time, so the result names
-    the first block that diverges or raises.  Cost units are
-    annotations, not state, so they are not compared and a different
-    cost model, the default included, never causes divergence.  Whole
-    records are compared first; only two that differ are compared field
-    by field, which also names the field.
+    the first block that diverges or raises (``diverged_at`` is None for
+    a transaction with no block, and the reason names its position).
+    Cost units are annotations, not state, so they are not compared and
+    a different cost model, the default included, never causes
+    divergence.  Whole records are compared first; only two that differ
+    are compared field by field, which also names the field.
     """
     fresh_records = _execute(
         _make_machine(trace.config), (rec.tx for rec in trace.records), cost_model

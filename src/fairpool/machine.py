@@ -9,9 +9,10 @@ the next round of demands.  Dominant shares are stored as floored
 reciprocals scaled by a precision factor, so no call ever needs a loop
 over the user set and every division is an exact integer floor.  Every
 intermediate must fit in 128 bits, and each is checked once: as an
-operand of ``fixed_floor_div``, which checks both (``demand`` makes the
-same check inline), or where it is formed, a vector of non-negative
-values through its largest component.
+operand of ``fixed_floor_div``, which checks both (``demand`` and
+``claim`` make the same check inline and call it only to raise), or
+where it is formed, a vector of non-negative values through its largest
+component.
 
 State, laid out as a contract stores it.  Per parity (index 0 or 1): the
 pool claims drain (``_reserves``, an immutable pair of tuples, replaced
@@ -26,6 +27,13 @@ demands or claims.  No pool, balance or claimed share is copied out.
 
 The cycle count is a single scalar recomputed at every epoch transition
 for the pool claims are about to drain.
+
+The records ``demand`` and ``claim`` return are built with
+``tuple.__new__``, which skips the NamedTuple's Python-level constructor,
+its arity check and its defaults; adding a field to ``DemandRecord`` or
+``ClaimReceipt`` means updating each construction site, and
+``test_records_built_on_hot_paths_are_well_formed`` checks that every
+record has all its fields.
 """
 
 from __future__ import annotations
@@ -42,6 +50,10 @@ DEFAULT_PRECISION = 1_000_000
 # All intermediates must stay representable in an unsigned 128-bit word;
 # anything wider is treated as a corrupted computation, not wrapped.
 INT_LIMIT = 2**128 - 1
+
+# Builds a call's record without the NamedTuple's Python-level ``__new__``;
+# it checks no arity, so each call site passes every field.
+_new = tuple.__new__
 
 
 class MachineError(Exception):
@@ -307,7 +319,10 @@ class AllocationMachine:
         is called only for an operand the check rejects, so it raises
         the same error, for the same resource, as calling it every time.
         """
-        i = self._index(user)
+        try:
+            i = self._users[user]
+        except KeyError:
+            raise MachineError(f"user {user} is not registered") from None
         self.update_state(block)
         e = self._epoch
         s = (e + 1) % 2
@@ -353,20 +368,21 @@ class AllocationMachine:
         if self._reset_epoch == e:
             # Later demands of the epoch add to its sums; the minimum
             # reciprocal is the largest dominant share.
-            sds = [a + d * recip for a, d in zip(self._sds[s], vector)]
+            sds = list(map(add, self._sds[s], map(recip.__mul__, vector)))
             if self._max_recip[s] < recip:
                 max_recip = self._max_recip[s]
         else:
             # The first demand of the epoch overwrites last round's sums.
-            sds = [d * recip for d in vector]
-        _checked(max(sds))  # each sum bounds its non-negative terms
+            sds = list(map(recip.__mul__, vector))
+        if max(sds) > INT_LIMIT:  # each sum bounds its non-negative terms
+            _checked(max(sds))
         self._sds[s] = sds
         self._max_recip[s] = max_recip
         self._reset_epoch = e
         self._demand[s][i] = vector
         self._recip[s][i] = recip
         self._demand_epoch[s][i] = e
-        return DemandRecord(user, e, vector, recip, updates)
+        return _new(DemandRecord, (user, e, vector, recip, updates))
 
     def claim(self, user: int, block: int) -> ClaimReceipt:
         """Pay out the share reserved by the user's previous-epoch demand.
@@ -378,9 +394,14 @@ class AllocationMachine:
         most max_recip * P_r * p, which the transition checked, and
         max_recip * p is no larger: only the credited balance can overflow.
         A seeded search finds counts one above exact ``pdrf`` at p <= 10
-        and none at p >= 100.
+        and none at p >= 100.  The division is inline, as in ``demand``:
+        ``fixed_floor_div`` is called only for an operand its check
+        rejects, so the claim raises what that function raises.
         """
-        i = self._index(user)
+        try:
+            i = self._users[user]
+        except KeyError:
+            raise MachineError(f"user {user} is not registered") from None
         self.update_state(block)
         e = self._epoch
         s = e % 2
@@ -394,21 +415,27 @@ class AllocationMachine:
         if self._claim_epoch[i] == e:
             raise MachineError(f"user {user} already claimed in epoch {e}")
         scale = self._max_recip[s] * self._cfg.precision
-        task_count = fixed_floor_div(self._recip[s][i] * self._k_prime, scale)
+        scaled = self._recip[s][i] * self._k_prime
+        if 0 <= scaled <= INT_LIMIT and 0 < scale <= INT_LIMIT:
+            task_count = scaled // scale
+        else:
+            task_count = fixed_floor_div(scaled, scale)
         pool = self._reserves[s]
-        share = tuple([task_count * d for d in self._demand[s][i]])
-        _checked(max(share))
+        share = tuple(map(task_count.__mul__, self._demand[s][i]))
+        if max(share) > INT_LIMIT:
+            _checked(max(share))
         clamped = any(map(gt, share, pool))
         if clamped:
             share = tuple(map(min, share, pool))
         # Checked before any unit moves, so an overflow changes nothing.
         credited = tuple(map(add, self._balance[i], share))
-        _checked(max(credited))
+        if max(credited) > INT_LIMIT:
+            _checked(max(credited))
         left, keep = tuple(map(sub, pool, share)), self._reserves[1 - s]
         self._reserves = (left, keep) if s == 0 else (keep, left)
         self._balance[i] = credited
         self._claim_epoch[i] = e
-        return ClaimReceipt(user, e, task_count, share, clamped)
+        return _new(ClaimReceipt, (user, e, task_count, share, clamped))
 
     def _index(self, user: int) -> int:
         try:

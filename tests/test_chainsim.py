@@ -112,6 +112,41 @@ def test_record_fields_are_fixed_and_immutable(record, fields):
     assert changed[:1] + changed[2:] == record[:1] + record[2:]
 
 
+def _assert_well_formed(record, cls):
+    # Records built with tuple.__new__ skip the NamedTuple's arity check.
+    assert type(record) is cls
+    assert len(record) == len(cls._fields)
+    assert record == cls(**record._asdict())
+
+
+def test_records_built_on_hot_paths_are_well_formed(monkeypatch):
+    config = SimConfig(users=3, resources=2, epochs=3, seed=5)
+    schedule = build_schedule(config)
+    for tx in schedule:
+        _assert_well_formed(tx, BlockTx)
+    built = []
+    for method in ("demand", "claim"):
+        original = getattr(AllocationMachine, method)
+
+        def recorded(self, *args, original=original):
+            built.append(original(self, *args))
+            return built[-1]
+
+        monkeypatch.setattr(AllocationMachine, method, recorded)
+    trace = run_simulation(config)
+    assert [rec.tx for rec in trace.records] == schedule
+    kinds = collections.Counter(type(r) for r in built)
+    assert (kinds[DemandRecord], kinds[ClaimReceipt]) == (9, 6)
+    for record in built:
+        assert type(record) in (DemandRecord, ClaimReceipt)
+        _assert_well_formed(record, type(record))
+    for rec in trace.records:
+        _assert_well_formed(rec, TraceRecord)
+    assert len(trace.costs) == 2 + 9 + 6
+    for row in trace.costs:
+        _assert_well_formed(row, CostRecord)
+
+
 # --- simulation ----------------------------------------------------------------
 
 
@@ -235,6 +270,28 @@ def test_golden_cost_csv(tmp_path, name, config, model):
     path = tmp_path / "costs.csv"
     write_cost_csv(trace.costs, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_COST_CSV_SHA256[name]
+
+
+# The chain-n200 benchmark's run: 4,400 blocks, 10 transitions and 2,000
+# claims, pinned where the small goldens above cannot reach.
+BENCH_CONFIG = SimConfig(users=200, resources=5, epochs=11, seed=1)
+BENCH_TRACE_SHA256 = "7e3501d8b82529e5cbefcadaf96f924d7263bbb87de5cccee471f1b5094ecb23"
+BENCH_COST_CSV_SHA256 = "bc24ff0ade365afa0fe6123deffd073b35732d7ed754c8ebe4296e82028c3d4c"
+
+
+def test_benchmark_size_outputs_are_pinned(tmp_path):
+    trace = run_simulation(BENCH_CONFIG)
+    assert sum(r.update_cost is not None for r in trace.records) == 10
+    path = tmp_path / "trace.txt"
+    write_trace_file(trace, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BENCH_TRACE_SHA256
+    write_cost_csv(trace.costs, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BENCH_COST_CSV_SHA256
+    report = crosscheck_trace(trace)
+    assert (report.epochs_checked, report.claims_checked, report.matches) == (
+        10, 2000, 2000
+    )
+    assert (report.mismatches, report.delta_counts) == ((), {0: 2000})
 
 
 def test_trace_determinism_and_replay():
@@ -855,6 +912,21 @@ def test_replay_names_the_block_of_a_demand_that_fails_its_entry_check(
     result = replay(dataclasses.replace(trace, records=tuple(records)))
     assert (result.ok, result.diverged_at) == (False, 3)
     assert result.reason == f"block 3: {message}"
+
+
+@pytest.mark.parametrize("tx", [(), 5, None], ids=["empty", "int", "none"])
+def test_replay_names_the_position_of_a_transaction_with_no_block(tx):
+    trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
+    records = list(trace.records)
+    k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_DEMAND)
+    records[k] = records[k]._replace(tx=tx)
+    result = replay(dataclasses.replace(trace, records=tuple(records)))
+    assert (result.ok, result.diverged_at) == (False, None)
+    assert result.reason == f"transaction {k} of the schedule has no block: {tx!r}"
+    txs = [r.tx for r in records]
+    with pytest.raises(SimulationError) as raised:
+        list(_execute(_make_machine(trace.config), txs, DEFAULT_COST_MODEL))
+    assert raised.value.block is None
 
 
 @pytest.mark.parametrize(

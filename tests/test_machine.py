@@ -987,6 +987,61 @@ def test_demand_raises_what_fixed_floor_div_raises_first(pool, vector):
     assert machine._demand_epoch[0] == [0]
 
 
+@pytest.mark.parametrize(
+    "recip, k_prime, max_recip",
+    [
+        (-1, None, None),  # a negative numerator
+        (None, 2**128, None),
+        (None, None, 0),  # a zero scale
+        (-1, None, 0),  # both rejected: the scale's check comes first
+        (None, None, -1),
+        (None, None, 2**128),
+        (None, 2**128, 2**128),
+    ],
+)
+def test_claim_raises_what_fixed_floor_div_raises_first(recip, k_prime, max_recip):
+    # The claim's inline division defers to fixed_floor_div for any
+    # operand its check rejects, and the rejected claim changes nothing.
+    machine = run_worked_epoch()
+    machine.update_state(4)
+    if recip is not None:
+        machine._recip[0][0] = recip
+    if k_prime is not None:
+        machine._k_prime = k_prime
+    if max_recip is not None:
+        machine._max_recip[0] = max_recip
+    with pytest.raises(MachineError) as expected:
+        fixed_floor_div(
+            machine._recip[0][0] * machine._k_prime, machine._max_recip[0] * P
+        )
+    before = _state(machine, 0)
+    with pytest.raises(type(expected.value)) as got:
+        machine.claim(0, 4)
+    assert str(got.value) == str(expected.value)
+    assert _state(machine, 0) == before
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda machine: machine.demand(7, ResourceVector([1, 1]), 0),
+        lambda machine: machine.claim(7, 4),
+        lambda machine: machine.caller_snapshot(7),
+        lambda machine: machine.balance_of(7),
+    ],
+    ids=["demand", "claim", "caller_snapshot", "balance_of"],
+)
+def test_unregistered_user_error(call):
+    machine = run_worked_epoch()
+    before = vars(copy.deepcopy(machine))
+    with pytest.raises(MachineError) as raised:
+        call(machine)
+    assert type(raised.value) is MachineError
+    assert str(raised.value) == "user 7 is not registered"
+    assert raised.value.__cause__ is None and raised.value.__suppress_context__
+    assert vars(machine) == before
+
+
 @pytest.mark.parametrize("precision", [2**59 - 1, 2**59, 2**62])
 def test_claim_reciprocal_operand_bound(precision):
     # User 1 demands [1] from a pool of 2**10 and stores the reciprocal
