@@ -36,7 +36,7 @@ import csv
 import json
 import random
 from dataclasses import asdict, dataclass, fields
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 # Not called here, but perfbench's tracer replaces ``pdrf_allocate`` by
@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 from .alloc import pdrf_allocate, pdrf_task_counts  # noqa: F401
 from .machine import AllocationMachine, MachineConfig, MachineError, accounting_gap
 from .reference import reference_task_counts
-from .vectors import ResourceVector
+from .vectors import ResourceVector, require_integers
 
 GENERATOR_ID = "python-random-mt19937"
 TRACE_FORMAT = "fairpool-trace-v1"
@@ -83,6 +83,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_integers(
+            self, "users", "resources", "epochs", "demand_low", "demand_high",
+            "per_user_reserve",
+        )
         if self.users < 1 or self.resources < 1 or self.epochs < 1:
             raise ValueError("users, resources and epochs must be at least 1")
         if self.demand_low < 1:
@@ -182,11 +186,11 @@ class CostModel:
 
 DEFAULT_COST_MODEL = CostModel()
 
-# Per call kind, the last epoch of a run that holds calls ``CostModel.cost``
-# may surcharge: a user's first two demands land in epochs 1 and 2, its
-# first claim in epoch 2, and the first executed update is the transition
-# into epoch 2.
-WARMUP_MAX_EPOCH = {KIND_DEMAND: 2, KIND_CLAIM: 2, KIND_UPDATE: 2}
+# The last epoch of a run that holds calls ``CostModel.cost`` may
+# surcharge, for every call kind: a user's first two demands land in
+# epochs 1 and 2, its first claim in epoch 2, and the first executed
+# update is the transition into epoch 2.
+WARMUP_EPOCHS = 2
 
 
 class BlockTx(NamedTuple):
@@ -277,14 +281,10 @@ def build_schedule(config: SimConfig) -> list[BlockTx]:
     txs: list[BlockTx] = []
     block = 1
     for epoch in range(1, config.epochs + 1):
-        if epoch == 1:
-            for user in range(n):
-                txs.append(_new(BlockTx, (block, KIND_REGISTER, user, None)))
-                block += 1
-        else:
-            for user in range(n):
-                txs.append(_new(BlockTx, (block, KIND_CLAIM, user, None)))
-                block += 1
+        first = KIND_REGISTER if epoch == 1 else KIND_CLAIM
+        for user in range(n):
+            txs.append(_new(BlockTx, (block, first, user, None)))
+            block += 1
         # The draw order (user by user, component by component) is part
         # of the seeded schedule; the golden trace test pins it.
         # ``randrange(low, high + 1)`` is what ``randint(low, high)`` calls.
@@ -498,7 +498,6 @@ def run_simulation(
 _COMPARED_FIELDS = (
     "epoch", "vector", "task_count", "clamped", "reserves", "cycle_count"
 )
-_compared = itemgetter(*(TraceRecord._fields.index(f) for f in _COMPARED_FIELDS))
 
 
 def replay(trace: Trace, cost_model: CostModel = DEFAULT_COST_MODEL) -> ReplayResult:
@@ -519,16 +518,10 @@ def replay(trace: Trace, cost_model: CostModel = DEFAULT_COST_MODEL) -> ReplayRe
         for fresh, recorded in zip(fresh_records, trace.records):
             if fresh == recorded:
                 continue
-            got, want = _compared(fresh), _compared(recorded)
-            if got != want:
-                field_name = next(
-                    name for name, a, b in zip(_COMPARED_FIELDS, got, want) if a != b
-                )
-                return ReplayResult(
-                    False,
-                    recorded.tx.block,
-                    f"{field_name} diverged at block {recorded.tx.block}",
-                )
+            for name in _COMPARED_FIELDS:
+                if getattr(fresh, name) != getattr(recorded, name):
+                    block = recorded.tx.block
+                    return ReplayResult(False, block, f"{name} diverged at block {block}")
     except SimulationError as exc:
         return ReplayResult(False, exc.block, str(exc))
     return ReplayResult(True)
@@ -569,11 +562,9 @@ def crosscheck_trace(trace: Trace) -> CrosscheckReport:
     for rec in trace.records:
         if rec.tx.kind == KIND_DEMAND:
             assert rec.vector is not None
-            per_user = demands_by_epoch.setdefault(rec.epoch, {})
-            per_user[rec.tx.user] = rec.vector
-            if rec.epoch not in pool_by_epoch:
-                parity = (rec.epoch + 1) % 2
-                pool_by_epoch[rec.epoch] = rec.reserves[parity]
+            demands_by_epoch.setdefault(rec.epoch, {})[rec.tx.user] = rec.vector
+            # The epoch's first demand block records the pool it was read from.
+            pool_by_epoch.setdefault(rec.epoch, rec.reserves[(rec.epoch + 1) % 2])
         elif rec.tx.kind == KIND_CLAIM:
             assert rec.task_count is not None
             claims_by_epoch.setdefault(rec.epoch, {})[rec.tx.user] = rec.task_count
@@ -638,27 +629,20 @@ def read_cost_csv(path: str) -> list[CostRecord]:
     """Rows written by ``write_cost_csv``; ValueError names the first bad line."""
     out: list[CostRecord] = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != COST_CSV_COLUMNS:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(COST_CSV_COLUMNS):
             raise ValueError(f"unexpected cost CSV columns in {path}")
         for row in reader:
-            # DictReader fills a short row with None and files a long
-            # row's extra fields under the key None.
-            if None in row or None in row.values():
+            if not row:  # a blank line
+                continue
+            if len(row) != len(COST_CSV_COLUMNS):
                 raise ValueError(
                     f"line {reader.line_num}: expected "
                     f"{len(COST_CSV_COLUMNS)} fields"
                 )
+            kind, *numbers = row
             try:
-                out.append(
-                    CostRecord(
-                        call_kind=row["call_kind"],
-                        m=int(row["m"]),
-                        epoch=int(row["epoch"]),
-                        user=int(row["user"]),
-                        cost_units=int(row["cost_units"]),
-                    )
-                )
+                out.append(CostRecord(kind, *map(int, numbers)))
             except ValueError as exc:
                 raise ValueError(f"line {reader.line_num}: {exc}") from None
     return out

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -17,7 +18,7 @@ from .chainsim import (
     KIND_CLAIM,
     KIND_DEMAND,
     KIND_UPDATE,
-    WARMUP_MAX_EPOCH,
+    WARMUP_EPOCHS,
     CostModel,
     CostRecord,
     SimConfig,
@@ -249,7 +250,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     total_claims = 0
     total_epochs = 0
-    delta_counts: dict[int, int] = {}
+    delta_counts: Counter[int] = Counter()
     clamp_events = 0
     try:
         for m, trial, trace in _run_all(args, DEFAULT_COST_MODEL):
@@ -258,8 +259,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             del trace  # drop it before the next run
             total_claims += report.claims_checked
             total_epochs += report.epochs_checked
-            for delta, count in report.delta_counts.items():
-                delta_counts[delta] = delta_counts.get(delta, 0) + count
+            delta_counts.update(report.delta_counts)
             if report.mismatches:
                 epoch, user, got, want = report.mismatches[0]
                 print(
@@ -301,8 +301,6 @@ def _wilson_interval(count: int, total: int) -> tuple[float, float]:
     Unlike the Wald interval it keeps a positive width at a zero count:
     0 of N gives [0, hi] with hi > 0.
     """
-    if total == 0:
-        return (0.0, 1.0)
     z = 1.96
     denom = total + z * z
     center = (count + z * z / 2) / denom
@@ -314,14 +312,21 @@ def _wilson_interval(count: int, total: int) -> tuple[float, float]:
     return (lo, hi)
 
 
+def _rate(count: int, total: int) -> dict:
+    return {
+        "count": count,
+        "fraction": count / total,
+        "ci95": list(_wilson_interval(count, total)),
+    }
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     low, high = args.demand_range
     r_low, r_high = args.reserve_range
     n = args.users
     m = args.resources
-    total = under = over = exact = under_more = 0
-    histogram: dict[int, int] = {}
+    tally: Counter[int] = Counter()  # per-user deltas, loop minus precomputed
     for _ in range(args.trials):
         demands = DemandSet.from_vectors(
             [[rng.randint(low, high) for _ in range(m)] for _ in range(n)]
@@ -331,14 +336,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         else:
             shared = rng.randint(r_low, r_high)
             reserves = ResourceVector((shared,) * m)
-        stats = compare_pdrf_drf(demands, reserves)
-        total += stats.total
-        under += stats.under_by_one
-        over += stats.over
-        exact += stats.exact
-        under_more += stats.under_by_more
-        for delta in stats.deltas:
-            histogram[delta] = histogram.get(delta, 0) + 1
+        tally.update(compare_pdrf_drf(demands, reserves).deltas)
+    # --users and --trials are positive, so total is at least 1.
+    total = tally.total()
+    under_more = sum(count for delta, count in tally.items() if delta > 1)
     summary = {
         "trials": args.trials,
         "users": n,
@@ -347,22 +348,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "reserve_range": list(args.reserve_range),
         "reserve_mode": "independent" if args.independent_reserves else "shared",
         "user_samples": total,
-        "under_by_one": {
-            "count": under,
-            "fraction": under / total if total else 0.0,
-            "ci95": list(_wilson_interval(under, total)),
-        },
-        "over": {
-            "count": over,
-            "fraction": over / total if total else 0.0,
-            "ci95": list(_wilson_interval(over, total)),
-        },
-        "exact": {
-            "count": exact,
-            "fraction": exact / total if total else 0.0,
-        },
+        "under_by_one": _rate(tally[1], total),
+        "over": _rate(sum(count for delta, count in tally.items() if delta < 0), total),
+        "exact": {"count": tally[0], "fraction": tally[0] / total},
         "under_by_more": under_more,
-        "delta_histogram": {str(k): v for k, v in sorted(histogram.items())},
+        "delta_histogram": {str(k): v for k, v in sorted(tally.items())},
     }
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "stats.json")
@@ -400,7 +390,7 @@ def cmd_costfit(args: argparse.Namespace) -> int:
     for kind in (KIND_DEMAND, KIND_CLAIM, KIND_UPDATE):
         by_m: dict[int, list[int]] = {}
         for rec in records:
-            if rec.call_kind == kind and rec.epoch > WARMUP_MAX_EPOCH[kind]:
+            if rec.call_kind == kind and rec.epoch > WARMUP_EPOCHS:
                 by_m.setdefault(rec.m, []).append(rec.cost_units)
         if not by_m:
             continue

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from operator import add, gt, sub
 from typing import NamedTuple
 
-from .vectors import ResourceVector
+from .vectors import ResourceVector, require_integers
 
 DEFAULT_PRECISION = 1_000_000
 
@@ -73,7 +73,12 @@ def _checked(value: int) -> int:
 
 
 def fixed_floor_div(a: int, b: int) -> int:
-    """Floored division that checks both operands; the machine's only division."""
+    """Floored division that checks both operands.
+
+    ``update_state`` divides through it for the cycle count k'.
+    ``demand`` and ``claim`` divide inline after the same operand check
+    and call it only for an operand that check rejects, to raise.
+    """
     if b == 0:
         raise MachineError("division by zero")
     if a < 0 or b < 0:
@@ -112,6 +117,7 @@ class MachineConfig:
     precision: int = DEFAULT_PRECISION
 
     def __post_init__(self) -> None:
+        require_integers(self, "resource_count", "epoch_span", "offset", "precision")
         # The machine scales this vector and trusts its components, so a
         # plain sequence is checked and stored as a ResourceVector here.
         if not isinstance(self.epoch_reserve, ResourceVector):

@@ -13,6 +13,20 @@ from typing import Iterable, Sequence, Union
 Rational = Union[int, Fraction]
 
 
+def _not_integer(value: object) -> bool:
+    """False only for an int, or an int subclass other than bool."""
+    return not isinstance(value, int) or isinstance(value, bool)
+
+
+def require_integers(owner: object, *names: str) -> None:
+    """Raise ValueError for the first of ``owner``'s named attributes
+    that is not an integer."""
+    for name in names:
+        value = getattr(owner, name)
+        if _not_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class ResourceVector(tuple):
     """Immutable vector of non-negative integer resource quantities.
 
@@ -29,9 +43,9 @@ class ResourceVector(tuple):
         if not self:
             raise ValueError("resource vector must have at least one component")
         for v in self:
-            # ``type(v) is int`` settles the common case; the full test
+            # ``type(v) is int`` settles the common case; the full rule
             # still admits int subclasses other than bool.
-            if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
+            if type(v) is not int and _not_integer(v):
                 raise ValueError(f"resource quantity must be an integer, got {v!r}")
             if v < 0:
                 raise ValueError(f"resource quantity must be non-negative, got {v}")

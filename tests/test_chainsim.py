@@ -941,3 +941,77 @@ def test_replay_names_the_block_of_a_transaction_of_the_wrong_arity(fields):
     assert (result.ok, result.diverged_at) == (False, 3)
     arity = len(records[k].tx)
     assert result.reason == f"block 3: transaction has {arity} fields, not 4"
+
+
+# --- settings and error branches ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("users", 2.5),
+        ("resources", 2.0),
+        ("epochs", True),
+        ("demand_low", 1.0),
+        ("demand_high", 3.5),
+        ("per_user_reserve", "150"),
+    ],
+)
+def test_sim_config_rejects_a_setting_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError) as info:
+        SimConfig(**{"users": 2, "resources": 2, "epochs": 3, field: value})
+    assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"users": 0}, "users, resources and epochs must be at least 1"),
+        ({"resources": 0}, "users, resources and epochs must be at least 1"),
+        ({"epochs": 0}, "users, resources and epochs must be at least 1"),
+        ({"demand_low": 0}, "demand_low must be at least 1"),
+        ({"demand_low": 5, "demand_high": 4}, "demand_high must be >= demand_low"),
+    ],
+)
+def test_sim_config_rejects_settings_out_of_range(settings, message):
+    with pytest.raises(ValueError) as info:
+        SimConfig(**{"users": 2, "resources": 2, "epochs": 3, **settings})
+    assert str(info.value) == message
+
+
+def test_cost_model_rejects_a_resource_count_below_1():
+    with pytest.raises(ValueError, match="resource count must be at least 1"):
+        DEFAULT_COST_MODEL.cost(KIND_CLAIM, 0, 0, 1)
+
+
+def test_replay_names_the_block_of_an_unknown_call_kind():
+    trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
+    records = list(trace.records)
+    k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_DEMAND)
+    records[k] = records[k]._replace(tx=records[k].tx._replace(kind="withdraw"))
+    result = replay(dataclasses.replace(trace, records=tuple(records)))
+    assert result == chainsim.ReplayResult(
+        ok=False, diverged_at=3, reason="block 3: unknown call kind 'withdraw'"
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n", "call_kind,m,epoch,user\n", "kind,m,epoch,user,cost_units\n"],
+    ids=["empty", "blank-first-line", "short-header", "renamed-column"],
+)
+def test_read_cost_csv_rejects_a_wrong_header(tmp_path, text):
+    path = tmp_path / "costs.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_cost_csv(str(path))
+    assert str(info.value) == f"unexpected cost CSV columns in {path}"
+
+
+def test_read_cost_csv_skips_blank_lines_and_counts_them(tmp_path):
+    path = tmp_path / "costs.csv"
+    path.write_text("call_kind,m,epoch,user,cost_units\n\nclaim,2,3,0,7\n\nclaim,x\n")
+    with pytest.raises(ValueError, match="^line 5: expected 5 fields$"):
+        read_cost_csv(str(path))
+    path.write_text("call_kind,m,epoch,user,cost_units\n\nclaim,2,3,0,7\n\n")
+    assert read_cost_csv(str(path)) == [CostRecord("claim", 2, 3, 0, 7)]

@@ -536,3 +536,46 @@ def test_crosscheck_mismatch_exits_2_without_summary(tmp_path, capsys, monkeypat
     assert len(err) == 1
     assert err[0].startswith("MISMATCH at m=3 trial=0 epoch=2 user=0: machine=")
     assert not (out / "crosscheck.json").exists()
+
+
+def test_crosscheck_json_golden_digest(tmp_path):
+    # 90 epochs and 900 claims, histogram {-1: 4, 0: 896}.
+    out = tmp_path / "out"
+    argv = ["--users", "10", "--sweep", "2,5,10", "--trials", "3"]
+    assert run_cli("crosscheck", *argv, "--out", str(out)) == EXIT_OK
+    assert hashlib.sha256((out / "crosscheck.json").read_bytes()).hexdigest() == (
+        "2e05d6093b0982390e402e44c351ed3387fb9d3788d4123f1529c5cb8ce3d13f"
+    )
+
+
+def test_costfit_on_warm_up_rows_only_finds_nothing_to_fit(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", "--users", "3", "--epochs", "2", "--out", str(out)) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("costfit", str(out / "costs.csv")) == EXIT_USAGE
+    assert capsys.readouterr().err == "no stabilized cost records found\n"
+
+
+def test_demand_range_that_is_not_numeric_exits_1(tmp_path, capsys):
+    code = run_cli("run", "--demand-range", "a:b", "--out", str(tmp_path / "out"))
+    assert code == EXIT_USAGE
+    assert "expected LO:HI, got 'a:b'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "configuration error: cannot read config file: "),
+        ("[1]", "configuration error: config file must hold a JSON object"),
+    ],
+    ids=["missing", "list"],
+)
+def test_config_file_that_cannot_be_used_exits_1(tmp_path, capsys, content, message):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_text(content)
+    code = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out").exists()

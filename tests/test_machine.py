@@ -1093,3 +1093,60 @@ def test_transition_overflow_is_not_terminal():
     assert (receipt.epoch, receipt.task_count) == (5, 2**14)
     assert receipt.share == ResourceVector([2**24])
     assert not any(accounting_gap(machine))
+
+
+# --- config settings are integers ------------------------------------------
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("resource_count", 2.0),
+        ("resource_count", True),
+        ("epoch_span", 4.0),
+        ("epoch_span", "4"),
+        ("offset", 0.0),
+        ("offset", False),
+        ("precision", 1.5),
+        ("precision", True),
+    ],
+)
+def test_config_rejects_a_setting_that_is_not_an_integer(field, value):
+    settings = dict(resource_count=2, epoch_span=4, offset=0, epoch_reserve=[9, 18])
+    settings[field] = value
+    with pytest.raises(ValueError) as info:
+        MachineConfig(**settings)
+    assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+
+def test_config_accepts_int_subclasses_other_than_bool():
+    config = MachineConfig(_Int(2), _Int(4), _Int(0), [9, 18], precision=_Int(10))
+    machine = AllocationMachine(config)
+    machine.register_user(0)
+    machine.demand(0, ResourceVector([1, 2]), 0)
+    assert machine.claim(0, 4).task_count == 9
+
+
+def test_config_rejects_a_zero_precision():
+    with pytest.raises(ValueError, match="precision must be positive"):
+        MachineConfig(1, 4, 0, ResourceVector([8]), precision=0)
+
+
+def test_claim_share_overflow_leaves_state_unchanged():
+    machine = AllocationMachine(MachineConfig(1, 4, 0, ResourceVector([8]), precision=1))
+    machine.register_user(0)
+    machine.demand(0, ResourceVector([4]), 1)
+    assert machine.update_state(4)  # into epoch 2, whose claims read parity 0
+    # Scaled count 2**64 * 2**63 // 1 = 2**127 fits; its share 4 * 2**127
+    # does not.
+    machine._max_recip[0] = 1
+    machine._recip[0][0] = 2**64
+    machine._k_prime = 2**63
+    before = machine.snapshot()
+    with pytest.raises(MachineOverflowError):
+        machine.claim(0, 5)
+    assert machine.snapshot() == before

@@ -112,3 +112,9 @@ def test_reference_at_or_one_below_exact_pdrf(precision):
         users += n
     assert users == 24_187
     assert under <= users // 100
+
+
+def test_reference_rejects_a_demand_above_the_precision_scaled_reserve():
+    # precision * reserve // demand = 10 * 1 // 11 = 0.
+    with pytest.raises(ValueError, match="demand exceeds precision-scaled reserve"):
+        fixed_point_reference([[11]], [1], precision=10)

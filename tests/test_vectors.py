@@ -164,3 +164,8 @@ def test_demand_set_and_weight_vector_values():
     w = WeightVector([1, 2.5])
     assert all(type(x) is Fraction for x in w)
     assert w == (1, Fraction(5, 2))
+
+
+def test_resource_vector_scale_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="scale count must be non-negative"):
+        ResourceVector([1, 2]).scale(-1)
