@@ -24,7 +24,7 @@ from fractions import Fraction
 from heapq import heapify, heapreplace
 from itertools import repeat
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .vectors import DemandSet, Rational, ResourceVector, WeightVector
 
@@ -40,10 +40,13 @@ class AllocationResult:
     cycles: Fraction
 
 
-@dataclass(frozen=True)
-class DiffStats:
+class DiffStats(NamedTuple):
     """Per-user task-count deltas between the loop allocator and the
-    precomputed allocator (loop minus precomputed)."""
+    precomputed allocator (loop minus precomputed).
+
+    ``compare_pdrf_drf`` builds it with ``tuple.__new__``, which skips the
+    NamedTuple's Python-level constructor and its arity check, so adding a
+    field means updating that construction site."""
 
     deltas: tuple[int, ...]
     exact: int
@@ -54,6 +57,10 @@ class DiffStats:
     @property
     def total(self) -> int:
         return len(self.deltas)
+
+
+# Builds a DiffStats without the NamedTuple's Python-level ``__new__``.
+_new = tuple.__new__
 
 
 def _as_fraction(value: Rational, what: str) -> Fraction:
@@ -164,9 +171,11 @@ class _Core:
 
     * M, a common denominator of every ratio d_ir / (w_ir * R_r): the lcm
       of the positive R_r * w_ir.numerator over the distinct weight
-      vectors w.  Unit weights, the default, are one such vector.
+      vectors w.  Unit weights, the default, are one vector that every
+      user shares; no per-user weight is built or hashed for them.
     * q^w_r = w_r.denominator * (M // (R_r * w_r.numerator)), one scale
-      vector per distinct w, and 0 where R_r = 0.
+      vector per distinct w, and 0 where R_r = 0.  When every user has
+      the same w, its one q^w is repeated, not looked up per user.
     * The key x_i = max_r d_ir * q^w_r = s_i * M: user i's dominant share
       as an integer over M.
     * C = lcm(x_i) and c_i = C // x_i, an integer proportional to 1/s_i.
@@ -190,8 +199,11 @@ class _Core:
         weights: Sequence[WeightVector] | None = None,
     ) -> None:
         m = len(reserves)
-        weights = [(1,) * m] * len(demands) if weights is None else weights
-        qs = dict.fromkeys(weights)  # q^w per distinct weight vector w
+        if weights is None:  # unit weights: one vector that every user shares
+            unit = (1,) * m
+            qs, weights = {unit: None}, repeat(unit)
+        else:
+            qs = dict.fromkeys(weights)  # q^w per distinct weight vector w
         if any(len(w) != m for w in qs) or demands and len(demands[0]) != m:
             _raise_first_error(demands, reserves, weights)
         lcm = math.lcm(  # M
@@ -202,8 +214,11 @@ class _Core:
                 x.denominator * (lcm // (res * x.numerator)) if res else 0
                 for res, x in zip(reserves, w)
             ]
-        # x_i = max(map(mul, d_i, q^w_i)), with the loop over users in C.
-        per_user = map(qs.__getitem__, weights)
+        # x_i = max(map(mul, d_i, q^w_i)), with the loop over users in C; a
+        # single q^w is repeated, not looked up once per user.
+        per_user = (
+            repeat(*qs.values()) if len(qs) == 1 else map(qs.__getitem__, weights)
+        )
         keys = list(map(max, map(map, repeat(mul), demands, per_user)))
         columns = list(zip(*demands))
         if 0 in keys or 0 in reserves and any(
@@ -241,9 +256,10 @@ def _drf_loop(core: _Core) -> tuple[list[int], list[int]]:
     As sum_i d_ir / x_i = N_r / C, F(K) >= K * N_r / C, so F(hi + 1) > R
     at the binding resource: the picks with key <= hi do not all fit.
     They give pdrf's counts plus one and leave pdrf's remainder less the
-    column sums.  A heap of each user's last pick gives picks back,
-    largest (key, i) first, until the remainder is non-negative.  So the
-    loop's counts are pdrf's plus one per user, less the picks given back.
+    column sums.  A heap of each user's last pick, built from the keys
+    and counts by C-level maps, gives picks back, largest (key, i)
+    first, until the remainder is non-negative.  So the loop's counts
+    are pdrf's plus one per user, less the picks given back.
 
     If 2n + 1 picks given back do not fit: over N_r > 0, lo = min
     floor(max(0, R_r - sum_i d_ir) * C / N_r) has F(lo) <= R.  While
@@ -252,15 +268,17 @@ def _drf_loop(core: _Core) -> tuple[list[int], list[int]]:
     log2(hi - lo) steps.  The walk restarts at hi, none below lo goes back.
     """
     rows, columns, reserves, keys = core.rows, core.columns, core.reserves, core.keys
+    n = len(keys)
     totals = list(map(sum, columns))  # sum_i d_ir
     lo, hi = 0, core.hi
     tasks = [t + 1 for t in core.tasks]  # the picks with key <= hi
     remaining = list(map(sub, core.remaining, totals))
     while True:  # at most twice: the second walk gives back at most 2n picks
         assert min(remaining) < 0  # F(hi + 1) > R
-        heap = [((1 - t) * x, -i) for i, (t, x) in enumerate(zip(tasks, keys))]
-        heapify(heap)  # (-key, -i) of each user's last pick
-        for _ in range(2 * len(keys) + 1):
+        # (-key, -i) of each user's last pick: -key = x_i - t_i * x_i.
+        heap = list(zip(map(sub, keys, map(mul, tasks, keys)), range(0, -n, -1)))
+        heapify(heap)
+        for _ in range(2 * n + 1):
             key, i = heap[0]
             assert -key >= lo  # F(lo) <= R, so no pick below lo is given back
             tasks[-i] -= 1
@@ -270,7 +288,7 @@ def _drf_loop(core: _Core) -> tuple[list[int], list[int]]:
             heapreplace(heap, (key + keys[-i], i))
         drains = [t for t in zip(reserves, totals, core.drains) if t[2]]
         lo = min(max(0, res - tot) * core.scale // n_r for res, tot, n_r in drains)
-        while lo < hi and sum(hi // x - (lo - 1) // x for x in keys) > 2 * len(keys):
+        while lo < hi and sum(hi // x - (lo - 1) // x for x in keys) > 2 * n:
             mid = (lo + hi + 1) // 2
             if min(_remaining(columns, [-(-mid // x) for x in keys], reserves)) >= 0:
                 lo = mid
@@ -357,12 +375,20 @@ def pdrf_task_counts(
 
 def compare_pdrf_drf(demands: DemandSet, reserves: ResourceVector) -> DiffStats:
     """Tabulate per-user task-count deltas of both allocators, which run
-    on one shared core; no result vectors are built.  The loop's counts
-    are pdrf's plus one per user, less the picks that do not fit (see
-    _drf_loop), so ``under_by_more`` is 0 by construction."""
+    on one shared core; no result vectors are built.
+
+    ``exact`` and ``under_by_one`` are ``deltas.count(0)`` and
+    ``deltas.count(1)``; ``over`` is counted only when some delta is
+    negative, and ``under_by_more`` is the rest of the n users.  The
+    loop's counts are pdrf's plus one per user, less the picks that do
+    not fit (see _drf_loop), so the rest is 0 by construction, but it is
+    counted, not assumed.  The ``DiffStats`` is built with
+    ``tuple.__new__``."""
     if not len(demands):
         return DiffStats((), 0, 0, 0, 0)
     core = _Core(demands, reserves)
     deltas = tuple(map(sub, _drf_loop(core)[0], core.tasks))
-    more, over = sum(d > 1 for d in deltas), sum(d < 0 for d in deltas)
-    return DiffStats(deltas, deltas.count(0), deltas.count(1), more, over)
+    exact, one = deltas.count(0), deltas.count(1)
+    over = sum(d < 0 for d in deltas) if min(deltas) < 0 else 0
+    more = len(deltas) - exact - one - over
+    return _new(DiffStats, (deltas, exact, one, more, over))

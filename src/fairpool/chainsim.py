@@ -139,17 +139,27 @@ class CostModel:
     claim_setup: int = 0  # added to a user's first claim call
     update_setup: int = 0  # added to the first executed transition
 
+    def __post_init__(self) -> None:
+        # Call kind -> ((slope, intercept), setup surcharge, first calls
+        # that pay it), read once per model.  Not a field, so ``fields``,
+        # ``asdict``, ``==`` and the repr see only the coefficients.
+        per_kind = {
+            kind: (getattr(self, kind), getattr(self, setup), first_calls)
+            for kind, (setup, first_calls) in _SETUP.items()
+        }
+        object.__setattr__(self, "_per_kind", per_kind)
+
     def cost(self, kind: str, m: int, branch_events: int, ordinal: int) -> int:
         """Cost of the ordinal-th call of this kind (per user, 1-based)."""
         if m < 1:
             raise ValueError("resource count must be at least 1")
-        if kind not in _SETUP:
-            raise ValueError(f"no cost model for call kind {kind!r}")
-        slope, intercept = getattr(self, kind)
+        try:
+            (slope, intercept), setup, first_calls = self._per_kind[kind]
+        except KeyError:
+            raise ValueError(f"no cost model for call kind {kind!r}") from None
         total = slope * m + intercept + self.branch_unit * branch_events
-        setup, first_calls = _SETUP[kind]
         if ordinal <= first_calls:
-            total += getattr(self, setup)
+            total += setup
         return total
 
     def as_dict(self) -> dict:

@@ -191,6 +191,33 @@ def test_drf_empty_demand_set():
         assert compare_pdrf_drf(empty, reserves) == alloc.DiffStats((), 0, 0, 0, 0)
 
 
+def test_diffstats_records_are_well_formed():
+    # compare_pdrf_drf builds DiffStats with tuple.__new__, which skips the
+    # NamedTuple's arity check, and counts over only when a delta is
+    # negative; the stream holds the empty set and instances with over > 0.
+    rng = random.Random(24)
+    cases = [(DemandSet([]), ResourceVector([5, 5]))] + [
+        _random_instance(rng, rng.randint(1, 8), rng.randint(1, 4), r_low=20)
+        for _ in range(400)
+    ]
+    overs = 0
+    for demands, reserves in cases:
+        rec = compare_pdrf_drf(demands, reserves)
+        assert type(rec) is alloc.DiffStats
+        assert len(rec) == len(alloc.DiffStats._fields) == 5
+        assert alloc.DiffStats(**rec._asdict()) == rec
+        deltas = rec.deltas
+        assert rec.total == len(deltas) == len(demands)
+        assert (rec.exact, rec.under_by_one, rec.under_by_more, rec.over) == (
+            deltas.count(0),
+            deltas.count(1),
+            sum(d > 1 for d in deltas),
+            sum(d < 0 for d in deltas),
+        )
+        overs += rec.over > 0
+    assert overs > 0
+
+
 def test_drf_sharing_incentive_identical_demands():
     rng = random.Random(3)
     for _ in range(50):

@@ -677,6 +677,42 @@ def test_cost_overrides_round_trip():
     assert CostModel.from_overrides({}) == DEFAULT_COST_MODEL
 
 
+def test_cost_model_per_kind_table_is_not_a_field():
+    # cost() reads each kind's coefficients off a table built once per
+    # model; the table is no field, so fields, asdict, == and the repr
+    # show the coefficients only.
+    model = CostModel(
+        claim=(1, 2), demand=(3, 4), update_state=(5, 6), branch_unit=7,
+        demand_setup=100, claim_setup=200, update_setup=300,
+    )
+    names = ["claim", "demand", "update_state", "branch_unit",
+             "demand_setup", "claim_setup", "update_setup"]
+    assert [f.name for f in dataclasses.fields(model)] == names
+    assert list(dataclasses.asdict(model)) == names
+    assert CostModel.from_overrides(model.as_dict()) == model
+    assert model != DEFAULT_COST_MODEL
+    assert "_per_kind" not in repr(model)
+    table = {  # kind: (slope, intercept, setup surcharge, first calls)
+        KIND_DEMAND: (3, 4, 100, 2),
+        KIND_CLAIM: (1, 2, 200, 1),
+        KIND_UPDATE: (5, 6, 300, 1),
+    }
+    for kind, (slope, intercept, setup, first_calls) in table.items():
+        for ordinal in (1, 2, 3):
+            surcharge = setup if ordinal <= first_calls else 0
+            expected = slope * 4 + intercept + 7 * 2 + surcharge
+            assert model.cost(kind, 4, 2, ordinal) == expected
+    # A copy with changed coefficients builds its own table.
+    changed = dataclasses.replace(model, claim=(10, 20), claim_setup=0)
+    assert changed.cost(KIND_CLAIM, 4, 0, 1) == 10 * 4 + 20
+    assert model.cost(KIND_CLAIM, 4, 0, 1) == 1 * 4 + 2 + 200
+    with pytest.raises(ValueError, match="no cost model for call kind 'bogus'"):
+        model.cost("bogus", 4, 0, 1)
+    # The resource count is checked before the kind.
+    with pytest.raises(ValueError, match="resource count must be at least 1"):
+        model.cost("bogus", 0, 0, 1)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -823,6 +859,32 @@ def test_crosscheck_single_user():
     report = crosscheck_trace(trace)
     assert report.match_rate == 1.0
     assert set(report.delta_counts) == {0}
+
+
+def test_crosscheck_skips_claims_without_recorded_demands():
+    # Claims in epoch 4 are recomputed from epoch 3's demands; with those
+    # records filtered out of the trace they are skipped, not counted.
+    trace = run_simulation(SimConfig(users=5, resources=3, epochs=6, seed=12))
+    full = crosscheck_trace(trace)
+    kept = tuple(
+        r for r in trace.records if not (r.tx.kind == KIND_DEMAND and r.epoch == 3)
+    )
+    skipped = sum(r.tx.kind == KIND_CLAIM and r.epoch == 4 for r in trace.records)
+    report = crosscheck_trace(dataclasses.replace(trace, records=kept))
+    assert skipped == 5 and len(kept) == len(trace.records) - 5
+    assert report.epochs_checked == full.epochs_checked - 1 == 4
+    assert report.claims_checked == full.claims_checked - skipped == 20
+    assert report.matches == full.matches - skipped
+    assert report.match_rate == 1.0
+
+
+def test_crosscheck_without_claims_matches_trivially():
+    # One epoch registers and demands but claims nothing.
+    trace = run_simulation(SimConfig(users=3, resources=2, epochs=1, seed=1))
+    report = crosscheck_trace(trace)
+    assert (report.epochs_checked, report.claims_checked) == (0, 0)
+    assert report.match_rate == 1.0
+    assert report.max_abs_delta == 0
 
 
 # --- each check once ------------------------------------------------------------

@@ -41,6 +41,11 @@ def test_malformed_fixture_rejected():
         )
 
 
+def test_non_object_fixture_rejected():
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        parse_fixture("[]", "x")
+
+
 @pytest.mark.parametrize("name", ["drf-classic", "single-user-depletion"])
 def test_allocation_fixtures_revalidate_against_live_oracles(name):
     case = load_fixture(name)
