@@ -14,6 +14,7 @@ from .chainsim import (
     SimulationError,
     build_schedule,
     crosscheck_trace,
+    draw_ints,
     replay,
     run_simulation,
     write_cost_csv,
@@ -50,6 +51,7 @@ __all__ = [
     "compare_pdrf_drf",
     "crosscheck_trace",
     "dominant_share",
+    "draw_ints",
     "drf_allocate",
     "fit_linear",
     "fixed_floor_div",

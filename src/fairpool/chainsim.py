@@ -277,17 +277,41 @@ class ReplayResult:
         return self.ok
 
 
+def draw_ints(rng: random.Random, low: int, high: int, count: int) -> list[int]:
+    """What ``count`` calls of ``rng.randint(low, high)`` return, leaving
+    ``rng`` (a ``random.Random``) in the same state: it runs the rejection
+    loop of CPython's ``randrange`` (``_randbelow_with_getrandbits``)
+    inline, so it makes the same ``getrandbits`` calls.  The tests and
+    the golden digests check this on every supported Python."""
+    width = high - low + 1
+    if width < 1:
+        raise ValueError(f"empty range for draw_ints: [{low}, {high}]")
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    out: list[int] = []
+    append = out.append
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        append(low + r)
+    return out
+
+
 def build_schedule(config: SimConfig) -> list[BlockTx]:
     """One call per block: epoch 1 registers then demands, later epochs
     claim then demand.  Demand vectors are drawn fresh every epoch from
     the seeded generator, so the schedule is fully determined by the
     config.  They are plain tuples; ``_execute`` checks each one where
     it enters the machine, so a replayed schedule is checked too.
+
+    Each epoch's components are one ``draw_ints`` call: the values of
+    ``randint(demand_low, demand_high)``, user by user and component by
+    component.  The golden trace tests pin them.
     """
     rng = random.Random(config.seed)
     n, m = config.users, config.resources
-    low, stop = config.demand_low, config.demand_high + 1
-    draw = rng.randrange
+    low, high = config.demand_low, config.demand_high
     txs: list[BlockTx] = []
     block = 1
     for epoch in range(1, config.epochs + 1):
@@ -295,12 +319,10 @@ def build_schedule(config: SimConfig) -> list[BlockTx]:
         for user in range(n):
             txs.append(_new(BlockTx, (block, first, user, None)))
             block += 1
-        # The draw order (user by user, component by component) is part
-        # of the seeded schedule; the golden trace test pins it.
-        # ``randrange(low, high + 1)`` is what ``randint(low, high)`` calls.
-        vectors = [tuple([draw(low, stop) for _ in range(m)]) for _ in range(n)]
-        for user in range(n):
-            txs.append(_new(BlockTx, (block, KIND_DEMAND, user, vectors[user])))
+        # One flat draw, split into consecutive m-tuples, one per user.
+        vectors = zip(*[iter(draw_ints(rng, low, high, n * m))] * m)
+        for user, vector in enumerate(vectors):
+            txs.append(_new(BlockTx, (block, KIND_DEMAND, user, vector)))
             block += 1
     return txs
 
@@ -435,7 +457,7 @@ def _execute(
                     block,
                     f"conservation identity violated: a pool is negative: {reserves}",
                 )
-            accounted = tuple([a + b + h for a, b, h in zip(pool0, pool1, held)])
+            accounted = tuple(map(add, map(add, pool0, pool1), held))
             if injected != accounted:
                 _check_gap(block, tuple(map(sub, injected, accounted)))
             # Only tuples cannot change behind an unchanged identity.

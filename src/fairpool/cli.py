@@ -24,6 +24,7 @@ from .chainsim import (
     SimConfig,
     SimulationError,
     crosscheck_trace,
+    draw_ints,
     read_cost_csv,
     run_simulation,
     write_cost_csv,
@@ -327,15 +328,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
     n = args.users
     m = args.resources
     tally: Counter[int] = Counter()  # per-user deltas, loop minus precomputed
+    # Each trial draws what n rows of m ``randint(low, high)`` calls, then
+    # m (or one shared) ``randint(r_low, r_high)`` calls would draw.
     for _ in range(args.trials):
-        demands = DemandSet.from_vectors(
-            [[rng.randint(low, high) for _ in range(m)] for _ in range(n)]
-        )
+        flat = draw_ints(rng, low, high, n * m)
+        demands = DemandSet.from_vectors(zip(*[iter(flat)] * m))
         if args.independent_reserves:
-            reserves = ResourceVector(rng.randint(r_low, r_high) for _ in range(m))
+            reserves = ResourceVector(draw_ints(rng, r_low, r_high, m))
         else:
-            shared = rng.randint(r_low, r_high)
-            reserves = ResourceVector((shared,) * m)
+            reserves = ResourceVector(draw_ints(rng, r_low, r_high, 1) * m)
         tally.update(compare_pdrf_drf(demands, reserves).deltas)
     # --users and --trials are positive, so total is at least 1.
     total = tally.total()

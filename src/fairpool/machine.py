@@ -204,7 +204,9 @@ class AllocationMachine:
         return self._transitions
 
     def reserve_pool(self, parity: int) -> ResourceVector:
-        if parity not in (0, 1):
+        # An int, as ``require_integers`` takes one: 1.0 and True are not.
+        integer = isinstance(parity, int) and not isinstance(parity, bool)
+        if not integer or parity not in (0, 1):
             raise ValueError(f"pool parity must be 0 or 1, got {parity!r}")
         return ResourceVector(self._reserves[parity])
 

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import random
 
 import pytest
 
@@ -29,6 +30,7 @@ from fairpool.chainsim import (
     TraceRecord,
     _execute,
     _make_machine,
+    draw_ints,
     read_cost_csv,
 )
 from fairpool.machine import ClaimReceipt, DemandRecord
@@ -62,6 +64,68 @@ def test_schedule_total_blocks():
     config = SimConfig(users=3, resources=2, epochs=5, seed=1)
     txs = build_schedule(config)
     assert len(txs) == 2 * config.users * config.epochs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize(
+    "width", [1, 2, 3, 10, 16, 1000, 2**32 - 1, 2**32, 2**32 + 1, 2**40]
+)
+def test_draw_ints_draws_what_randrange_draws(seed, width):
+    low, count = 5, 300
+    expected_rng, rng = random.Random(seed), random.Random(seed)
+    expected = [expected_rng.randrange(low, low + width) for _ in range(count)]
+    assert draw_ints(rng, low, low + width - 1, count) == expected
+    # The same generator state, so later draws interleave as before.
+    assert rng.getstate() == expected_rng.getstate()
+
+
+def test_draw_ints_rejects_an_empty_range():
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="empty range"):
+        draw_ints(rng, 3, 2, 1)
+    assert rng.getstate() == state
+    assert draw_ints(rng, 1, 10, 0) == []
+    assert rng.getstate() == state
+
+
+def _schedule_drawn_by_randrange(config):
+    """The schedule as drawn with one ``randrange`` call per component."""
+    rng = random.Random(config.seed)
+    n, m = config.users, config.resources
+    stop = config.demand_high + 1
+    txs = []
+    block = 1
+    for epoch in range(1, config.epochs + 1):
+        first = KIND_REGISTER if epoch == 1 else KIND_CLAIM
+        for user in range(n):
+            txs.append(BlockTx(block, first, user, None))
+            block += 1
+        vectors = [
+            tuple(rng.randrange(config.demand_low, stop) for _ in range(m))
+            for _ in range(n)
+        ]
+        for user in range(n):
+            txs.append(BlockTx(block, KIND_DEMAND, user, vectors[user]))
+            block += 1
+    return txs
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimConfig(users=1, resources=1, epochs=1, seed=0),
+        SimConfig(users=7, resources=3, epochs=4, seed=5),
+        SimConfig(users=5, resources=4, epochs=3, seed=2, demand_high=16),
+        SimConfig(users=4, resources=2, epochs=3, seed=9, demand_low=3, demand_high=3),
+        SimConfig(users=3, resources=5, epochs=2, seed=1, demand_high=2**33 + 5),
+    ],
+    ids=["minimal", "default-range", "power-of-two-width", "width-one", "above-2-to-32"],
+)
+def test_schedule_draws_what_randrange_draws(config):
+    txs = build_schedule(config)
+    assert txs == _schedule_drawn_by_randrange(config)
+    assert all(type(tx.vector) is tuple for tx in txs if tx.kind == KIND_DEMAND)
 
 
 def test_epoch_updates_fire_on_first_claim_of_each_epoch():

@@ -62,7 +62,7 @@ def test_init_pools_and_epoch():
     assert machine.cycle_count == 0
 
 
-@pytest.mark.parametrize("parity", [-1, 2])
+@pytest.mark.parametrize("parity", [-1, 2, 1.0, 0.0, True])
 def test_reserve_pool_rejects_a_parity_other_than_0_or_1(parity):
     machine = make_machine(er=(1500, 1500))
     with pytest.raises(ValueError, match=f"got {parity}"):
