@@ -20,14 +20,14 @@ transition and on the last block it also recounts every balance, O(n),
 so a run costs O(m) per block averaged over an epoch.  A trace record is
 flat and holds no per-user state: the call's outcome and cost, then the
 epoch, both pools and the cycle count after the call.  Balances are
-checked but not recorded, since the claimed shares imply them.  Records
-are NamedTuples: immutable, and copied with ``._replace``.  The harness
-builds ``BlockTx``, ``TraceRecord`` and ``CostRecord`` with
-``tuple.__new__``, which skips the NamedTuple's Python-level constructor,
-its arity check and its defaults (a register or claim ``BlockTx`` passes
-its ``None`` vector); adding a field means updating each construction
-site, and ``test_records_built_on_hot_paths_are_well_formed`` checks that
-every record has all its fields.
+checked but not recorded, since the claimed shares imply them.
+
+Transactions, records and cost rows are exact tuples laid out as the
+NamedTuples ``BlockTx``, ``TraceRecord`` and ``CostRecord`` and read by
+position; ``TraceRecord._make(rec)`` is a named view.  The GC untracks
+an exact tuple once nothing in it is tracked, never a NamedTuple, so a
+kept trace adds no per-block work to later collections.  The machine's
+records, which nothing keeps, stay NamedTuples.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+from itertools import chain, islice
 from dataclasses import asdict, dataclass, fields
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -53,11 +54,6 @@ KIND_REGISTER = "register"
 KIND_DEMAND = "demand"
 KIND_CLAIM = "claim"
 KIND_UPDATE = "update_state"
-
-# Builds a record without the NamedTuple's Python-level ``__new__``; it
-# checks no arity and applies no default, so each call site passes every
-# field.
-_new = tuple.__new__
 
 
 class SimulationError(Exception):
@@ -237,34 +233,33 @@ class TraceRecord(NamedTuple):
 @dataclass(frozen=True)
 class Trace:
     header: dict
-    records: tuple[TraceRecord, ...]
+    records: tuple[tuple, ...]  # laid out as TraceRecord
 
     @property
     def config(self) -> SimConfig:
         return SimConfig(**self.header["config"])
 
     @property
-    def costs(self) -> tuple[CostRecord, ...]:
-        """One cost row per executed call, read off the records.
+    def costs(self) -> tuple[tuple, ...]:
+        """One cost row per executed call, read off the records and laid
+        out as ``CostRecord``.
 
         A transition's row comes before the row of the call it rode on;
         both carry the record's epoch and the caller.
         """
         m = self.header["config"]["resources"]
-        rows: list[CostRecord] = []
-        for rec in self.records:
-            if rec.update_cost is not None:
-                rows.append(_new(
-                    CostRecord, (KIND_UPDATE, m, rec.epoch, rec.tx.user, rec.update_cost)
-                ))
-            if rec.tx.kind != KIND_REGISTER:
-                rows.append(_new(
-                    CostRecord, (rec.tx.kind, m, rec.epoch, rec.tx.user, rec.cost_units)
-                ))
+        rows: list[tuple] = []
+        for (_, kind, user, _), epoch, _, _, _, cost_units, update_cost, _, _ in (
+            self.records
+        ):
+            if update_cost is not None:
+                rows.append((KIND_UPDATE, m, epoch, user, update_cost))
+            if kind != KIND_REGISTER:
+                rows.append((kind, m, epoch, user, cost_units))
         return tuple(rows)
 
     def clamp_count(self) -> int:
-        return sum(1 for rec in self.records if rec.clamped)
+        return sum(1 for rec in self.records if rec[4])  # clamped
 
 
 @dataclass(frozen=True)
@@ -298,7 +293,7 @@ def draw_ints(rng: random.Random, low: int, high: int, count: int) -> list[int]:
     return out
 
 
-def build_schedule(config: SimConfig) -> list[BlockTx]:
+def build_schedule(config: SimConfig) -> list[tuple]:
     """One call per block: epoch 1 registers then demands, later epochs
     claim then demand.  Demand vectors are drawn fresh every epoch from
     the seeded generator, so the schedule is fully determined by the
@@ -312,17 +307,17 @@ def build_schedule(config: SimConfig) -> list[BlockTx]:
     rng = random.Random(config.seed)
     n, m = config.users, config.resources
     low, high = config.demand_low, config.demand_high
-    txs: list[BlockTx] = []
+    txs: list[tuple] = []
     block = 1
     for epoch in range(1, config.epochs + 1):
         first = KIND_REGISTER if epoch == 1 else KIND_CLAIM
         for user in range(n):
-            txs.append(_new(BlockTx, (block, first, user, None)))
+            txs.append((block, first, user, None))
             block += 1
         # One flat draw, split into consecutive m-tuples, one per user.
         vectors = zip(*[iter(draw_ints(rng, low, high, n * m))] * m)
         for user, vector in enumerate(vectors):
-            txs.append(_new(BlockTx, (block, KIND_DEMAND, user, vector)))
+            txs.append((block, KIND_DEMAND, user, vector))
             block += 1
     return txs
 
@@ -340,9 +335,9 @@ def _make_machine(config: SimConfig) -> AllocationMachine:
 
 def _execute(
     machine: AllocationMachine,
-    txs: Iterable[BlockTx],
+    txs: Iterable[tuple],
     cost_model: CostModel,
-) -> Iterator[TraceRecord]:
+) -> Iterator[tuple]:
     """Run one call per block, checking conservation as it goes, and
     yield each block's record once its checks have passed.
 
@@ -358,33 +353,30 @@ def _execute(
     ``SimulationError`` at its block, as does a transaction without
     exactly four fields, at the block its first field names; one with
     no first field, such as ``()``, ``None`` or an int, raises it with
-    no block, naming its position in the schedule.  The
-    harness keeps its own ledger from the calls' receipts: each user's
-    balance (a zero entry at registration, plus every claimed share) and
-    ``held``, their per-resource total, and runs the checks the module
-    docstring lists.  A pool's negative quantity is an explicit check,
-    since no ``ResourceVector`` is built; the recount compares every
-    balance in ``snapshot()`` with the ledger, then checks
-    ``accounting_gap``.  The transition count is read once per call
-    block and compared with the count after the last transition.
+    no block, naming its position in the schedule.  The harness keeps
+    its own ledger from the calls' receipts: each user's balance (a zero
+    entry at registration, plus every claimed share) and ``held``, their
+    per-resource total, and runs the checks the module docstring lists.
+    A pool's negative quantity is an explicit check, since no
+    ``ResourceVector`` is built; the recount compares every balance in
+    ``snapshot()`` with the ledger, then checks ``accounting_gap``.
 
     The pool and total checks remember the pool pair, the injected
     vector and ``held`` that last passed them, and run again only when
-    one of the three is a different object: on a claim, a transition
-    and the first block.  Tuples of ints cannot change behind an
-    unchanged identity, so an object that passed still would.  The pair
-    is remembered only while it and both pools are plain tuples, and
-    the injected vector only while it is a tuple; a list swapped in is
-    checked on every block.  A fault inside a call raises
-    ``SimulationError`` at that block: a wrong credit fails the caller's
-    balance check, and a pool losing units, units moved between the
-    pools until one is negative, or a changed injected total must
-    replace one of the three.  A non-caller's balance changed outside
-    any call is not seen per block; it raises at that user's next call,
-    the next transition or the final block, whichever comes first, and
-    so does one driven negative, since neither comparison validates a
-    balance.  This is the one fault a full recount on every block would
-    catch sooner, on the next block, at O(n) per block.
+    one of the three is a different object: on a claim, a transition and
+    the first block, since tuples of ints cannot change behind an
+    unchanged identity.  The pair is remembered only while it and both
+    pools are plain tuples, and the injected vector only while it is a
+    tuple; a list swapped in is checked on every block.  A fault inside
+    a call raises ``SimulationError`` at that block: a wrong credit
+    fails the caller's balance check, and a pool losing units, units
+    moved between the pools until one is negative, or a changed injected
+    total must replace one of the three.  A non-caller's balance changed
+    outside any call is not seen per block; it raises at that user's
+    next call, the next transition or the final block, whichever comes
+    first, and so does one driven negative, since neither comparison
+    validates a balance.  This is the one fault a full recount on every
+    block would catch sooner, on the next block, at O(n) per block.
 
     A record keeps the epoch, both pools and the cycle count from that
     ``caller_snapshot``, but no balance.  The pools are the machine's
@@ -395,9 +387,10 @@ def _execute(
     is the sum of that run's claimed shares, which ``replay`` compares
     block by block.  So up to the first block where a share differs or a
     check raises, both runs' balances are equal, and the record needs no
-    per-user state.
+    per-user state.  A record is a tuple literal in ``TraceRecord``'s
+    layout, which the GC untracks once it has untracked the pools.
     """
-    txs = list(txs)
+    txs = tuple(txs)
     last = len(txs) - 1
     m = machine.config.resource_count
     zeros = (0,) * m
@@ -476,10 +469,10 @@ def _execute(
                     if balance != expected:
                         raise _balance_error(block, uid, balance, expected)
             _check_gap(block, accounting_gap(machine))
-        yield _new(TraceRecord, (
+        yield (
             tx, epoch, vector, task_count, clamped, cost_units, update_cost,
             reserves, cycle_count,
-        ))
+        )
 
 
 def _malformed_error(index: int, tx: object) -> SimulationError:
@@ -514,9 +507,11 @@ def run_simulation(
     config: SimConfig, cost_model: CostModel = DEFAULT_COST_MODEL
 ) -> Trace:
     """Drive a full schedule and return the recorded trace."""
-    machine = _make_machine(config)
-    txs = build_schedule(config)
-    records = tuple(_execute(machine, txs, cost_model))
+    records = _execute(_make_machine(config), build_schedule(config), cost_model)
+    # Held in 1,024-record tuples, which the GC untracks, so no tracked
+    # container holds every record.
+    chunks = list(iter(lambda: tuple(islice(records, 1024)), ()))
+    records = tuple(chain.from_iterable(chunks))
     header = {
         "format": TRACE_FORMAT,
         "generator": GENERATOR_ID,
@@ -526,9 +521,10 @@ def run_simulation(
     return Trace(header=header, records=records)
 
 
-# The record fields ``replay`` compares, in the order it names them.
-_COMPARED_FIELDS = (
-    "epoch", "vector", "task_count", "clamped", "reserves", "cycle_count"
+# (position, name) of each record field ``replay`` compares, in order.
+_COMPARED_FIELDS = tuple(
+    (index, name) for index, name in enumerate(TraceRecord._fields)
+    if name not in ("tx", "cost_units", "update_cost")
 )
 
 
@@ -544,15 +540,15 @@ def replay(trace: Trace, cost_model: CostModel = DEFAULT_COST_MODEL) -> ReplayRe
     are compared field by field, which also names the field.
     """
     fresh_records = _execute(
-        _make_machine(trace.config), (rec.tx for rec in trace.records), cost_model
+        _make_machine(trace.config), (rec[0] for rec in trace.records), cost_model
     )
     try:
         for fresh, recorded in zip(fresh_records, trace.records):
             if fresh == recorded:
                 continue
-            for name in _COMPARED_FIELDS:
-                if getattr(fresh, name) != getattr(recorded, name):
-                    block = recorded.tx.block
+            for index, name in _COMPARED_FIELDS:
+                if fresh[index] != recorded[index]:
+                    block = recorded[0][0]
                     return ReplayResult(False, block, f"{name} diverged at block {block}")
     except SimulationError as exc:
         return ReplayResult(False, exc.block, str(exc))
@@ -591,15 +587,17 @@ def crosscheck_trace(trace: Trace) -> CrosscheckReport:
     demands_by_epoch: dict[int, dict[int, tuple[int, ...]]] = {}
     pool_by_epoch: dict[int, tuple[int, ...]] = {}
     claims_by_epoch: dict[int, dict[int, int]] = {}
-    for rec in trace.records:
-        if rec.tx.kind == KIND_DEMAND:
-            assert rec.vector is not None
-            demands_by_epoch.setdefault(rec.epoch, {})[rec.tx.user] = rec.vector
+    for (_, kind, user, _), epoch, vector, task_count, _, _, _, reserves, _ in (
+        trace.records
+    ):
+        if kind == KIND_DEMAND:
+            assert vector is not None
+            demands_by_epoch.setdefault(epoch, {})[user] = vector
             # The epoch's first demand block records the pool it was read from.
-            pool_by_epoch.setdefault(rec.epoch, rec.reserves[(rec.epoch + 1) % 2])
-        elif rec.tx.kind == KIND_CLAIM:
-            assert rec.task_count is not None
-            claims_by_epoch.setdefault(rec.epoch, {})[rec.tx.user] = rec.task_count
+            pool_by_epoch.setdefault(epoch, reserves[(epoch + 1) % 2])
+        elif kind == KIND_CLAIM:
+            assert task_count is not None
+            claims_by_epoch.setdefault(epoch, {})[user] = task_count
 
     epochs_checked = 0
     claims_checked = 0
@@ -639,27 +637,28 @@ def write_trace_file(trace: Trace, path: str) -> None:
         fh.write("# " + json.dumps(trace.header, sort_keys=True) + "\n")
         fh.writelines(
             "%d %d %s %d %s %d %d\n" % (
-                rec.tx.block, rec.epoch, rec.tx.kind, rec.tx.user,
-                vec_format % rec.vector if rec.vector else "-",
-                rec.cost_units, rec.clamped,
+                block, epoch, kind, user, vec_format % vector if vector else "-",
+                cost_units, clamped,
             )
-            for rec in trace.records
+            for (block, kind, user, _), epoch, vector, _, clamped, cost_units, _, _, _
+            in trace.records
         )
 
 
 COST_CSV_COLUMNS = CostRecord._fields
 
 
-def write_cost_csv(records: Iterable[CostRecord], path: str) -> None:
+def write_cost_csv(records: Iterable[tuple], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(COST_CSV_COLUMNS)
         writer.writerows(records)
 
 
-def read_cost_csv(path: str) -> list[CostRecord]:
-    """Rows written by ``write_cost_csv``; ValueError names the first bad line."""
-    out: list[CostRecord] = []
+def read_cost_csv(path: str) -> list[tuple]:
+    """Rows written by ``write_cost_csv``, as plain tuples like
+    ``Trace.costs``; ValueError names the first bad line."""
+    out: list[tuple] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != list(COST_CSV_COLUMNS):
@@ -674,7 +673,7 @@ def read_cost_csv(path: str) -> list[CostRecord]:
                 )
             kind, *numbers = row
             try:
-                out.append(CostRecord(kind, *map(int, numbers)))
+                out.append((kind, *map(int, numbers)))
             except ValueError as exc:
                 raise ValueError(f"line {reader.line_num}: {exc}") from None
     return out

@@ -20,7 +20,6 @@ from .chainsim import (
     KIND_UPDATE,
     WARMUP_EPOCHS,
     CostModel,
-    CostRecord,
     SimConfig,
     SimulationError,
     crosscheck_trace,
@@ -226,7 +225,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     csv_path = os.path.join(args.out, "costs.csv")
     rows_per_trace: list[int] = []
 
-    def costs() -> Iterator[CostRecord]:
+    def costs() -> Iterator[tuple]:
         # Stream each trace's rows; drop the trace before the next run.
         for m, trial, trace in runs:
             path = os.path.join(args.out, f"trace_m{m}_trial{trial}.txt")
@@ -390,9 +389,9 @@ def cmd_costfit(args: argparse.Namespace) -> int:
     fits: dict[str, tuple[RegressionFit, RegressionFit]] = {}
     for kind in (KIND_DEMAND, KIND_CLAIM, KIND_UPDATE):
         by_m: dict[int, list[int]] = {}
-        for rec in records:
-            if rec.call_kind == kind and rec.epoch > WARMUP_EPOCHS:
-                by_m.setdefault(rec.m, []).append(rec.cost_units)
+        for call_kind, m, epoch, _, cost_units in records:
+            if call_kind == kind and epoch > WARMUP_EPOCHS:
+                by_m.setdefault(m, []).append(cost_units)
         if not by_m:
             continue
         points = [(m, cost) for m, costs in by_m.items() for cost in costs]

@@ -172,7 +172,9 @@ def test_criterion_6_cost_structure():
     for m in (2, 5, 10, 20):
         trace = run_simulation(SimConfig(users=3, resources=m, epochs=4, seed=1))
         claim_points.extend(
-            (c.m, c.cost_units) for c in trace.costs if c.call_kind == KIND_CLAIM
+            (m, cost_units)
+            for call_kind, m, _, _, cost_units in trace.costs
+            if call_kind == KIND_CLAIM
         )
     sim_fit = fit_linear(claim_points)
     residuals = [

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import gc
 import hashlib
 import random
 
@@ -41,7 +42,7 @@ from fairpool.machine import ClaimReceipt, DemandRecord
 
 def test_schedule_structure_two_users_two_epochs():
     txs = build_schedule(SimConfig(users=2, resources=2, epochs=2, seed=0))
-    kinds = [tx.kind for tx in txs]
+    kinds = [kind for _, kind, _, _ in txs]
     assert kinds == [
         KIND_REGISTER,
         KIND_REGISTER,
@@ -52,12 +53,12 @@ def test_schedule_structure_two_users_two_epochs():
         KIND_DEMAND,
         KIND_DEMAND,
     ]
-    assert [tx.block for tx in txs] == list(range(1, 9))
+    assert [block for block, _, _, _ in txs] == list(range(1, 9))
 
 
 def test_schedule_minimal():
     txs = build_schedule(SimConfig(users=1, resources=1, epochs=1, seed=0))
-    assert [tx.kind for tx in txs] == [KIND_REGISTER, KIND_DEMAND]
+    assert [kind for _, kind, _, _ in txs] == [KIND_REGISTER, KIND_DEMAND]
 
 
 def test_schedule_total_blocks():
@@ -125,13 +126,14 @@ def _schedule_drawn_by_randrange(config):
 def test_schedule_draws_what_randrange_draws(config):
     txs = build_schedule(config)
     assert txs == _schedule_drawn_by_randrange(config)
-    assert all(type(tx.vector) is tuple for tx in txs if tx.kind == KIND_DEMAND)
+    demands = [vector for _, kind, _, vector in txs if kind == KIND_DEMAND]
+    assert all(type(vector) is tuple for vector in demands)
 
 
 def test_epoch_updates_fire_on_first_claim_of_each_epoch():
     config = SimConfig(users=3, resources=2, epochs=4, seed=2)
     trace = run_simulation(config)
-    updates = [c for c in trace.costs if c.call_kind == KIND_UPDATE]
+    updates = [CostRecord._make(c) for c in trace.costs if c[0] == KIND_UPDATE]
     assert len(updates) == config.epochs - 1
     assert [u.epoch for u in updates] == [2, 3, 4]
     # the update always rides on user 0's claim, the first call of the epoch
@@ -176,6 +178,11 @@ def test_record_fields_are_fixed_and_immutable(record, fields):
     assert changed[:1] + changed[2:] == record[:1] + record[2:]
 
 
+def _named(rec):
+    """A record's named view, with its transaction named too."""
+    return TraceRecord._make(rec)._replace(tx=BlockTx._make(rec[0]))
+
+
 def _assert_well_formed(record, cls):
     # Records built with tuple.__new__ skip the NamedTuple's arity check.
     assert type(record) is cls
@@ -186,8 +193,6 @@ def _assert_well_formed(record, cls):
 def test_records_built_on_hot_paths_are_well_formed(monkeypatch):
     config = SimConfig(users=3, resources=2, epochs=3, seed=5)
     schedule = build_schedule(config)
-    for tx in schedule:
-        _assert_well_formed(tx, BlockTx)
     built = []
     for method in ("demand", "claim"):
         original = getattr(AllocationMachine, method)
@@ -198,17 +203,55 @@ def test_records_built_on_hot_paths_are_well_formed(monkeypatch):
 
         monkeypatch.setattr(AllocationMachine, method, recorded)
     trace = run_simulation(config)
-    assert [rec.tx for rec in trace.records] == schedule
+    assert [rec[0] for rec in trace.records] == schedule
+    assert len(trace.costs) == 2 + 9 + 6
     kinds = collections.Counter(type(r) for r in built)
     assert (kinds[DemandRecord], kinds[ClaimReceipt]) == (9, 6)
     for record in built:
         assert type(record) in (DemandRecord, ClaimReceipt)
         _assert_well_formed(record, type(record))
-    for rec in trace.records:
-        _assert_well_formed(rec, TraceRecord)
-    assert len(trace.costs) == 2 + 9 + 6
-    for row in trace.costs:
-        _assert_well_formed(row, CostRecord)
+
+
+def _collect():
+    """Full collections until every untrackable tuple is untracked.
+
+    CPython untracks a tuple only when none of its items is tracked, and
+    a collection can visit a tuple before the tuples inside it, so each
+    collection may untrack one level.  A trace's records tuple nests four
+    deep: records, record, pool pair, pool.
+    """
+    for _ in range(4):
+        gc.collect()
+
+
+def test_kept_records_and_cost_rows_are_untracked_plain_tuples():
+    trace = run_simulation(SimConfig(users=4, resources=3, epochs=4, seed=2))
+    costs = trace.costs
+    _collect()
+    assert len(trace.records) == 32 and len(costs) == 4 * 4 + 4 * 3 + 3
+    rows = [(rec, TraceRecord) for rec in trace.records]
+    rows += [(rec[0], BlockTx) for rec in trace.records]
+    rows += [(row, CostRecord) for row in costs]
+    for row, layout in rows:
+        assert type(row) is tuple
+        assert len(row) == len(layout._fields)
+        assert not gc.is_tracked(row)
+
+
+def test_a_kept_trace_tracks_as_many_objects_at_any_length():
+    def tracked_objects_added(config):
+        _collect()
+        before = len(gc.get_objects())
+        trace = run_simulation(config)
+        _collect()
+        added = len(gc.get_objects()) - before
+        assert len(trace.records) == 2 * 20 * config.epochs
+        return added
+
+    short = SimConfig(users=20, resources=3, epochs=3)
+    tracked_objects_added(short)  # warm-up: first-call caches
+    added = tracked_objects_added(short)
+    assert tracked_objects_added(dataclasses.replace(short, epochs=12)) == added
 
 
 # --- simulation ----------------------------------------------------------------
@@ -218,7 +261,7 @@ def test_epoch_reserve_scales_with_users():
     config = SimConfig(users=10, resources=2, epochs=2, per_user_reserve=150, seed=0)
     assert config.epoch_reserve == ResourceVector([1500, 1500])
     trace = run_simulation(config)
-    first = trace.records[0]
+    first = TraceRecord._make(trace.records[0])
     assert first.reserves[0] == (1500, 1500)
 
 
@@ -235,7 +278,7 @@ def test_single_user_fixed_demand_closed_form():
         seed=0,
     )
     trace = run_simulation(config)
-    claims = [r for r in trace.records if r.tx.kind == KIND_CLAIM]
+    claims = [TraceRecord._make(r) for r in trace.records if r[0][1] == KIND_CLAIM]
     assert len(claims) == 1
     assert claims[0].task_count == 150
     assert claims[0].vector == (150,)
@@ -303,10 +346,8 @@ GOLDEN_RECORDS = ((1, None, None, False, 0),) * 8 + (
 
 def test_golden_trace(tmp_path):
     trace = run_simulation(GOLDEN_CONFIG)
-    assert tuple(
-        (r.epoch, r.vector, r.task_count, r.clamped, r.cost_units)
-        for r in trace.records
-    ) == GOLDEN_RECORDS
+    # epoch, vector, task_count, clamped, cost_units
+    assert tuple(rec[1:6] for rec in trace.records) == GOLDEN_RECORDS
     path = tmp_path / "golden.txt"
     write_trace_file(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256
@@ -345,7 +386,7 @@ BENCH_COST_CSV_SHA256 = "bc24ff0ade365afa0fe6123deffd073b35732d7ed754c8ebe4296e8
 
 def test_benchmark_size_outputs_are_pinned(tmp_path):
     trace = run_simulation(BENCH_CONFIG)
-    assert sum(r.update_cost is not None for r in trace.records) == 10
+    assert sum(r[6] is not None for r in trace.records) == 10  # update_cost
     path = tmp_path / "trace.txt"
     write_trace_file(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == BENCH_TRACE_SHA256
@@ -370,13 +411,13 @@ def test_trace_determinism_and_replay():
 def test_replay_detects_tampered_share():
     config = SimConfig(users=2, resources=2, epochs=3, seed=4)
     trace = run_simulation(config)
+    records = [_named(r) for r in trace.records]
     idx, victim = next(
         (i, r)
-        for i, r in enumerate(trace.records)
+        for i, r in enumerate(records)
         if r.tx.kind == KIND_CLAIM and r.vector and any(r.vector)
     )
     tampered_vec = (victim.vector[0] + 1,) + victim.vector[1:]
-    records = list(trace.records)
     records[idx] = victim._replace(vector=tampered_vec)
     tampered = dataclasses.replace(trace, records=tuple(records))
     result = replay(tampered)
@@ -389,7 +430,7 @@ def test_replay_reports_the_first_diverging_block():
     # replay stops at block k, before it reaches the invalid call.
     config = SimConfig(users=2, resources=2, epochs=3, seed=4)
     trace = run_simulation(config)
-    records = list(trace.records)
+    records = [_named(r) for r in trace.records]
     k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_CLAIM)
     records[k] = records[k]._replace(task_count=records[k].task_count + 1)
     later = records[-1]
@@ -416,7 +457,7 @@ _TAMPER = {
 @pytest.mark.parametrize("field_name", list(_TAMPER))
 def test_replay_names_the_one_tampered_field(field_name):
     trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
-    records = list(trace.records)
+    records = [_named(r) for r in trace.records]
     k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_CLAIM)
     records[k] = records[k]._replace(**{field_name: _TAMPER[field_name](records[k])})
     result = replay(dataclasses.replace(trace, records=tuple(records)))
@@ -430,7 +471,7 @@ def test_replay_under_another_cost_model_names_the_tampered_field(field_name):
     # Every record's cost differs from the replay's, so no whole record
     # compares equal and each block falls back to comparing fields.
     trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
-    records = list(trace.records)
+    records = [_named(r) for r in trace.records]
     k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_CLAIM)
     records[k] = records[k]._replace(**{field_name: _TAMPER[field_name](records[k])})
     other = CostModel(claim=(1, 1), demand=(1, 47_245), update_state=(2, 3))
@@ -461,8 +502,8 @@ def test_decreasing_block_raises_at_that_block():
     config = SimConfig(users=2, resources=2, epochs=2, seed=6)
     txs = build_schedule(config)
     # user 1's claim, block 6, restamped before user 0's claim at block 5
-    assert (txs[5].kind, txs[5].block) == (KIND_CLAIM, 6)
-    txs[5] = txs[5]._replace(block=4)
+    assert (txs[5][1], txs[5][0]) == (KIND_CLAIM, 6)
+    txs[5] = BlockTx._make(txs[5])._replace(block=4)
     with pytest.raises(SimulationError, match="precedes the last block") as info:
         list(_execute(_make_machine(config), txs, CostModel()))
     assert info.value.block == 4
@@ -473,7 +514,7 @@ def test_schedule_law_demand_then_claim_next_epoch():
     trace = run_simulation(config)
     demands = {}  # (epoch, user) -> count
     claims = {}
-    for rec in trace.records:
+    for rec in map(_named, trace.records):
         key = (rec.epoch, rec.tx.user)
         if rec.tx.kind == KIND_DEMAND:
             demands[key] = demands.get(key, 0) + 1
@@ -490,8 +531,8 @@ def test_schedule_law_demand_then_claim_next_epoch():
 def test_replenishment_law():
     config = SimConfig(users=2, resources=2, epochs=6, per_user_reserve=50, seed=8)
     trace = run_simulation(config)
-    final = trace.records[-1].reserves
-    shares = [rec.vector for rec in trace.records if rec.tx.kind == KIND_CLAIM]
+    final = TraceRecord._make(trace.records[-1]).reserves
+    shares = [r.vector for r in map(_named, trace.records) if r.tx.kind == KIND_CLAIM]
     per_resource = config.users * config.per_user_reserve
     expected_injected = per_resource * config.epochs  # init + (epochs-1) refills
     for r in range(config.resources):
@@ -682,7 +723,7 @@ def test_full_recount_runs_once_per_transition_and_at_the_end(monkeypatch):
     for users in (20, 80):
         calls.clear()
         trace = run_simulation(SimConfig(users=users, resources=3, epochs=4, seed=16))
-        transitions = sum(1 for c in trace.costs if c.call_kind == KIND_UPDATE)
+        transitions = sum(1 for c in trace.costs if c[0] == KIND_UPDATE)
         assert transitions == 3
         assert calls == {"accounting_gap": transitions + 1, "snapshot": transitions + 1}
 
@@ -702,7 +743,7 @@ def test_no_record_holds_per_user_state(users):
                 walk(item)
 
     for rec in trace.records:
-        for value in rec.tx + rec[1:]:
+        for value in rec[0] + rec[1:]:
             walk(value)
 
 
@@ -710,7 +751,8 @@ def test_unchanged_pools_share_the_previous_records_tuple():
     # Register and most demand blocks leave both pools as they were; such
     # a record holds the previous record's pools object, not a copy.
     trace = run_simulation(SimConfig(users=6, resources=3, epochs=4, seed=17))
-    pairs = list(zip(trace.records, trace.records[1:]))
+    records = [_named(r) for r in trace.records]
+    pairs = list(zip(records, records[1:]))
     same = [b for a, b in pairs if a.reserves == b.reserves]
     assert len(same) > len(pairs) // 3
     assert all(a.reserves is b.reserves for a, b in pairs if a.reserves == b.reserves)
@@ -804,7 +846,8 @@ def test_claim_costs_affine_exact_across_sweep():
     for m in (2, 5, 10):
         trace = run_simulation(SimConfig(users=3, resources=m, epochs=4, seed=1), model)
         claim_costs = {
-            c.cost_units for c in trace.costs if c.call_kind == KIND_CLAIM
+            c.cost_units for c in map(CostRecord._make, trace.costs)
+            if c.call_kind == KIND_CLAIM
         }
         slope, intercept = model.claim
         assert claim_costs == {slope * m + intercept}
@@ -815,7 +858,7 @@ def test_demand_cost_spread_bounded_by_branch_term():
     config = SimConfig(users=8, resources=6, epochs=5, seed=2)
     trace = run_simulation(config, model)
     by_epoch: dict[int, list[int]] = {}
-    for c in trace.costs:
+    for c in map(CostRecord._make, trace.costs):
         if c.call_kind == KIND_DEMAND:
             by_epoch.setdefault(c.epoch, []).append(c.cost_units)
     for costs in by_epoch.values():
@@ -826,8 +869,9 @@ def test_warmup_surcharges_apply_to_first_calls_only():
     model = CostModel(demand_setup=1000, claim_setup=700, update_setup=300)
     config = SimConfig(users=2, resources=2, epochs=5, seed=3)
     trace = run_simulation(config, model)
+    costs = [CostRecord._make(c) for c in trace.costs]
     demand_costs = [
-        (c.epoch, c.cost_units) for c in trace.costs
+        (c.epoch, c.cost_units) for c in costs
         if c.call_kind == KIND_DEMAND and c.user == 0
     ]
     base = 13_616 * 2 + 47_245
@@ -835,14 +879,14 @@ def test_warmup_surcharges_apply_to_first_calls_only():
         surcharge = 1000 if epoch <= 2 else 0
         assert base <= cost - surcharge <= base + model.branch_unit
     claim_costs = [
-        (c.epoch, c.cost_units) for c in trace.costs
+        (c.epoch, c.cost_units) for c in costs
         if c.call_kind == KIND_CLAIM and c.user == 0
     ]
     claim_base = 15_130 * 2 + 36_486
     assert claim_costs[0] == (2, claim_base + 700)
     assert all(cost == claim_base for _, cost in claim_costs[1:])
     update_costs = [
-        c.cost_units for c in trace.costs if c.call_kind == KIND_UPDATE
+        c.cost_units for c in costs if c.call_kind == KIND_UPDATE
     ]
     update_base = 11_295 * 2 + 23_539
     assert update_costs[0] == update_base + 300
@@ -869,7 +913,7 @@ def test_trace_file_format(tmp_path):
 
 def _old_trace_lines(trace):
     """The trace file's block lines as ``str``-joined fields, for comparison."""
-    for rec in trace.records:
+    for rec in map(_named, trace.records):
         vec = ",".join(map(str, rec.vector)) if rec.vector else "-"
         yield (
             f"{rec.tx.block} {rec.epoch} {rec.tx.kind} {rec.tx.user} {vec} "
@@ -891,7 +935,9 @@ def test_cost_csv_round_trip(tmp_path):
     trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=11))
     path = tmp_path / "costs.csv"
     write_cost_csv(trace.costs, str(path))
-    assert read_cost_csv(str(path)) == list(trace.costs)
+    rows = read_cost_csv(str(path))
+    assert rows == list(trace.costs)
+    assert all(type(row) is tuple for row in rows + list(trace.costs))
     header = path.read_text().splitlines()[0]
     assert header == "call_kind,m,epoch,user,cost_units"
 
@@ -931,9 +977,9 @@ def test_crosscheck_skips_claims_without_recorded_demands():
     trace = run_simulation(SimConfig(users=5, resources=3, epochs=6, seed=12))
     full = crosscheck_trace(trace)
     kept = tuple(
-        r for r in trace.records if not (r.tx.kind == KIND_DEMAND and r.epoch == 3)
+        r for r in trace.records if not (r[0][1] == KIND_DEMAND and r[1] == 3)
     )
-    skipped = sum(r.tx.kind == KIND_CLAIM and r.epoch == 4 for r in trace.records)
+    skipped = sum(r[0][1] == KIND_CLAIM and r[1] == 4 for r in trace.records)
     report = crosscheck_trace(dataclasses.replace(trace, records=kept))
     assert skipped == 5 and len(kept) == len(trace.records) - 5
     assert report.epochs_checked == full.epochs_checked - 1 == 4
@@ -964,7 +1010,8 @@ def test_one_update_state_call_per_demand_or_claim_block(monkeypatch):
 
     monkeypatch.setattr(AllocationMachine, "update_state", counted)
     trace = run_simulation(FAULT_CONFIG)
-    blocks = [r.tx.block for r in trace.records if r.tx.kind != KIND_REGISTER]
+    blocks = [rec.tx.block for rec in map(_named, trace.records)
+              if rec.tx.kind != KIND_REGISTER]
     assert len(blocks) == 28
     assert calls == blocks
 
@@ -979,7 +1026,7 @@ def test_one_vector_check_per_demand_and_none_per_claim(monkeypatch):
 
     monkeypatch.setattr(ResourceVector, "__init__", counted)
     trace = run_simulation(SimConfig(users=20, resources=3, epochs=4, seed=1))
-    kinds = collections.Counter(r.tx.kind for r in trace.records)
+    kinds = collections.Counter(r[0][1] for r in trace.records)
     assert (kinds[KIND_DEMAND], kinds[KIND_CLAIM]) == (80, 60)
     # One entry check per demand, one total_injected per transition (3)
     # and the config's epoch reserve; claims return plain tuples.
@@ -988,7 +1035,7 @@ def test_one_vector_check_per_demand_and_none_per_claim(monkeypatch):
 
 def test_replay_returns_a_simulation_error_as_its_result():
     trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
-    records = list(trace.records)
+    records = [_named(r) for r in trace.records]
     last = records[-1]
     records[-1] = last._replace(
         tx=last.tx._replace(user=99)  # never registered
@@ -1032,7 +1079,7 @@ def test_replay_names_the_block_of_a_demand_that_fails_its_entry_check(
     vector, message
 ):
     trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
-    records = list(trace.records)
+    records = [_named(r) for r in trace.records]
     k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_DEMAND)
     records[k] = records[k]._replace(tx=records[k].tx._replace(vector=vector))
     result = replay(dataclasses.replace(trace, records=tuple(records)))
@@ -1043,7 +1090,7 @@ def test_replay_names_the_block_of_a_demand_that_fails_its_entry_check(
 @pytest.mark.parametrize("tx", [(), 5, None], ids=["empty", "int", "none"])
 def test_replay_names_the_position_of_a_transaction_with_no_block(tx):
     trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
-    records = list(trace.records)
+    records = [_named(r) for r in trace.records]
     k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_DEMAND)
     records[k] = records[k]._replace(tx=tx)
     result = replay(dataclasses.replace(trace, records=tuple(records)))
@@ -1060,7 +1107,7 @@ def test_replay_names_the_position_of_a_transaction_with_no_block(tx):
 )
 def test_replay_names_the_block_of_a_transaction_of_the_wrong_arity(fields):
     trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
-    records = list(trace.records)
+    records = [_named(r) for r in trace.records]
     k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_DEMAND)
     records[k] = records[k]._replace(tx=fields(tuple(records[k].tx)))
     result = replay(dataclasses.replace(trace, records=tuple(records)))
@@ -1112,7 +1159,7 @@ def test_cost_model_rejects_a_resource_count_below_1():
 
 def test_replay_names_the_block_of_an_unknown_call_kind():
     trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
-    records = list(trace.records)
+    records = [_named(r) for r in trace.records]
     k = next(i for i, r in enumerate(records) if r.tx.kind == KIND_DEMAND)
     records[k] = records[k]._replace(tx=records[k].tx._replace(kind="withdraw"))
     result = replay(dataclasses.replace(trace, records=tuple(records)))
