@@ -10,17 +10,18 @@ The harness checks conservation against its own ledger of claimed
 shares.  Every block it checks, in O(m), what the call can change: the
 caller's balance must equal its ledger entry, the two pools must hold no
 negative quantity, and the pools plus the ledger's total must equal
-everything injected.  It reads these with one ``caller_snapshot`` call,
-as plain tuples.  The pool and total checks run only where one of their
-inputs is a new object: the machine's stored pool pair, its injected
-total, or the ledger's total.  Claims and transitions replace them; a
-demand block replaces none, so it would re-check the same immutable
-tuples, and a fault that moves units must replace one.  On each epoch
-transition and on the last block it also recounts every balance, O(n),
-so a run costs O(m) per block averaged over an epoch.  A trace record is
-flat and holds no per-user state: the call's outcome and cost, then the
-epoch, both pools and the cycle count after the call.  Balances are
-checked but not recorded, since the claimed shares imply them.
+everything injected.  It reads these from ``caller_snapshot`` and
+``total_injected()``, as plain tuples.  The pool and total checks run
+only where one of their inputs is a new object: the machine's stored
+pool pair, its injected total, or the ledger's total.  Claims and
+transitions replace them; a demand block replaces none, so it would
+re-check the same immutable tuples, and a fault that moves units must
+replace one.  On each epoch transition and on the last block it also
+recounts every balance, O(n), so a run costs O(m) per block averaged
+over an epoch.  A trace record is flat and holds no per-user state: the
+call's outcome and cost, then the epoch, both pools and the cycle count
+after the call.  Balances are checked but not recorded, since the
+claimed shares imply them.
 
 Transactions, records and cost rows are exact tuples laid out as the
 NamedTuples ``BlockTx``, ``TraceRecord`` and ``CostRecord`` and read by
@@ -124,7 +125,8 @@ class CostModel:
     deployment benchmarks.  ``branch_unit`` prices each update of the
     running reciprocal-share minimum during a demand call.  Setup
     surcharges model first-call buffer initialization and are off by
-    default.
+    default.  Each field must be an int, or for a call kind a pair of
+    ints, a list stored as a tuple; anything else raises ValueError.
     """
 
     claim: tuple[int, int] = (15_130, 36_486)
@@ -136,6 +138,14 @@ class CostModel:
     update_setup: int = 0  # added to the first executed transition
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            pair = type(f.default) is tuple
+            values = tuple(value) if pair and isinstance(value, (list, tuple)) else (value,)
+            if len(values) != 1 + pair or any(type(v) is not int for v in values):
+                want = "a pair of integers" if pair else "an integer"
+                raise ValueError(f"cost coefficient {f.name!r} must be {want}: {value!r}")
+            object.__setattr__(self, f.name, values if pair else value)
         # Call kind -> ((slope, intercept), setup surcharge, first calls
         # that pay it), read once per model.  Not a field, so ``fields``,
         # ``asdict``, ``==`` and the repr see only the coefficients.
@@ -170,24 +180,15 @@ class CostModel:
     def from_overrides(cls, overrides: object) -> "CostModel":
         """Defaults with ``overrides`` (keyed as in ``as_dict``) applied.
 
-        Raises ValueError unless ``overrides`` is an object whose values
-        are integers, or two-integer pairs for the per-kind keys.
+        Raises ValueError unless ``overrides`` is an object of known keys.
         """
         if not isinstance(overrides, Mapping):
             raise ValueError(f"cost coefficients must be an object, got {overrides!r}")
-        defaults = {f.name: f.default for f in fields(cls)}
-        kwargs: dict[str, object] = {}
-        for key, value in overrides.items():
-            if key not in defaults:
+        names = {f.name for f in fields(cls)}
+        for key in overrides:
+            if key not in names:
                 raise ValueError(f"unknown cost coefficient {key!r}")
-            pair = type(defaults[key]) is tuple
-            values = value if pair else [value]
-            shaped = not pair or isinstance(value, (list, tuple)) and len(value) == 2
-            if not shaped or any(type(v) is not int for v in values):
-                want = "a pair of integers" if pair else "an integer"
-                raise ValueError(f"cost coefficient {key!r} must be {want}: {value!r}")
-            kwargs[key] = tuple(values) if pair else value
-        return cls(**kwargs)
+        return cls(**overrides)
 
 
 DEFAULT_COST_MODEL = CostModel()
@@ -297,8 +298,8 @@ def build_schedule(config: SimConfig) -> list[tuple]:
     """One call per block: epoch 1 registers then demands, later epochs
     claim then demand.  Demand vectors are drawn fresh every epoch from
     the seeded generator, so the schedule is fully determined by the
-    config.  They are plain tuples; ``_execute`` checks each one where
-    it enters the machine, so a replayed schedule is checked too.
+    config.  They are plain tuples; the machine checks each one, so a
+    replayed schedule is checked too.
 
     Each epoch's components are one ``draw_ints`` call: the values of
     ``randint(demand_low, demand_high)``, user by user and component by
@@ -348,18 +349,18 @@ def _execute(
     transition's is the machine's transition count, since every run
     starts from a fresh machine.
 
-    A demand's vector is checked as a ``ResourceVector`` where it enters
-    the machine; a missing, non-iterable or invalid one raises
-    ``SimulationError`` at its block, as does a transaction without
-    exactly four fields, at the block its first field names; one with
-    no first field, such as ``()``, ``None`` or an int, raises it with
-    no block, naming its position in the schedule.  The harness keeps
-    its own ledger from the calls' receipts: each user's balance (a zero
-    entry at registration, plus every claimed share) and ``held``, their
-    per-resource total, and runs the checks the module docstring lists.
-    A pool's negative quantity is an explicit check, since no
-    ``ResourceVector`` is built; the recount compares every balance in
-    ``snapshot()`` with the ledger, then checks ``accounting_gap``.
+    The machine checks each demand's vector, so a missing, non-iterable
+    or invalid one raises ``SimulationError`` at its block, as does a
+    transaction without exactly four fields, at the block its first
+    field names; one with no first field, such as ``()``, ``None`` or an
+    int, raises it with no block, naming its position in the schedule.
+    The harness keeps its own ledger from the calls' receipts: each
+    user's balance (a zero entry at registration, plus every claimed
+    share) and ``held``, their per-resource total, and runs the checks
+    the module docstring lists.  A pool's negative quantity is an
+    explicit check, since no ``ResourceVector`` is built; the recount
+    compares every balance in ``snapshot()`` with the ledger, then
+    checks ``accounting_gap``.
 
     The pool and total checks remember the pool pair, the injected
     vector and ``held`` that last passed them, and run again only when
@@ -417,15 +418,8 @@ def _execute(
                 ledger[user] = zeros
             elif kind in calls:
                 branch_events = 0
-                if kind == KIND_DEMAND:
-                    # The entry check; the record shares the schedule's tuple.
-                    if vector is None:
-                        raise SimulationError(block, "demand carries no vector")
-                    try:
-                        checked = ResourceVector(vector)
-                    except (TypeError, ValueError) as exc:  # not iterable, or invalid
-                        raise SimulationError(block, str(exc)) from exc
-                    branch_events = machine.demand(user, checked, block).min_updates
+                if kind == KIND_DEMAND:  # the record shares the schedule's tuple
+                    branch_events = machine.demand(user, vector, block).min_updates
                 else:
                     _, _, task_count, vector, clamped = machine.claim(user, block)
                     ledger[user] = tuple(map(add, ledger[user], vector))

@@ -9,7 +9,6 @@ import os
 import random
 import sys
 from collections import Counter
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .alloc import compare_pdrf_drf
@@ -384,20 +383,17 @@ def cmd_costfit(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot load {args.csv_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # Per kind, on stabilized records: a fit of the raw points and one of
-    # the per-m means.
-    fits: dict[str, tuple[RegressionFit, RegressionFit]] = {}
+    # One fit per kind, of its stabilized records.
+    fits: dict[str, RegressionFit] = {}
     for kind in (KIND_DEMAND, KIND_CLAIM, KIND_UPDATE):
-        by_m: dict[int, list[int]] = {}
-        for call_kind, m, epoch, _, cost_units in records:
-            if call_kind == kind and epoch > WARMUP_EPOCHS:
-                by_m.setdefault(m, []).append(cost_units)
-        if not by_m:
+        points = [
+            (m, cost_units) for call_kind, m, epoch, _, cost_units in records
+            if call_kind == kind and epoch > WARMUP_EPOCHS
+        ]
+        if not points:
             continue
-        points = [(m, cost) for m, costs in by_m.items() for cost in costs]
-        means = [(m, Fraction(sum(costs), len(costs))) for m, costs in by_m.items()]
         try:
-            fits[kind] = fit_linear(points), fit_linear(means)
+            fits[kind] = fit_linear(points)
         except ValueError:
             print(
                 f"cannot fit: {kind}: need records at two or more distinct "
@@ -409,12 +405,10 @@ def cmd_costfit(args: argparse.Namespace) -> int:
         print("no stabilized cost records found", file=sys.stderr)
         return EXIT_USAGE
     payload: dict[str, dict] = {}
-    for kind, (fit, mean_fit) in fits.items():
+    for kind, fit in fits.items():
         print(
             f"{kind}: cost = {float(fit.slope):.3f} * m + "
-            f"{float(fit.intercept):.3f}  (R^2 = {float(fit.r_squared):.8f}; "
-            f"per-m means: {float(mean_fit.slope):.3f} * m + "
-            f"{float(mean_fit.intercept):.3f})"
+            f"{float(fit.intercept):.3f}  (R^2 = {float(fit.r_squared):.8f})"
         )
         if args.gas_limit:
             print(f"{kind}: largest m with fitted cost <= {args.gas_limit}: "
@@ -423,8 +417,6 @@ def cmd_costfit(args: argparse.Namespace) -> int:
             "slope": float(fit.slope),
             "intercept": float(fit.intercept),
             "r_squared": float(fit.r_squared),
-            "mean_slope": float(mean_fit.slope),
-            "mean_intercept": float(mean_fit.intercept),
         }
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from operator import add, gt, sub
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .vectors import ResourceVector, require_integers
 
@@ -154,7 +154,7 @@ class DemandRecord(NamedTuple):
 
     user: int
     epoch: int
-    vector: ResourceVector
+    vector: tuple[int, ...]  # the vector the machine stored
     recip_share: int
     min_updates: int
 
@@ -319,14 +319,26 @@ class AllocationMachine:
         self._last_block = block
         return True
 
-    def demand(self, user: int, vector: ResourceVector, block: int) -> DemandRecord:
+    def demand(self, user: int, vector: Iterable[int], block: int) -> DemandRecord:
         """Register a demand vector for the next epoch's claim round.
 
-        Each reciprocal candidate ``p * pool[r] // d`` is divided inline
-        after the operand check ``fixed_floor_div`` makes; that function
-        is called only for an operand the check rejects, so it raises
-        the same error, for the same resource, as calling it every time.
+        The vector is checked first, so a rejected one changes nothing: a
+        ``ResourceVector`` is kept as given; anything else is checked as
+        one, raising its message as ``MachineError``, and kept as an exact
+        tuple.  Each reciprocal candidate ``p * pool[r] // d`` is divided
+        inline after the operand check ``fixed_floor_div`` makes; that
+        function is called only for an operand the check rejects, so it
+        raises the same error, for the same resource, as calling it every
+        time.
         """
+        if not isinstance(vector, ResourceVector):
+            if vector is None:
+                raise MachineError("demand carries no vector")
+            try:
+                vector = tuple(vector)
+                ResourceVector(vector)
+            except (TypeError, ValueError) as exc:  # not iterable, or invalid
+                raise MachineError(str(exc)) from None
         try:
             i = self._users[user]
         except KeyError:

@@ -841,6 +841,33 @@ def test_cost_overrides_reject_malformed(overrides):
         CostModel.from_overrides(overrides)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CostModel(claim=(1.5, 2)),
+         "cost coefficient 'claim' must be a pair of integers: (1.5, 2)"),
+        (lambda: CostModel(branch_unit="3"),
+         "cost coefficient 'branch_unit' must be an integer: '3'"),
+        (lambda: CostModel(claim_setup=True),
+         "cost coefficient 'claim_setup' must be an integer: True"),
+        (lambda: dataclasses.replace(DEFAULT_COST_MODEL, demand=(1, 2, 3)),
+         "cost coefficient 'demand' must be a pair of integers: (1, 2, 3)"),
+    ],
+    ids=["fractional-pair", "string", "bool", "replace-triple"],
+)
+def test_cost_model_checks_every_coefficient_as_overrides_do(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def test_cost_model_stores_a_listed_pair_as_a_tuple():
+    model = CostModel(claim=[1, 2])
+    assert model == CostModel(claim=(1, 2))
+    assert type(model.claim) is tuple
+    assert CostModel.from_overrides({"claim": [1, 2]}) == model
+
+
 def test_claim_costs_affine_exact_across_sweep():
     model = CostModel()
     for m in (2, 5, 10):

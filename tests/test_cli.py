@@ -231,6 +231,7 @@ def test_costfit_recovers_every_override_through_the_warm_up(tmp_path, capsys):
     fits = json.loads((out / "costfit.json").read_text())
     assert sorted(fits) == ["claim", "demand", "update_state"]
     for kind, fit in fits.items():
+        assert list(fit) == ["slope", "intercept", "r_squared"]  # one fit per kind
         assert [fit["slope"], fit["intercept"]] == coefficients[kind]
         assert fit["r_squared"] == 1.0
 

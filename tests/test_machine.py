@@ -3,6 +3,7 @@ import copy
 import gc
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -965,7 +966,7 @@ def test_demand_reserve_operand_bound(reserve):
     "pool, vector",
     [
         ((9, -1), (1, 1)),  # a pool driven negative by a fault
-        ((9, 18), (1, -1)),  # an unchecked plain tuple
+        ((9, 18), (1, -1)),  # negative, typed past the entry check
         ((9, 18), (2**128, 1)),
         ((9, 18), (2**128, -1)),
         ((9, 18), (-1, 2**128)),
@@ -974,7 +975,9 @@ def test_demand_reserve_operand_bound(reserve):
 )
 def test_demand_raises_what_fixed_floor_div_raises_first(pool, vector):
     # The inline division check defers to fixed_floor_div, resource by
-    # resource, for every operand it rejects.
+    # resource, for every operand it rejects.  The vector is typed as a
+    # ResourceVector without its check, as a fault would store it, so
+    # the entry check passes it through.
     machine = make_machine()
     machine.register_user(0)
     machine._reserves = (pool, machine._reserves[1])
@@ -982,7 +985,7 @@ def test_demand_raises_what_fixed_floor_div_raises_first(pool, vector):
         for r, d in enumerate(vector):
             fixed_floor_div(P * pool[r], d)
     with pytest.raises(type(expected.value)) as got:
-        machine.demand(0, vector, 0)
+        machine.demand(0, tuple.__new__(ResourceVector, vector), 0)
     assert str(got.value) == str(expected.value)
     assert machine._demand_epoch[0] == [0]
 
@@ -1040,6 +1043,62 @@ def test_unregistered_user_error(call):
     assert str(raised.value) == "user 7 is not registered"
     assert raised.value.__cause__ is None and raised.value.__suppress_context__
     assert vars(machine) == before
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [(1.5, 2), (True, 1), [1, 2.0], ("1", 2), 5, None],
+    ids=["fractional", "bool", "list", "string", "non-iterable", "missing"],
+)
+@pytest.mark.parametrize("user", [0, 7], ids=["registered", "unregistered"])
+def test_demand_checks_its_vector_before_anything_else(vector, user):
+    # Block 4 starts epoch 2, so an accepted demand would transition.
+    machine = run_worked_epoch()
+    if vector is None:
+        message = "demand carries no vector"
+    else:
+        with pytest.raises((TypeError, ValueError)) as raised:
+            ResourceVector(vector)
+        message = str(raised.value)
+    before = vars(copy.deepcopy(machine))
+    with pytest.raises(MachineError) as got:
+        machine.demand(user, vector, 4)
+    assert type(got.value) is MachineError
+    assert str(got.value) == message
+    assert vars(machine) == before
+    assert machine.transitions == 0
+
+
+def test_a_list_demand_changed_after_the_call_leaves_the_claims_alone():
+    # README's worked example, demanding with lists its caller then changes.
+    machine = make_machine()
+    machine.register_user(0)
+    machine.register_user(1)
+    first, second = [1, 4], [3, 1]
+    machine.demand(0, first, 2)
+    machine.demand(1, second, 3)
+    first[1], second[1] = 6, 0
+    r0, r1 = machine.claim(0, 4), machine.claim(1, 5)
+    assert (r0.share, r0.clamped) == ((3, 12), False)
+    assert (r1.share, r1.clamped) == ((6, 2), False)
+
+
+def test_demand_keeps_a_plain_vector_as_an_exact_tuple():
+    machine = make_machine(es=6)
+    for user in range(3):
+        machine.register_user(user)
+    plain, listed, vector = tuple([1, 4]), [3, 1], ResourceVector([2, 2])
+    records = [
+        machine.demand(user, demand, user)
+        for user, demand in enumerate((plain, listed, vector))
+    ]
+    stored = machine._demand[0]  # epoch 1's demands, by user index
+    assert stored[0] is plain and stored[2] is vector
+    assert type(stored[1]) is tuple and stored[1] == (3, 1)
+    assert all(r.vector is kept for r, kept in zip(records, stored))
+    # The collector untracks an exact tuple of ints, never a subclass.
+    gc.collect()
+    assert not gc.is_tracked(stored[0]) and not gc.is_tracked(stored[1])
 
 
 @pytest.mark.parametrize("precision", [2**59 - 1, 2**59, 2**62])
@@ -1150,3 +1209,76 @@ def test_claim_share_overflow_leaves_state_unchanged():
     with pytest.raises(MachineOverflowError):
         machine.claim(0, 5)
     assert machine.snapshot() == before
+
+
+# --- O(m) per call, counted -----------------------------------------------------
+
+
+def _opcodes(call):
+    """Bytecodes run by ``call()`` and every Python frame it enters."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        count += event == "opcode"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def _walk_counted(base, walks):
+    """A subclass of ``base`` that counts iterations and ``in`` tests,
+    which a C loop such as ``sum`` or ``map`` runs with no bytecode."""
+
+    def __iter__(self):
+        walks[base.__name__, "__iter__"] += 1
+        return base.__iter__(self)
+
+    def __contains__(self, item):
+        walks[base.__name__, "__contains__"] += 1
+        return base.__contains__(self, item)
+
+    return type(f"Counted{base.__name__}", (base,), {
+        "__iter__": __iter__, "__contains__": __contains__,
+    })
+
+
+def _per_call_counts(n):
+    """Bytecodes per call at n users, for the same vectors and pools, with
+    every per-user container swapped for one that counts walks."""
+    machine = AllocationMachine(
+        MachineConfig(5, 2 * n, 0, ResourceVector([900, 1800, 2700, 3600, 4500]))
+    )
+    for user in range(n):
+        machine.register_user(user)
+    walks = collections.Counter()
+    counted_list, counted_dict = _walk_counted(list, walks), _walk_counted(dict, walks)
+    machine._users = counted_dict(machine._users)
+    for name in ("_demand", "_recip", "_demand_epoch"):
+        setattr(machine, name, [counted_list(c) for c in getattr(machine, name)])
+    machine._balance = counted_list(machine._balance)
+    machine._claim_epoch = counted_list(machine._claim_epoch)
+    vector = ResourceVector([3, 1, 4, 1, 5])
+    counts = {
+        "demand, plain tuple": _opcodes(lambda: machine.demand(0, (2, 7, 1, 8, 2), 1)),
+        "demand, vector": _opcodes(lambda: machine.demand(1, vector, 2)),
+        "update_state, no transition": _opcodes(lambda: machine.update_state(3)),
+        "claim, transition": _opcodes(lambda: machine.claim(0, 2 * n)),
+        "claim": _opcodes(lambda: machine.claim(1, 2 * n + 1)),
+    }
+    assert machine.transitions == 1
+    assert not walks, f"per-user containers walked at n = {n}: {dict(walks)}"
+    return counts
+
+
+def test_calls_run_as_many_bytecodes_at_any_user_count():
+    # The machine is O(m) per call with no loop over users: each call runs
+    # the same bytecodes at every n and never walks a per-user container.
+    # Counts differ between Python versions, so none is pinned.
+    assert _per_call_counts(10) == _per_call_counts(1_000) == _per_call_counts(100_000)
