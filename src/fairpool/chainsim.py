@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 from .alloc import pdrf_allocate, pdrf_task_counts  # noqa: F401
 from .machine import AllocationMachine, MachineConfig, MachineError, accounting_gap
 from .reference import reference_task_counts
-from .vectors import ResourceVector, require_integers
+from .vectors import ResourceVector, _not_integer, require_integers
 
 GENERATOR_ID = "python-random-mt19937"
 TRACE_FORMAT = "fairpool-trace-v1"
@@ -60,8 +60,8 @@ KIND_UPDATE = "update_state"
 class SimulationError(Exception):
     """Machine error with the offending block attached.
 
-    ``block`` is None for a transaction too malformed to name a block;
-    its message names the transaction's position in the schedule.
+    ``block`` is None for a transaction whose block is missing or not an
+    int; its message names the transaction's position in the schedule.
     """
 
     def __init__(self, block: int | None, message: str) -> None:
@@ -125,8 +125,9 @@ class CostModel:
     deployment benchmarks.  ``branch_unit`` prices each update of the
     running reciprocal-share minimum during a demand call.  Setup
     surcharges model first-call buffer initialization and are off by
-    default.  Each field must be an int, or for a call kind a pair of
-    ints, a list stored as a tuple; anything else raises ValueError.
+    default.  Each field must be an integer other than a bool, as
+    ``require_integers`` takes one, or for a call kind a pair of them, a
+    list stored as a tuple; anything else raises ValueError.
     """
 
     claim: tuple[int, int] = (15_130, 36_486)
@@ -142,7 +143,7 @@ class CostModel:
             value = getattr(self, f.name)
             pair = type(f.default) is tuple
             values = tuple(value) if pair and isinstance(value, (list, tuple)) else (value,)
-            if len(values) != 1 + pair or any(type(v) is not int for v in values):
+            if len(values) != 1 + pair or any(map(_not_integer, values)):
                 want = "a pair of integers" if pair else "an integer"
                 raise ValueError(f"cost coefficient {f.name!r} must be {want}: {value!r}")
             object.__setattr__(self, f.name, values if pair else value)
@@ -416,7 +417,7 @@ def _execute(
                 vector = None
                 machine.register_user(user)
                 ledger[user] = zeros
-            elif kind in calls:
+            elif kind == KIND_DEMAND or kind == KIND_CLAIM:
                 branch_events = 0
                 if kind == KIND_DEMAND:  # the record shares the schedule's tuple
                     branch_events = machine.demand(user, vector, block).min_updates
@@ -434,7 +435,7 @@ def _execute(
             else:
                 raise MachineError(f"unknown call kind {kind!r}")
         except MachineError as exc:
-            raise SimulationError(block, str(exc)) from exc
+            raise _error_at(index, block, str(exc)) from exc
         epoch, reserves, cycle_count, balance = machine.caller_snapshot(user)
         injected = machine.total_injected()
         if reserves is not passed[0] or injected is not passed[1] or held is not passed[2]:
@@ -469,12 +470,20 @@ def _execute(
         )
 
 
+def _error_at(index: int, block: object, message: str) -> SimulationError:
+    """The error at the ``index``-th transaction's block, or, for a block
+    that is not an int, at its position in the schedule."""
+    if _not_integer(block):
+        return SimulationError(None, f"transaction {index} of the schedule: {message}")
+    return SimulationError(block, message)
+
+
 def _malformed_error(index: int, tx: object) -> SimulationError:
     """The error for a transaction that does not unpack into four fields:
     at the block its first field names, or, for one with no first field
     or none at all, at its position in the schedule."""
     try:
-        return SimulationError(tx[0], f"transaction has {len(tx)} fields, not 4")
+        return _error_at(index, tx[0], f"transaction has {len(tx)} fields, not 4")
     except (TypeError, LookupError):
         return SimulationError(
             None, f"transaction {index} of the schedule has no block: {tx!r}"

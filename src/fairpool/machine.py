@@ -19,11 +19,11 @@ pool claims drain (``_reserves``, an immutable pair of tuples, replaced
 whole by a claim or a refill), the per-resource sum of demand times
 reciprocal share (``_sds``), and the minimum stored reciprocal, i.e. the
 largest dominant share among last epoch's demanders (``_max_recip``).
-Per user, one list per field, indexed through ``_users[user]``: per
-parity the demand vector, its reciprocal and its epoch (0 for none yet),
-then the balance and the epoch of the last claim.  Demands and balances
-are immutable tuples; every user shares one zeros tuple until it first
-demands or claims.  No pool, balance or claimed share is copied out.
+Per user, one list per field, indexed through ``_users[user]``: per parity
+the demand vector, its reciprocal (nonzero until a claim clears it) and
+its epoch (0 for none yet), then the balance.  Demands and balances are
+immutable tuples; every user shares one zeros tuple until it first demands
+or claims.  No pool, balance or claimed share is copied out.
 
 The cycle count is a single scalar recomputed at every epoch transition
 for the pool claims are about to drain.
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from operator import add, gt, sub
 from typing import Iterable, NamedTuple
 
-from .vectors import ResourceVector, require_integers
+from .vectors import ResourceVector, _not_integer, require_integers
 
 DEFAULT_PRECISION = 1_000_000
 
@@ -181,7 +181,6 @@ class AllocationMachine:
         self._recip: list[list[int]] = [[], []]
         self._demand_epoch: list[list[int]] = [[], []]
         self._balance: list[tuple[int, ...]] = []
-        self._claim_epoch: list[int] = []
         self._zeros = (0,) * m
         self._transitions = 0
         self._injected = config.epoch_reserve  # total_injected() before any transition
@@ -204,9 +203,7 @@ class AllocationMachine:
         return self._transitions
 
     def reserve_pool(self, parity: int) -> ResourceVector:
-        # An int, as ``require_integers`` takes one: 1.0 and True are not.
-        integer = isinstance(parity, int) and not isinstance(parity, bool)
-        if not integer or parity not in (0, 1):
+        if _not_integer(parity) or parity not in (0, 1):
             raise ValueError(f"pool parity must be 0 or 1, got {parity!r}")
         return ResourceVector(self._reserves[parity])
 
@@ -247,12 +244,14 @@ class AllocationMachine:
         )
 
     def register_user(self, user: int) -> None:
+        if _not_integer(user):
+            raise MachineError(f"user id must be an integer, got {user!r}")
         if user in self._users:
             raise MachineError(f"user {user} is already registered")
         self._users[user] = len(self._balance)
         for column in (*self._demand, self._balance):
             column.append(self._zeros)
-        for column in (*self._recip, *self._demand_epoch, self._claim_epoch):
+        for column in (*self._recip, *self._demand_epoch):
             column.append(0)
         if 2 * len(self._users) > self._cfg.epoch_span:
             warnings.warn(
@@ -280,9 +279,11 @@ class AllocationMachine:
         before anything is stored, so a ``MachineOverflowError`` leaves
         the state as it was, the epoch and the last block seen included.
 
-        A block in the current epoch at or past the last block seen needs
-        no check beyond its two bounds, so it returns at once.
+        A block that is not an int raises.  One in the current epoch at or
+        past the last block seen needs no other check, so it returns at once.
         """
+        if type(block) is not int and _not_integer(block):
+            raise MachineError(f"block must be an integer, got {block!r}")
         if self._last_block <= block < self._epoch_end:
             self._last_block = block
             return False
@@ -341,7 +342,7 @@ class AllocationMachine:
                 raise MachineError(str(exc)) from None
         try:
             i = self._users[user]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable id is not registered
             raise MachineError(f"user {user} is not registered") from None
         self.update_state(block)
         e = self._epoch
@@ -405,7 +406,7 @@ class AllocationMachine:
         return _new(DemandRecord, (user, e, vector, recip, updates))
 
     def claim(self, user: int, block: int) -> ClaimReceipt:
-        """Pay out the share reserved by the user's previous-epoch demand.
+        """Pay out the user's previous-epoch demand and clear its reciprocal.
 
         One floored division: tasks = recip * k' // (max_recip * p).  The
         clamp is only a guard: k' <= max_recip * P_r * p / S_r for every
@@ -420,7 +421,7 @@ class AllocationMachine:
         """
         try:
             i = self._users[user]
-        except KeyError:
+        except (KeyError, TypeError):
             raise MachineError(f"user {user} is not registered") from None
         self.update_state(block)
         e = self._epoch
@@ -432,10 +433,11 @@ class AllocationMachine:
             raise MachineError(
                 f"user {user} has no demand registered in epoch {e - 1}"
             )
-        if self._claim_epoch[i] == e:
+        recip = self._recip[s][i]
+        if recip == 0:
             raise MachineError(f"user {user} already claimed in epoch {e}")
         scale = self._max_recip[s] * self._cfg.precision
-        scaled = self._recip[s][i] * self._k_prime
+        scaled = recip * self._k_prime
         if 0 <= scaled <= INT_LIMIT and 0 < scale <= INT_LIMIT:
             task_count = scaled // scale
         else:
@@ -454,13 +456,13 @@ class AllocationMachine:
         left, keep = tuple(map(sub, pool, share)), self._reserves[1 - s]
         self._reserves = (left, keep) if s == 0 else (keep, left)
         self._balance[i] = credited
-        self._claim_epoch[i] = e
+        self._recip[s][i] = 0
         return _new(ClaimReceipt, (user, e, task_count, share, clamped))
 
     def _index(self, user: int) -> int:
         try:
             return self._users[user]
-        except KeyError:
+        except (KeyError, TypeError):
             raise MachineError(f"user {user} is not registered") from None
 
 

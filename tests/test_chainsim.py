@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import gc
 import hashlib
+import json
 import random
 
 import pytest
@@ -35,6 +36,7 @@ from fairpool.chainsim import (
     read_cost_csv,
 )
 from fairpool.machine import ClaimReceipt, DemandRecord
+from test_machine import _count_walks, _opcodes
 
 
 # --- schedule ----------------------------------------------------------------
@@ -861,6 +863,25 @@ def test_cost_model_checks_every_coefficient_as_overrides_do(build, message):
     assert str(raised.value) == message
 
 
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (f.name, (3, 5) if type(f.default) is tuple else 3)
+        for f in dataclasses.fields(CostModel)
+    ],
+)
+def test_cost_model_takes_an_int_subclass_as_an_integer(field, value):
+    plain = CostModel(**{field: value})
+    subclassed = tuple(map(_Int, value)) if type(value) is tuple else _Int(value)
+    model = CostModel(**{field: subclassed})
+    assert model == plain
+    assert json.dumps(model.as_dict()) == json.dumps(plain.as_dict())
+
+
 def test_cost_model_stores_a_listed_pair_as_a_tuple():
     model = CostModel(claim=[1, 2])
     assert model == CostModel(claim=(1, 2))
@@ -1060,6 +1081,45 @@ def test_one_vector_check_per_demand_and_none_per_claim(monkeypatch):
     assert len(built) == 80 + 3 + 1
 
 
+def _per_block_counts(n):
+    """Bytecodes of one ``_execute`` block at n users: a claim and a
+    demand, each mid-epoch with no transition.  Every user demands the
+    same vector at every n, and the machine's per-user containers are
+    swapped for ones that count walks."""
+    config = SimConfig(users=n, resources=5, epochs=2)
+    vector = (3, 1, 4, 1, 5)
+    txs = [
+        (block, kind, user, vector if kind == KIND_DEMAND else None)
+        for block, kind, user, _ in build_schedule(config)
+    ]
+    machine = _make_machine(config)
+    blocks = _execute(machine, txs, DEFAULT_COST_MODEL)
+    for _ in range(n):  # the registrations
+        next(blocks)
+    walks = _count_walks(machine)
+    counts = {}
+    done = n
+    # User 1's claim follows user 0's, which transitions; its demand is
+    # the epoch's second.
+    for label, index in (("claim", 2 * n + 1), ("demand", 3 * n + 1)):
+        for _ in range(index - done):
+            next(blocks)
+        transitions = machine.transitions
+        walks.clear()
+        counts[label] = _opcodes(lambda: next(blocks))
+        done = index + 1
+        assert machine.transitions == transitions
+        assert not walks, f"{label} block walked per-user containers at n = {n}: {dict(walks)}"
+    return counts
+
+
+def test_harness_blocks_run_as_many_bytecodes_at_any_user_count():
+    # A mid-epoch block does O(m) work: the same bytecodes at every n and
+    # no walk of the machine's per-user state.  No count is pinned, since
+    # counts differ between Python versions.
+    assert _per_block_counts(10) == _per_block_counts(1_000)
+
+
 def test_replay_returns_a_simulation_error_as_its_result():
     trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
     records = [_named(r) for r in trace.records]
@@ -1193,6 +1253,42 @@ def test_replay_names_the_block_of_an_unknown_call_kind():
     assert result == chainsim.ReplayResult(
         ok=False, diverged_at=3, reason="block 3: unknown call kind 'withdraw'"
     )
+
+
+@pytest.mark.parametrize(
+    "k, field, value, block, message",
+    [
+        (0, "user", [0], 1, "user id must be an integer, got [0]"),
+        (2, "user", [0], 3, "user [0] is not registered"),
+        (2, "kind", ["demand"], 3, "unknown call kind ['demand']"),
+        (2, "block", "3", None, "block must be an integer, got '3'"),
+        (2, "block", None, None, "block must be an integer, got None"),
+        (4, "block", 5.0, None, "block must be an integer, got 5.0"),
+        (4, "block", 5.5, None, "block must be an integer, got 5.5"),
+    ],
+    ids=[
+        "unhashable-user-register", "unhashable-user-demand", "unhashable-kind",
+        "string-block", "missing-block", "float-block", "fractional-block",
+    ],
+)
+def test_a_malformed_transaction_field_is_a_simulation_error(
+    k, field, value, block, message
+):
+    # Transactions 0, 2 and 4 are user 0's register, demand and claim at
+    # blocks 1, 3 and 5; the claim transitions.
+    trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
+    txs = [BlockTx._make(rec[0]) for rec in trace.records]
+    txs[k] = txs[k]._replace(**{field: value})
+    if block is None:
+        message = f"transaction {k} of the schedule: {message}"
+    else:
+        message = f"block {block}: {message}"
+    with pytest.raises(SimulationError) as raised:
+        list(_execute(_make_machine(trace.config), txs, DEFAULT_COST_MODEL))
+    assert (raised.value.block, str(raised.value)) == (block, message)
+    records = tuple((tx, *rec[1:]) for tx, rec in zip(txs, trace.records))
+    result = replay(dataclasses.replace(trace, records=records))
+    assert result == chainsim.ReplayResult(False, block, message)
 
 
 @pytest.mark.parametrize(

@@ -607,7 +607,7 @@ def test_snapshot_fields():
 def _state(machine, user):
     """Every field a call can write: the snapshot, the sums and minima, and
     each of the user's fields (both parities' demand, reciprocal and
-    stamp, the balance and the claim stamp)."""
+    stamp, and the balance)."""
     i = machine._users[user]
     per_parity = [
         (machine._demand[s][i], machine._recip[s][i], machine._demand_epoch[s][i])
@@ -619,7 +619,6 @@ def _state(machine, user):
         list(machine._max_recip),
         per_parity,
         machine._balance[i],
-        machine._claim_epoch[i],
     )
 
 
@@ -655,6 +654,66 @@ def test_claim_overflow_leaves_state_unchanged():
     assert _state(machine, 0) == before
     machine._balance[i] = (0, 0)
     assert machine.claim(0, 4).share == ResourceVector([3, 12])
+
+
+# --- a claim clears the reciprocal it paid on -------------------------------
+
+
+def test_a_registered_machine_keeps_seven_per_user_lists():
+    # Three users, two resources and two parities, so only a per-user
+    # list holds three entries.
+    machine = make_machine(es=6)
+    for user in range(3):
+        machine.register_user(user)
+    lists = [
+        name
+        for name, value in vars(machine).items() if type(value) is list
+        for column in (value, *value) if type(column) is list and len(column) == 3
+    ]
+    assert len(lists) == 7, lists
+
+
+def test_a_claim_clears_the_reciprocal_it_paid_on():
+    machine = run_worked_epoch()
+    recips = list(machine._recip[0])  # epoch 1's demands, read by epoch 2's claims
+    assert all(recips)
+    machine.claim(0, 4)
+    assert machine._recip[0] == [0, recips[1]]
+
+
+def test_a_second_claim_in_the_epoch_raises_and_changes_nothing():
+    machine = run_worked_epoch()
+    machine.claim(0, 4)
+    before = _state(machine, 0)
+    assert before[3][0] == ((1, 4), 0, 1)  # parity 0: demand, cleared reciprocal, stamp
+    with pytest.raises(MachineError) as raised:
+        machine.claim(0, 5)
+    assert str(raised.value) == "user 0 already claimed in epoch 2"
+    assert _state(machine, 0) == before
+
+
+def test_a_paid_demand_two_epochs_old_is_still_reported_as_no_demand():
+    # The stamp check comes first, so the cleared reciprocal of epoch 1's
+    # demand does not turn epoch 4's claim into a second claim.
+    machine = run_worked_epoch()
+    machine.claim(0, 4)
+    assert machine._recip[0][0] == 0
+    with pytest.raises(MachineError) as raised:
+        machine.claim(0, 12)  # epoch 4 reads parity 0 again
+    assert str(raised.value) == "user 0 has no demand registered in epoch 3"
+
+
+def test_an_overflowing_claim_keeps_its_reciprocal_and_the_retry_pays():
+    machine = run_worked_epoch()
+    i = machine._users[0]
+    recip = machine._recip[0][i]
+    machine._balance[i] = (0, INT_LIMIT)  # the share [3, 12] overflows it
+    with pytest.raises(MachineOverflowError):
+        machine.claim(0, 4)
+    assert machine._recip[0][i] == recip
+    machine._balance[i] = (0, 0)
+    assert machine.claim(0, 5).share == (3, 12)
+    assert machine._recip[0][i] == 0
 
 
 def test_transition_overflow_leaves_state_unchanged():
@@ -754,7 +813,7 @@ def test_default_precision_pool_bound(extra):
 
 def test_retained_bytes_per_user():
     # One list per field behind one user index, with shared immutable
-    # balances, retains about 160 B per user after registration and 270 B
+    # balances, retains about 150 B per user after registration and 240 B
     # after one demand and one claim (CPython 3.11, m = 5).  Each bound
     # sits below the 445 and 477 B of one object per user holding its own
     # small lists, so that layout fails it.
@@ -1249,6 +1308,18 @@ def _walk_counted(base, walks):
     })
 
 
+def _count_walks(machine):
+    """Swap every per-user container of ``machine`` for one that counts
+    walks, and return the counter."""
+    walks = collections.Counter()
+    counted_list, counted_dict = _walk_counted(list, walks), _walk_counted(dict, walks)
+    machine._users = counted_dict(machine._users)
+    for name in ("_demand", "_recip", "_demand_epoch"):
+        setattr(machine, name, [counted_list(c) for c in getattr(machine, name)])
+    machine._balance = counted_list(machine._balance)
+    return walks
+
+
 def _per_call_counts(n):
     """Bytecodes per call at n users, for the same vectors and pools, with
     every per-user container swapped for one that counts walks."""
@@ -1257,13 +1328,7 @@ def _per_call_counts(n):
     )
     for user in range(n):
         machine.register_user(user)
-    walks = collections.Counter()
-    counted_list, counted_dict = _walk_counted(list, walks), _walk_counted(dict, walks)
-    machine._users = counted_dict(machine._users)
-    for name in ("_demand", "_recip", "_demand_epoch"):
-        setattr(machine, name, [counted_list(c) for c in getattr(machine, name)])
-    machine._balance = counted_list(machine._balance)
-    machine._claim_epoch = counted_list(machine._claim_epoch)
+    walks = _count_walks(machine)
     vector = ResourceVector([3, 1, 4, 1, 5])
     counts = {
         "demand, plain tuple": _opcodes(lambda: machine.demand(0, (2, 7, 1, 8, 2), 1)),
