@@ -6,22 +6,12 @@ a seeded generator, and annotates every call with abstract cost units
 from a configurable affine model.  Costs are annotations only; machine
 state never depends on them.
 
-The harness checks conservation against its own ledger of claimed
-shares.  Every block it checks, in O(m), what the call can change: the
-caller's balance must equal its ledger entry, the two pools must hold no
-negative quantity, and the pools plus the ledger's total must equal
-everything injected.  It reads these from ``caller_snapshot`` and
-``total_injected()``, as plain tuples.  The pool and total checks run
-only where one of their inputs is a new object: the machine's stored
-pool pair, its injected total, or the ledger's total.  Claims and
-transitions replace them; a demand block replaces none, so it would
-re-check the same immutable tuples, and a fault that moves units must
-replace one.  On each epoch transition and on the last block it also
-recounts every balance, O(n), so a run costs O(m) per block averaged
-over an epoch.  A trace record is flat and holds no per-user state: the
-call's outcome and cost, then the epoch, both pools and the cycle count
-after the call.  Balances are checked but not recorded, since the
-claimed shares imply them.
+The harness checks every block against its own ledger of claimed
+shares and its own prediction of both pools, in O(m) per block and
+O(n) per epoch (``_execute``).  A trace record is flat and holds no
+per-user state: the call's outcome and cost, then the epoch, both pools
+and the cycle count after the call.  Balances are checked but not
+recorded, since the claimed shares imply them.
 
 Transactions, records and cost rows are exact tuples laid out as the
 NamedTuples ``BlockTx``, ``TraceRecord`` and ``CostRecord`` and read by
@@ -354,31 +344,40 @@ def _execute(
     or invalid one raises ``SimulationError`` at its block, as does a
     transaction without exactly four fields, at the block its first
     field names; one with no first field, such as ``()``, ``None`` or an
-    int, raises it with no block, naming its position in the schedule.
-    The harness keeps its own ledger from the calls' receipts: each
-    user's balance (a zero entry at registration, plus every claimed
-    share) and ``held``, their per-resource total, and runs the checks
-    the module docstring lists.  A pool's negative quantity is an
-    explicit check, since no ``ResourceVector`` is built; the recount
-    compares every balance in ``snapshot()`` with the ledger, then
-    checks ``accounting_gap``.
+    int, raises it with no block, naming its position in the schedule,
+    as does any transaction whose block is not an int, a registration's
+    included.
 
-    The pool and total checks remember the pool pair, the injected
-    vector and ``held`` that last passed them, and run again only when
-    one of the three is a different object: on a claim, a transition and
-    the first block, since tuples of ints cannot change behind an
-    unchanged identity.  The pair is remembered only while it and both
-    pools are plain tuples, and the injected vector only while it is a
-    tuple; a list swapped in is checked on every block.  A fault inside
-    a call raises ``SimulationError`` at that block: a wrong credit
-    fails the caller's balance check, and a pool losing units, units
-    moved between the pools until one is negative, or a changed injected
-    total must replace one of the three.  A non-caller's balance changed
-    outside any call is not seen per block; it raises at that user's
-    next call, the next transition or the final block, whichever comes
-    first, and so does one driven negative, since neither comparison
-    validates a balance.  This is the one fault a full recount on every
-    block would catch sooner, on the next block, at O(n) per block.
+    The harness keeps a ledger from the calls' receipts, each user's
+    balance: a zero entry at registration plus every claimed share.
+    After each call it reads the caller's balance, both pools and the
+    injected total (``caller_snapshot``, ``total_injected()``) and
+    checks, in O(m):
+
+    - the caller's balance equals its ledger entry, which catches a
+      wrong credit;
+    - the pools and the injected total are as predicted: a claim takes
+      exactly its receipt's share from the pool claims drain (parity
+      ``epoch % 2``) and must not leave it negative; nothing else moves
+      a unit, and only a transition changes the injected total.  So a
+      unit that leaves, enters or moves between the pools raises at
+      its block, as does a changed injected total.  A pair equal to the
+      prediction is made of tuples, which cannot change, so it becomes
+      the next prediction and a block that replaces neither is checked
+      by identity.  Any other pair is compared as tuples by value, so
+      lists holding the predicted units pass, checked on every block;
+      else the block raises naming a negative pool, else the gap the
+      ledger leaves (O(n), on this path only), else both pairs.
+
+    The first block and each transition have no prediction: no pool may
+    be negative, and the first block's pools and ledger must add up to
+    the injected total.  Each transition and the last block recount,
+    O(n): every balance in ``snapshot()`` must equal the ledger's, and
+    ``accounting_gap`` must be zero, so the pools and the ledger add up
+    there too.  A non-caller's balance changed outside any call, even
+    driven negative, is seen only there or at that user's next call;
+    a full recount on every block would see it at the next block, at
+    O(n) per block.
 
     A record keeps the epoch, both pools and the cycle count from that
     ``caller_snapshot``, but no balance.  The pools are the machine's
@@ -398,11 +397,9 @@ def _execute(
     zeros = (0,) * m
     calls: dict[str, dict[int, int]] = {KIND_DEMAND: {}, KIND_CLAIM: {}}  # so far
     ledger: dict[int, tuple[int, ...]] = {}  # user -> balance, from receipts
-    held = zeros  # per-resource total of the ledger
     transitions = machine.transitions
-    # The pool pair, injected vector and ``held`` that last passed the
-    # pool and total checks.
-    passed: tuple = (None, None, None)
+    predicted: tuple = ()  # both pools, as the block should leave them
+    total: tuple = ()  # the injected total, as the block should leave it
     for index, tx in enumerate(txs):
         try:
             block, kind, user, vector = tx
@@ -414,6 +411,8 @@ def _execute(
         update_cost: int | None = None
         try:
             if kind == KIND_REGISTER:
+                if type(block) is not int and _not_integer(block):
+                    raise MachineError(f"block must be an integer, got {block!r}")
                 vector = None
                 machine.register_user(user)
                 ledger[user] = zeros
@@ -424,7 +423,6 @@ def _execute(
                 else:
                     _, _, task_count, vector, clamped = machine.claim(user, block)
                     ledger[user] = tuple(map(add, ledger[user], vector))
-                    held = tuple(map(add, held, vector))
                 after = machine.transitions
                 if after != transitions:  # the call transitioned
                     transitions = after
@@ -438,21 +436,24 @@ def _execute(
             raise _error_at(index, block, str(exc)) from exc
         epoch, reserves, cycle_count, balance = machine.caller_snapshot(user)
         injected = machine.total_injected()
-        if reserves is not passed[0] or injected is not passed[1] or held is not passed[2]:
-            pool0, pool1 = reserves
-            if min(pool0 + pool1) < 0:
-                raise SimulationError(
-                    block,
-                    f"conservation identity violated: a pool is negative: {reserves}",
-                )
-            accounted = tuple(map(add, map(add, pool0, pool1), held))
-            if injected != accounted:
-                _check_gap(block, tuple(map(sub, injected, accounted)))
-            # Only tuples cannot change behind an unchanged identity.
-            if type(reserves) is type(pool0) is type(pool1) is tuple and isinstance(
-                injected, tuple
-            ):
-                passed = reserves, injected, held
+        if update_cost is not None or not index:  # nothing to predict from
+            predicted, total = _pools(block, reserves), tuple(injected)
+            if not index:  # a transition's recount below checks the total
+                _check_gap(block, _ledger_gap(predicted, total, ledger))
+        else:
+            if kind == KIND_CLAIM:  # its share leaves the pool claims drain
+                s = epoch % 2
+                drained = tuple(map(sub, predicted[s], vector))
+                predicted = (predicted[0], drained) if s else (drained, predicted[1])
+            if reserves is not predicted or injected is not total:
+                if (
+                    reserves != predicted
+                    or injected != total
+                    or kind == KIND_CLAIM and min(drained) < 0
+                ):
+                    _check_prediction(block, reserves, injected, predicted, total, ledger)
+                else:  # equal to plain tuples, so tuples themselves
+                    predicted, total = reserves, injected
         expected = ledger[user]
         if balance != expected:
             raise _balance_error(block, user, balance, expected)
@@ -487,6 +488,42 @@ def _malformed_error(index: int, tx: object) -> SimulationError:
     except (TypeError, LookupError):
         return SimulationError(
             None, f"transaction {index} of the schedule has no block: {tx!r}"
+        )
+
+
+def _pools(block: int, reserves: tuple) -> tuple:
+    """Both pools as tuples; raises ``SimulationError`` at ``block`` if
+    either holds a negative quantity."""
+    pools = tuple(map(tuple, reserves))
+    if min(pools[0] + pools[1]) < 0:
+        raise SimulationError(
+            block, f"conservation identity violated: a pool is negative: {reserves}"
+        )
+    return pools
+
+
+def _ledger_gap(pools: tuple, injected: tuple, ledger: dict) -> tuple[int, ...]:
+    """Injected units less both pools and every ledger balance, O(n)."""
+    held = map(sum, zip(*pools, *ledger.values()))
+    return tuple(map(sub, injected, held))
+
+
+def _check_prediction(
+    block: int, reserves: tuple, injected: tuple, predicted: tuple, total: tuple,
+    ledger: dict,
+) -> None:
+    """Pass pools and an injected total that hold the predicted units,
+    whatever sequences hold them.  Otherwise raise ``SimulationError`` at
+    ``block`` naming a negative pool, else the gap the ledger leaves,
+    else, for units moved between the pools, both pairs."""
+    pools = _pools(block, reserves)
+    injected = tuple(injected)
+    if pools != predicted or injected != total:
+        _check_gap(block, _ledger_gap(pools, injected, ledger))
+        raise SimulationError(
+            block,
+            f"conservation identity violated: pools {pools} and injected total "
+            f"{injected}, predicted {predicted} and {tuple(total)}",
         )
 
 

@@ -209,7 +209,7 @@ class AllocationMachine:
 
     def balance_of(self, user: int) -> tuple[int, ...]:
         """The user's balance, the stored tuple itself."""
-        return self._balance[self._index(user)]
+        return self.caller_snapshot(user)[3]
 
     def demand_pool_parity(self) -> int:
         """Pool index demands registered now would be stored against."""
@@ -234,14 +234,18 @@ class AllocationMachine:
         }
 
     def caller_snapshot(self, user: int) -> tuple:
-        """What one call can change, read in O(m) with no validation:
-        ``(epoch, reserves, cycle_count, user's balance)`` as ``snapshot()``."""
-        return (
-            self._epoch,
-            self._reserves,
-            self._k_prime,
-            self._balance[self._index(user)],
-        )
+        """What one call can change, read in O(m): ``(epoch, reserves,
+        cycle_count, user's balance)`` as ``snapshot()`` holds them, with no
+        validation of the values.  The user is found as ``demand`` and
+        ``claim`` find it: an id equal to a registered one but not an int,
+        such as ``True`` or ``1.0``, raises."""
+        try:
+            i = self._users[user]
+        except (KeyError, TypeError):
+            raise MachineError(f"user {user} is not registered") from None
+        if type(user) is not int and _not_integer(user):
+            raise MachineError(f"user id must be an integer, got {user!r}")
+        return self._epoch, self._reserves, self._k_prime, self._balance[i]
 
     def register_user(self, user: int) -> None:
         if _not_integer(user):
@@ -344,6 +348,8 @@ class AllocationMachine:
             i = self._users[user]
         except (KeyError, TypeError):  # an unhashable id is not registered
             raise MachineError(f"user {user} is not registered") from None
+        if type(user) is not int and _not_integer(user):  # True and 1.0 find user 1
+            raise MachineError(f"user id must be an integer, got {user!r}")
         self.update_state(block)
         e = self._epoch
         s = (e + 1) % 2
@@ -423,6 +429,8 @@ class AllocationMachine:
             i = self._users[user]
         except (KeyError, TypeError):
             raise MachineError(f"user {user} is not registered") from None
+        if type(user) is not int and _not_integer(user):
+            raise MachineError(f"user id must be an integer, got {user!r}")
         self.update_state(block)
         e = self._epoch
         s = e % 2
@@ -458,12 +466,6 @@ class AllocationMachine:
         self._balance[i] = credited
         self._recip[s][i] = 0
         return _new(ClaimReceipt, (user, e, task_count, share, clamped))
-
-    def _index(self, user: int) -> int:
-        try:
-            return self._users[user]
-        except (KeyError, TypeError):
-            raise MachineError(f"user {user} is not registered") from None
 
 
 def accounting_gap(machine: AllocationMachine) -> tuple[int, ...]:

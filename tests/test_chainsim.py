@@ -1,8 +1,10 @@
 import collections
+import copy
 import dataclasses
 import gc
 import hashlib
 import json
+import operator
 import random
 
 import pytest
@@ -35,7 +37,7 @@ from fairpool.chainsim import (
     draw_ints,
     read_cost_csv,
 )
-from fairpool.machine import ClaimReceipt, DemandRecord
+from fairpool.machine import ClaimReceipt, DemandRecord, MachineError
 from test_machine import _count_walks, _opcodes
 
 
@@ -602,6 +604,15 @@ def _overdraw_claim_pool(machine, caller):
     machine._reserves = tuple(map(tuple, pools))
 
 
+def _move_between_pools(machine, caller):
+    """Move one unit of resource 0 from the demand pool into the claim
+    pool: every total still balances and no pool goes negative."""
+    pools = [list(pool) for pool in machine._reserves]
+    pools[machine.demand_pool_parity()][0] -= 1
+    pools[machine.epoch % 2][0] += 1
+    machine._reserves = tuple(map(tuple, pools))
+
+
 def _grow_injected(machine, caller):
     """Replace the injected total with a vector one unit larger."""
     injected = machine._injected
@@ -617,6 +628,8 @@ def _grow_injected(machine, caller):
         pytest.param("claim", 11, _overdraw_claim_pool, id="pool-negative-in-claim"),
         pytest.param("demand", 22, _overdraw_claim_pool, id="pool-negative-in-demand"),
         pytest.param("demand", 22, _grow_injected, id="injected-grown-in-demand"),
+        pytest.param("claim", 11, _move_between_pools, id="pool-moved-in-claim"),
+        pytest.param("demand", 22, _move_between_pools, id="pool-moved-in-demand"),
     ],
 )
 def test_fault_in_a_call_raises_at_that_block(monkeypatch, method, at_block, corrupt):
@@ -625,6 +638,23 @@ def test_fault_in_a_call_raises_at_that_block(monkeypatch, method, at_block, cor
         run_simulation(FAULT_CONFIG)
     assert exc_info.value.block == at_block
     assert "conservation identity violated" in str(exc_info.value)
+
+
+def test_first_block_is_checked_against_the_ledger(monkeypatch):
+    # Nothing predicts the first block's pools: the registration at
+    # block 1 takes a unit from a pool, and block 1 raises, not the
+    # recount at the first transition.
+    original = AllocationMachine.register_user
+
+    def faulty(self, user):
+        original(self, user)
+        if user == 0:
+            _drain_demand_pool(self, user)
+
+    monkeypatch.setattr(AllocationMachine, "register_user", faulty)
+    with pytest.raises(SimulationError, match="conservation identity violated: gap") as info:
+        run_simulation(FAULT_CONFIG)
+    assert info.value.block == 1
 
 
 def test_negative_pool_stops_run_and_replay_at_that_block(monkeypatch):
@@ -639,6 +669,56 @@ def test_negative_pool_stops_run_and_replay_at_that_block(monkeypatch):
     result = replay(trace)
     assert not result
     assert result.diverged_at == 30
+
+
+def test_claim_paid_from_the_demand_pool_raises_at_its_block(monkeypatch):
+    # The claim at block 11 credits its share but takes it from the pool
+    # demands are stored against: every total still balances.
+    trace = run_simulation(FAULT_CONFIG)
+    original = AllocationMachine.claim
+
+    def faulty(self, user, block):
+        receipt = original(self, user, block)
+        if block == 11:
+            assert any(receipt.share)
+            drained, demanded = self.epoch % 2, self.demand_pool_parity()
+            pools = [list(pool) for pool in self._reserves]
+            pools[drained] = list(map(operator.add, pools[drained], receipt.share))
+            pools[demanded] = list(map(operator.sub, pools[demanded], receipt.share))
+            self._reserves = tuple(map(tuple, pools))
+        return receipt
+
+    monkeypatch.setattr(AllocationMachine, "claim", faulty)
+    with pytest.raises(SimulationError, match="conservation identity violated") as info:
+        run_simulation(FAULT_CONFIG)
+    assert info.value.block == 11
+    result = replay(trace)
+    assert (result.ok, result.diverged_at, result.reason) == (False, 11, str(info.value))
+
+
+def test_claim_paying_past_its_pool_raises_at_its_block(monkeypatch):
+    # The claim at block 11 pays and credits one unit of resource 0 more
+    # than its pool held: the pool holds -1 and every total still agrees,
+    # so only the predicted pool's sign shows it.
+    original = AllocationMachine.claim
+
+    def faulty(self, user, block):
+        receipt = original(self, user, block)
+        if block == 11:
+            drained = self.epoch % 2
+            pools = [list(pool) for pool in self._reserves]
+            extra = pools[drained][0] + 1
+            pools[drained][0] = -1
+            self._reserves = tuple(map(tuple, pools))
+            _add_units(self, user, extra)
+            share = (receipt.share[0] + extra, *receipt.share[1:])
+            receipt = receipt._replace(share=share)
+        return receipt
+
+    monkeypatch.setattr(AllocationMachine, "claim", faulty)
+    with pytest.raises(SimulationError, match="a pool is negative") as info:
+        run_simulation(FAULT_CONFIG)
+    assert info.value.block == 11
 
 
 def test_pools_changed_in_place_raise_at_that_block(monkeypatch):
@@ -658,6 +738,25 @@ def test_pools_changed_in_place_raise_at_that_block(monkeypatch):
         result = original(self, user, vector, block)
         if block in (21, 22):
             corrupt(self, user)
+        return result
+
+    monkeypatch.setattr(AllocationMachine, "demand", faulty)
+    with pytest.raises(SimulationError, match="conservation identity") as info:
+        run_simulation(FAULT_CONFIG)
+    assert info.value.block == 22
+
+
+def test_injected_total_changed_in_place_raises_at_that_block(monkeypatch):
+    # Block 21 swaps in a list holding the same total, which passes; it
+    # is checked on every block, so the unit block 22 adds in place shows.
+    original = AllocationMachine.demand
+
+    def faulty(self, user, vector, block):
+        result = original(self, user, vector, block)
+        if block == 21:
+            self._injected = list(self._injected)
+        elif block == 22:
+            self._injected[0] += 1
         return result
 
     monkeypatch.setattr(AllocationMachine, "demand", faulty)
@@ -1265,10 +1364,16 @@ def test_replay_names_the_block_of_an_unknown_call_kind():
         (2, "block", None, None, "block must be an integer, got None"),
         (4, "block", 5.0, None, "block must be an integer, got 5.0"),
         (4, "block", 5.5, None, "block must be an integer, got 5.5"),
+        (0, "block", "1", None, "block must be an integer, got '1'"),
+        (0, "block", [1], None, "block must be an integer, got [1]"),
+        (0, "block", 1.0, None, "block must be an integer, got 1.0"),
+        (0, "block", True, None, "block must be an integer, got True"),
     ],
     ids=[
         "unhashable-user-register", "unhashable-user-demand", "unhashable-kind",
         "string-block", "missing-block", "float-block", "fractional-block",
+        "string-register-block", "list-register-block", "float-register-block",
+        "bool-register-block",
     ],
 )
 def test_a_malformed_transaction_field_is_a_simulation_error(
@@ -1289,6 +1394,35 @@ def test_a_malformed_transaction_field_is_a_simulation_error(
     records = tuple((tx, *rec[1:]) for tx, rec in zip(txs, trace.records))
     result = replay(dataclasses.replace(trace, records=records))
     assert result == chainsim.ReplayResult(False, block, message)
+
+
+@pytest.mark.parametrize("user", [True, 1.0, 0.0], ids=["true", "one-float", "zero-float"])
+@pytest.mark.parametrize("k, block", [(2, 3), (4, 5)], ids=["demand", "claim"])
+def test_a_user_id_equal_to_a_registered_int_is_rejected(k, block, user):
+    # Transactions 2 and 4 are user 0's demand at block 3 and its claim
+    # at block 5.  True and 1.0 hash as user 1, and 0.0 as user 0.
+    message = f"user id must be an integer, got {user!r}"
+    config = SimConfig(users=2, resources=2, epochs=3, seed=4)
+    trace = run_simulation(config)
+    txs = [BlockTx._make(rec[0]) for rec in trace.records]
+    machine = _make_machine(config)
+    list(_execute(machine, txs[:k], DEFAULT_COST_MODEL))
+    before = copy.deepcopy(vars(machine))
+    call = txs[k]
+    with pytest.raises(MachineError) as raised:
+        if call.kind == KIND_DEMAND:
+            machine.demand(user, call.vector, block)
+        else:
+            machine.claim(user, block)
+    assert str(raised.value) == message
+    assert vars(machine) == before
+    for read in (machine.caller_snapshot, machine.balance_of):
+        with pytest.raises(MachineError, match=f"^{message}$"):
+            read(user)
+    txs[k] = call._replace(user=user)
+    records = tuple((tx, *rec[1:]) for tx, rec in zip(txs, trace.records))
+    result = replay(dataclasses.replace(trace, records=records))
+    assert result == chainsim.ReplayResult(False, block, f"block {block}: {message}")
 
 
 @pytest.mark.parametrize(
