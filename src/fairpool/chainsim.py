@@ -345,11 +345,12 @@ def _execute(
     transaction without exactly four fields, at the block its first
     field names; one with no first field, such as ``()``, ``None`` or an
     int, raises it with no block, naming its position in the schedule,
-    as does any transaction whose block is not an int, a registration's
-    included.
+    as does any transaction whose block is not an int.  A registration
+    runs ``update_state`` at its block first, so no block goes back (one
+    may repeat) and a transition it runs is charged like any other.
 
     The harness keeps a ledger from the calls' receipts, each user's
-    balance: a zero entry at registration plus every claimed share.
+    balance by id: a zero entry at registration plus every claimed share.
     After each call it reads the caller's balance, both pools and the
     injected total (``caller_snapshot``, ``total_injected()``) and
     checks, in O(m):
@@ -396,7 +397,7 @@ def _execute(
     m = machine.config.resource_count
     zeros = (0,) * m
     calls: dict[str, dict[int, int]] = {KIND_DEMAND: {}, KIND_CLAIM: {}}  # so far
-    ledger: dict[int, tuple[int, ...]] = {}  # user -> balance, from receipts
+    ledger: list[tuple[int, ...]] = []  # each user's balance, from receipts
     transitions = machine.transitions
     predicted: tuple = ()  # both pools, as the block should leave them
     total: tuple = ()  # the injected total, as the block should leave it
@@ -411,11 +412,10 @@ def _execute(
         update_cost: int | None = None
         try:
             if kind == KIND_REGISTER:
-                if type(block) is not int and _not_integer(block):
-                    raise MachineError(f"block must be an integer, got {block!r}")
                 vector = None
+                machine.update_state(block)
                 machine.register_user(user)
-                ledger[user] = zeros
+                ledger.append(zeros)
             elif kind == KIND_DEMAND or kind == KIND_CLAIM:
                 branch_events = 0
                 if kind == KIND_DEMAND:  # the record shares the schedule's tuple
@@ -423,15 +423,15 @@ def _execute(
                 else:
                     _, _, task_count, vector, clamped = machine.claim(user, block)
                     ledger[user] = tuple(map(add, ledger[user], vector))
-                after = machine.transitions
-                if after != transitions:  # the call transitioned
-                    transitions = after
-                    update_cost = cost_model.cost(KIND_UPDATE, m, 0, after)
                 per_user = calls[kind]
                 ordinal = per_user[user] = per_user.get(user, 0) + 1
                 cost_units = cost_model.cost(kind, m, branch_events, ordinal)
             else:
                 raise MachineError(f"unknown call kind {kind!r}")
+            after = machine.transitions
+            if after != transitions:  # the call transitioned
+                transitions = after
+                update_cost = cost_model.cost(KIND_UPDATE, m, 0, after)
         except MachineError as exc:
             raise _error_at(index, block, str(exc)) from exc
         epoch, reserves, cycle_count, balance = machine.caller_snapshot(user)
@@ -459,9 +459,9 @@ def _execute(
             raise _balance_error(block, user, balance, expected)
         if update_cost is not None or index == last:
             balances = machine.snapshot()["balances"]
-            if balances != ledger:
+            if list(balances.values()) != ledger:
                 for uid, balance in balances.items():
-                    expected = ledger.get(uid, zeros)
+                    expected = ledger[uid] if uid < len(ledger) else zeros
                     if balance != expected:
                         raise _balance_error(block, uid, balance, expected)
             _check_gap(block, accounting_gap(machine))
@@ -502,15 +502,15 @@ def _pools(block: int, reserves: tuple) -> tuple:
     return pools
 
 
-def _ledger_gap(pools: tuple, injected: tuple, ledger: dict) -> tuple[int, ...]:
+def _ledger_gap(pools: tuple, injected: tuple, ledger: list) -> tuple[int, ...]:
     """Injected units less both pools and every ledger balance, O(n)."""
-    held = map(sum, zip(*pools, *ledger.values()))
+    held = map(sum, zip(*pools, *ledger))
     return tuple(map(sub, injected, held))
 
 
 def _check_prediction(
     block: int, reserves: tuple, injected: tuple, predicted: tuple, total: tuple,
-    ledger: dict,
+    ledger: list,
 ) -> None:
     """Pass pools and an injected total that hold the predicted units,
     whatever sequences hold them.  Otherwise raise ``SimulationError`` at

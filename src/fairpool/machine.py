@@ -19,11 +19,11 @@ pool claims drain (``_reserves``, an immutable pair of tuples, replaced
 whole by a claim or a refill), the per-resource sum of demand times
 reciprocal share (``_sds``), and the minimum stored reciprocal, i.e. the
 largest dominant share among last epoch's demanders (``_max_recip``).
-Per user, one list per field, indexed through ``_users[user]``: per parity
-the demand vector, its reciprocal (nonzero until a claim clears it) and
-its epoch (0 for none yet), then the balance.  Demands and balances are
-immutable tuples; every user shares one zeros tuple until it first demands
-or claims.  No pool, balance or claimed share is copied out.
+Per user, one list per field, indexed by the user's id (its registration
+position): per parity the demand vector, its reciprocal (nonzero until a
+claim clears it) and its epoch (0 for none yet), then the balance.  Demands
+and balances are immutable tuples; every user shares one zeros tuple until
+it first demands or claims.  No pool, balance or claimed share is copied out.
 
 The cycle count is a single scalar recomputed at every epoch transition
 for the pool claims are about to drain.
@@ -176,7 +176,6 @@ class AllocationMachine:
         # commits, so it always belongs to ``_epoch``.
         self._epoch_end = config.offset + config.epoch_span
         self._reset_epoch = 0
-        self._users: dict[int, int] = {}  # user -> index, in registration order
         self._demand: list[list[tuple[int, ...]]] = [[], []]
         self._recip: list[list[int]] = [[], []]
         self._demand_epoch: list[list[int]] = [[], []]
@@ -230,37 +229,49 @@ class AllocationMachine:
             "epoch": self._epoch,
             "reserves": self._reserves,
             "cycle_count": self._k_prime,
-            "balances": dict(zip(self._users, self._balance)),
+            "balances": dict(enumerate(self._balance)),
         }
 
     def caller_snapshot(self, user: int) -> tuple:
         """What one call can change, read in O(m): ``(epoch, reserves,
         cycle_count, user's balance)`` as ``snapshot()`` holds them, with no
-        validation of the values.  The user is found as ``demand`` and
-        ``claim`` find it: an id equal to a registered one but not an int,
-        such as ``True`` or ``1.0``, raises."""
+        validation of the values.  The user is checked as ``demand`` and
+        ``claim`` check it."""
+        if type(user) is not int or not 0 <= user < len(self._balance):
+            self._check_user(user)
+        return self._epoch, self._reserves, self._k_prime, self._balance[user]
+
+    def _check_user(self, user: object) -> None:
+        """The slow path for an id not a plain int in ``0 <= id < n``: pass an
+        int subclass in range and raise for any other.  An id finds a user by
+        hash and equality, as in a dict: ``True`` and ``1.0`` do, ``-1`` not."""
         try:
-            i = self._users[user]
-        except (KeyError, TypeError):
+            i = hash(user)
+        except TypeError:  # an unhashable id is not registered
+            i = -1
+        if not (0 <= i < len(self._balance) and i == user):
             raise MachineError(f"user {user} is not registered") from None
-        if type(user) is not int and _not_integer(user):
-            raise MachineError(f"user id must be an integer, got {user!r}")
-        return self._epoch, self._reserves, self._k_prime, self._balance[i]
+        if _not_integer(user):
+            raise MachineError(f"user id must be an integer, got {user!r}") from None
 
     def register_user(self, user: int) -> None:
+        """Register the next user: ids are registration positions, 0, 1,
+        2, ..., so any other id raises, and changes nothing."""
         if _not_integer(user):
             raise MachineError(f"user id must be an integer, got {user!r}")
-        if user in self._users:
-            raise MachineError(f"user {user} is already registered")
-        self._users[user] = len(self._balance)
+        n = len(self._balance)
+        if user != n:
+            if 0 <= user < n:
+                raise MachineError(f"user {user} is already registered")
+            raise MachineError(f"user {user} is out of order: the next user id is {n}")
         for column in (*self._demand, self._balance):
             column.append(self._zeros)
         for column in (*self._recip, *self._demand_epoch):
             column.append(0)
-        if 2 * len(self._users) > self._cfg.epoch_span:
+        if 2 * (n + 1) > self._cfg.epoch_span:
             warnings.warn(
                 f"epoch span {self._cfg.epoch_span} is shorter than two blocks "
-                f"per registered user ({len(self._users)} users); some users "
+                f"per registered user ({n + 1} users); some users "
                 "may not fit a demand and a claim into one epoch",
                 stacklevel=2,
             )
@@ -344,16 +355,12 @@ class AllocationMachine:
                 ResourceVector(vector)
             except (TypeError, ValueError) as exc:  # not iterable, or invalid
                 raise MachineError(str(exc)) from None
-        try:
-            i = self._users[user]
-        except (KeyError, TypeError):  # an unhashable id is not registered
-            raise MachineError(f"user {user} is not registered") from None
-        if type(user) is not int and _not_integer(user):  # True and 1.0 find user 1
-            raise MachineError(f"user id must be an integer, got {user!r}")
+        if type(user) is not int or not 0 <= user < len(self._balance):
+            self._check_user(user)
         self.update_state(block)
         e = self._epoch
         s = (e + 1) % 2
-        if self._demand_epoch[s][i] == e:
+        if self._demand_epoch[s][user] == e:
             raise MachineError(f"user {user} already demanded in epoch {e}")
         cfg = self._cfg
         if len(vector) != cfg.resource_count:
@@ -406,9 +413,9 @@ class AllocationMachine:
         self._sds[s] = sds
         self._max_recip[s] = max_recip
         self._reset_epoch = e
-        self._demand[s][i] = vector
-        self._recip[s][i] = recip
-        self._demand_epoch[s][i] = e
+        self._demand[s][user] = vector
+        self._recip[s][user] = recip
+        self._demand_epoch[s][user] = e
         return _new(DemandRecord, (user, e, vector, recip, updates))
 
     def claim(self, user: int, block: int) -> ClaimReceipt:
@@ -425,23 +432,19 @@ class AllocationMachine:
         ``fixed_floor_div`` is called only for an operand its check
         rejects, so the claim raises what that function raises.
         """
-        try:
-            i = self._users[user]
-        except (KeyError, TypeError):
-            raise MachineError(f"user {user} is not registered") from None
-        if type(user) is not int and _not_integer(user):
-            raise MachineError(f"user id must be an integer, got {user!r}")
+        if type(user) is not int or not 0 <= user < len(self._balance):
+            self._check_user(user)
         self.update_state(block)
         e = self._epoch
         s = e % 2
         # Only the other parity's stamp is read, so a demand made earlier
         # in this epoch does not hide the claim.
-        stamp = self._demand_epoch[s][i]
+        stamp = self._demand_epoch[s][user]
         if stamp == 0 or stamp != e - 1:
             raise MachineError(
                 f"user {user} has no demand registered in epoch {e - 1}"
             )
-        recip = self._recip[s][i]
+        recip = self._recip[s][user]
         if recip == 0:
             raise MachineError(f"user {user} already claimed in epoch {e}")
         scale = self._max_recip[s] * self._cfg.precision
@@ -451,20 +454,20 @@ class AllocationMachine:
         else:
             task_count = fixed_floor_div(scaled, scale)
         pool = self._reserves[s]
-        share = tuple(map(task_count.__mul__, self._demand[s][i]))
+        share = tuple(map(task_count.__mul__, self._demand[s][user]))
         if max(share) > INT_LIMIT:
             _checked(max(share))
         clamped = any(map(gt, share, pool))
         if clamped:
             share = tuple(map(min, share, pool))
         # Checked before any unit moves, so an overflow changes nothing.
-        credited = tuple(map(add, self._balance[i], share))
+        credited = tuple(map(add, self._balance[user], share))
         if max(credited) > INT_LIMIT:
             _checked(max(credited))
         left, keep = tuple(map(sub, pool, share)), self._reserves[1 - s]
         self._reserves = (left, keep) if s == 0 else (keep, left)
-        self._balance[i] = credited
-        self._recip[s][i] = 0
+        self._balance[user] = credited
+        self._recip[s][user] = 0
         return _new(ClaimReceipt, (user, e, task_count, share, clamped))
 
 

@@ -574,9 +574,8 @@ def _corrupt_during(monkeypatch, method, at_block, corrupt):
 
 def _add_units(machine, user, count):
     """Add ``count`` units of resource 0 to ``user``'s machine balance."""
-    i = machine._users[user]
-    balance = machine._balance[i]
-    machine._balance[i] = (balance[0] + count, *balance[1:])
+    balance = machine._balance[user]
+    machine._balance[user] = (balance[0] + count, *balance[1:])
 
 
 def _credit(user):
@@ -1147,7 +1146,7 @@ def test_crosscheck_without_claims_matches_trivially():
 # --- each check once ------------------------------------------------------------
 
 
-def test_one_update_state_call_per_demand_or_claim_block(monkeypatch):
+def test_one_update_state_call_per_block(monkeypatch):
     calls = []
     original = AllocationMachine.update_state
 
@@ -1157,9 +1156,9 @@ def test_one_update_state_call_per_demand_or_claim_block(monkeypatch):
 
     monkeypatch.setattr(AllocationMachine, "update_state", counted)
     trace = run_simulation(FAULT_CONFIG)
-    blocks = [rec.tx.block for rec in map(_named, trace.records)
-              if rec.tx.kind != KIND_REGISTER]
-    assert len(blocks) == 28
+    # Registrations included: each block passes through the machine's rule.
+    blocks = [rec.tx.block for rec in map(_named, trace.records)]
+    assert len(blocks) == 32
     assert calls == blocks
 
 
@@ -1368,19 +1367,22 @@ def test_replay_names_the_block_of_an_unknown_call_kind():
         (0, "block", [1], None, "block must be an integer, got [1]"),
         (0, "block", 1.0, None, "block must be an integer, got 1.0"),
         (0, "block", True, None, "block must be an integer, got True"),
+        (1, "user", 2, 2, "user 2 is out of order: the next user id is 1"),
+        (0, "user", 1, 1, "user 1 is out of order: the next user id is 0"),
     ],
     ids=[
         "unhashable-user-register", "unhashable-user-demand", "unhashable-kind",
         "string-block", "missing-block", "float-block", "fractional-block",
         "string-register-block", "list-register-block", "float-register-block",
-        "bool-register-block",
+        "bool-register-block", "register-past-the-next-id", "register-before-user-0",
     ],
 )
 def test_a_malformed_transaction_field_is_a_simulation_error(
     k, field, value, block, message
 ):
     # Transactions 0, 2 and 4 are user 0's register, demand and claim at
-    # blocks 1, 3 and 5; the claim transitions.
+    # blocks 1, 3 and 5, and transaction 1 is user 1's register at block 2;
+    # the claim transitions.
     trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
     txs = [BlockTx._make(rec[0]) for rec in trace.records]
     txs[k] = txs[k]._replace(**{field: value})
@@ -1394,6 +1396,54 @@ def test_a_malformed_transaction_field_is_a_simulation_error(
     records = tuple((tx, *rec[1:]) for tx, rec in zip(txs, trace.records))
     result = replay(dataclasses.replace(trace, records=records))
     assert result == chainsim.ReplayResult(False, block, message)
+
+
+def test_a_register_block_that_goes_back_raises_at_the_next_block():
+    # User 1's register moves from block 2 to block 999, so the demand at
+    # block 3 goes back, as it would after any other call at block 999.
+    message = "block 3: block 3 precedes the last block seen, 999"
+    trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
+    txs = [BlockTx._make(rec[0]) for rec in trace.records]
+    txs[1] = txs[1]._replace(block=999)
+    with pytest.raises(SimulationError) as raised:
+        list(_execute(_make_machine(trace.config), txs, DEFAULT_COST_MODEL))
+    assert (raised.value.block, str(raised.value)) == (3, message)
+    # Block 999 starts epoch 250, so a replay of the recorded outcomes
+    # already diverges at the register.
+    records = tuple((tx, *rec[1:]) for tx, rec in zip(txs, trace.records))
+    result = replay(dataclasses.replace(trace, records=records))
+    assert result == chainsim.ReplayResult(False, 999, "epoch diverged at block 999")
+
+
+def test_a_register_at_a_repeated_block_runs_and_replays():
+    # The machine allows a repeated block, so user 1 may register at user
+    # 0's block 1.
+    trace = run_simulation(SimConfig(users=2, resources=2, epochs=3, seed=4))
+    txs = [BlockTx._make(rec[0]) for rec in trace.records]
+    txs[1] = txs[1]._replace(block=1)
+    fresh = list(_execute(_make_machine(trace.config), txs, DEFAULT_COST_MODEL))
+    assert [rec[1:] for rec in fresh] == [rec[1:] for rec in trace.records]
+    records = tuple((tx, *rec[1:]) for tx, rec in zip(txs, trace.records))
+    assert replay(dataclasses.replace(trace, records=records))
+
+
+def test_a_late_registration_is_charged_the_transition_it_runs():
+    # Epoch 2 starts at block 5; user 1 registers there, after user 0's
+    # demand of epoch 1, so the registration runs the transition.
+    config = SimConfig(users=2, resources=2, epochs=3, seed=4)
+    txs = [
+        (1, KIND_REGISTER, 0, None),
+        (3, KIND_DEMAND, 0, (2, 3)),
+        (5, KIND_REGISTER, 1, None),
+        (6, KIND_CLAIM, 0, None),
+    ]
+    records = [
+        _named(rec) for rec in _execute(_make_machine(config), txs, DEFAULT_COST_MODEL)
+    ]
+    assert [rec.epoch for rec in records] == [1, 1, 2, 2]
+    charged = DEFAULT_COST_MODEL.cost(KIND_UPDATE, 2, 0, 1)
+    assert [rec.update_cost for rec in records] == [None, None, charged, None]
+    assert records[3].task_count > 0
 
 
 @pytest.mark.parametrize("user", [True, 1.0, 0.0], ids=["true", "one-float", "zero-float"])

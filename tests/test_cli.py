@@ -495,9 +495,8 @@ def _credit_claimer_at(monkeypatch, at_block, resources):
     def faulty(self, user, block):
         receipt = original(self, user, block)
         if block == at_block and self.config.resource_count == resources:
-            i = self._users[user]
-            balance = self._balance[i]
-            self._balance[i] = (balance[0] + 1, *balance[1:])
+            balance = self._balance[user]
+            self._balance[user] = (balance[0] + 1, *balance[1:])
         return receipt
 
     monkeypatch.setattr(AllocationMachine, "claim", faulty)

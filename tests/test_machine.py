@@ -351,6 +351,31 @@ def test_register_guards_and_span_warning():
         machine.register_user(2)  # 3 users need 6 blocks, span is 4
 
 
+@pytest.mark.parametrize(
+    "user, message",
+    [
+        (0, "user 0 is already registered"),
+        (1, "user 1 is already registered"),
+        (3, "user 3 is out of order: the next user id is 2"),
+        (-1, "user -1 is out of order: the next user id is 2"),
+        (2**64, f"user {2**64} is out of order: the next user id is 2"),
+    ],
+    ids=["first", "last", "past-the-next", "minus-one", "2**64"],
+)
+def test_register_takes_only_the_next_id(user, message):
+    # A user's id is its registration position.
+    machine = make_machine(es=6)
+    machine.register_user(0)
+    machine.register_user(1)
+    before = vars(copy.deepcopy(machine))
+    with pytest.raises(MachineError) as raised:
+        machine.register_user(user)
+    assert (type(raised.value), str(raised.value)) == (MachineError, message)
+    assert vars(machine) == before
+    machine.register_user(2)
+    assert machine.balance_of(2) == (0, 0)
+
+
 # --- claim -------------------------------------------------------------------
 
 
@@ -608,9 +633,9 @@ def _state(machine, user):
     """Every field a call can write: the snapshot, the sums and minima, and
     each of the user's fields (both parities' demand, reciprocal and
     stamp, and the balance)."""
-    i = machine._users[user]
     per_parity = [
-        (machine._demand[s][i], machine._recip[s][i], machine._demand_epoch[s][i])
+        (machine._demand[s][user], machine._recip[s][user],
+         machine._demand_epoch[s][user])
         for s in (0, 1)
     ]
     return (
@@ -618,7 +643,7 @@ def _state(machine, user):
         copy.deepcopy(machine._sds),
         list(machine._max_recip),
         per_parity,
-        machine._balance[i],
+        machine._balance[user],
     )
 
 
@@ -645,14 +670,13 @@ def test_demand_overflow_leaves_state_unchanged():
 
 def test_claim_overflow_leaves_state_unchanged():
     machine = run_worked_epoch()
-    i = machine._users[0]
-    machine._balance[i] = (0, INT_LIMIT)  # the share [3, 12] overflows it
+    machine._balance[0] = (0, INT_LIMIT)  # the share [3, 12] overflows it
     machine.update_state(4)
     before = _state(machine, 0)
     with pytest.raises(MachineOverflowError):
         machine.claim(0, 4)
     assert _state(machine, 0) == before
-    machine._balance[i] = (0, 0)
+    machine._balance[0] = (0, 0)
     assert machine.claim(0, 4).share == ResourceVector([3, 12])
 
 
@@ -705,15 +729,14 @@ def test_a_paid_demand_two_epochs_old_is_still_reported_as_no_demand():
 
 def test_an_overflowing_claim_keeps_its_reciprocal_and_the_retry_pays():
     machine = run_worked_epoch()
-    i = machine._users[0]
-    recip = machine._recip[0][i]
-    machine._balance[i] = (0, INT_LIMIT)  # the share [3, 12] overflows it
+    recip = machine._recip[0][0]
+    machine._balance[0] = (0, INT_LIMIT)  # the share [3, 12] overflows it
     with pytest.raises(MachineOverflowError):
         machine.claim(0, 4)
-    assert machine._recip[0][i] == recip
-    machine._balance[i] = (0, 0)
+    assert machine._recip[0][0] == recip
+    machine._balance[0] = (0, 0)
     assert machine.claim(0, 5).share == (3, 12)
-    assert machine._recip[0][i] == 0
+    assert machine._recip[0][0] == 0
 
 
 def test_transition_overflow_leaves_state_unchanged():
@@ -812,11 +835,12 @@ def test_default_precision_pool_bound(extra):
 
 
 def test_retained_bytes_per_user():
-    # One list per field behind one user index, with shared immutable
-    # balances, retains about 150 B per user after registration and 240 B
+    # One list per field, indexed by the user's id, with shared immutable
+    # balances, retains about 61 B per user after registration and 149 B
     # after one demand and one claim (CPython 3.11, m = 5).  Each bound
-    # sits below the 445 and 477 B of one object per user holding its own
-    # small lists, so that layout fails it.
+    # sits below the 149 and 238 B of the same lists behind a user -> index
+    # dict, so that layout fails it, as does one object per user holding
+    # its own small lists (445 and 477 B).
     n, m = 20_000, 5
     rng = random.Random(8)
     vectors = [ResourceVector([rng.randint(1, 10) for _ in range(m)]) for _ in range(n)]
@@ -837,8 +861,8 @@ def test_retained_bytes_per_user():
     finally:
         tracemalloc.stop()
     assert not any(accounting_gap(machine))
-    assert registered < 300, f"{registered:.0f} B per registered user"
-    assert cycled < 400, f"{cycled:.0f} B per user after a demand and a claim"
+    assert registered < 100, f"{registered:.0f} B per registered user"
+    assert cycled < 200, f"{cycled:.0f} B per user after a demand and a claim"
 
 
 # --- seeded call-sequence fuzzer ----------------------------------------------
@@ -848,16 +872,14 @@ def _copy_state(machine):
     """A copy of the machine that shares only immutable values.
 
     Lists are copied, and so are the lists they hold (the per-parity
-    sums and user fields); the user index is copied too.  Any other
-    value is shared, so it must be hashable: an int, a tuple such as the
-    pair of pools, the frozen config or a vector.
+    sums and user fields).  Any other value is shared, so it must be
+    hashable: an int, a tuple such as the pair of pools, the frozen
+    config or a vector.
     """
 
     def fresh(value):
         if type(value) is list:
             return [list(v) if type(v) is list else v for v in value]
-        if type(value) is dict:
-            return dict(value)
         hash(value)
         return value
 
@@ -870,11 +892,14 @@ def _copy_state(machine):
 def _fuzz_sequence(rng, precision, reserve_high, seen, m=None):
     """Drive one fresh machine through random calls, checking after each.
 
-    Draws registrations (some duplicate), demands and claims (some by a
-    user never registered, late, duplicate or unbacked), bare
-    ``update_state`` calls, stale blocks and jumps across idle epochs.
-    After every call:
+    Registers a prefix of the users in order, then draws registrations
+    (of the next id, a duplicate, or one out of order: -1 or past the
+    next), demands and claims (some by a user never registered, late,
+    duplicate or unbacked), bare ``update_state`` calls, stale blocks and
+    jumps across idle epochs.  After every call:
 
+    * a registration passed iff its id was the next one, and a rejected
+      one names a duplicate or the next id;
     * a rejected call left the state as it was, or as ``update_state``
       alone at that block would have left it;
     * ``accounting_gap`` is zero, and names the units once a pool, at
@@ -900,22 +925,29 @@ def _fuzz_sequence(rng, precision, reserve_high, seen, m=None):
     pools: dict[int, tuple[int, ...]] = {}  # epoch -> demand pool
     expected: dict[int, dict[int, int]] = {}  # claim epoch -> user -> tasks
     block = offset
-    for u in range(n):
-        if rng.random() < 0.8:
-            machine.register_user(u)
+    registered = rng.randint(0, n)
+    for u in range(registered):
+        machine.register_user(u)
     for _ in range(rng.randint(10, 20)):
         kind = rng.choice(("register", "update") + ("demand", "claim") * 3)
         block = max(block + rng.choice((0, 1, 1, 1, es, es, 3 * es, -1)), offset)
         user = rng.randrange(n)
-        if kind == "claim" and rng.random() < 0.8:
+        if kind == "register":
+            # The next id (a duplicate once all n are in), one of the n,
+            # -1, or one past the next; user n is never registered.
+            late = rng.randint(registered + 1, n + 1)
+            user = rng.choice((min(registered, n - 1), user, -1, late))
+        elif kind == "claim" and rng.random() < 0.8:
             epoch = max(machine.epoch, (block - offset) // es + 1)
             user = rng.choice(list(demands.get(epoch - 1, [user])))
-        elif kind != "register" and rng.random() < 0.05:
-            user = n  # never registered
+        elif rng.random() < 0.05:
+            user = rng.choice((-1, n))  # never registered
         before = _copy_state(machine)
         try:
             if kind == "register":
                 machine.register_user(user)
+                assert user == registered
+                registered += 1
             elif kind == "demand":
                 vec = [rng.randrange(6) for _ in range(m)]  # randint(0, 5)'s draws
                 vec[rng.randrange(m)] = rng.randint(1, 5)
@@ -937,6 +969,15 @@ def _fuzz_sequence(rng, precision, reserve_high, seen, m=None):
                 kind = "transition"
         except MachineError as exc:
             seen[kind, type(exc).__name__] += 1
+            if kind == "register":
+                assert user != registered
+                if 0 <= user < registered:
+                    assert str(exc) == f"user {user} is already registered"
+                else:
+                    seen[kind, "out of order"] += 1
+                    assert str(exc) == (
+                        f"user {user} is out of order: the next user id is {registered}"
+                    )
             if vars(machine) != vars(before):
                 try:
                     before.update_state(block)
@@ -985,6 +1026,9 @@ def test_call_sequence_fuzzer(precision, reserve_highs, m, sequences):
     # Every kind of call both passed and was rejected, many times over.
     for kind in ("register", "demand", "claim"):
         assert seen[kind, "ok"] >= 100 and seen[kind, "MachineError"] >= 100
+    # Registrations rejected both as duplicates and as out of order.
+    out_of_order = seen["register", "out of order"]
+    assert 100 <= out_of_order <= seen["register", "MachineError"] - 100
     assert seen["transition", "ok"] >= 500
     if precision > DEFAULT_PRECISION:
         assert seen["demand", "MachineOverflowError"] >= 100
@@ -1083,23 +1127,34 @@ def test_claim_raises_what_fixed_floor_div_raises_first(recip, k_prime, max_reci
     assert _state(machine, 0) == before
 
 
+_USER_CALLS = {
+    "demand": lambda machine, user: machine.demand(user, ResourceVector([1, 1]), 0),
+    "claim": lambda machine, user: machine.claim(user, 4),
+    "caller_snapshot": lambda machine, user: machine.caller_snapshot(user),
+    "balance_of": lambda machine, user: machine.balance_of(user),
+}
+
+
+# Users 0 and 1 are registered.  -1 must not read the last user, 2 is the
+# next position, 2**64 hashes as 8; "0" and [0] are not numbers at all.
 @pytest.mark.parametrize(
-    "call",
+    "call, user",
     [
-        lambda machine: machine.demand(7, ResourceVector([1, 1]), 0),
-        lambda machine: machine.claim(7, 4),
-        lambda machine: machine.caller_snapshot(7),
-        lambda machine: machine.balance_of(7),
+        pytest.param(call, user, id=call if label is None else f"{call}-{label}")
+        for user, label in [
+            (7, None), (-1, "minus-one"), (2, "next"), (2**64, "2**64"),
+            ("0", "string"), ([0], "list"),
+        ]
+        for call in _USER_CALLS
     ],
-    ids=["demand", "claim", "caller_snapshot", "balance_of"],
 )
-def test_unregistered_user_error(call):
+def test_unregistered_user_error(call, user):
     machine = run_worked_epoch()
     before = vars(copy.deepcopy(machine))
     with pytest.raises(MachineError) as raised:
-        call(machine)
+        _USER_CALLS[call](machine, user)
     assert type(raised.value) is MachineError
-    assert str(raised.value) == "user 7 is not registered"
+    assert str(raised.value) == f"user {user} is not registered"
     assert raised.value.__cause__ is None and raised.value.__suppress_context__
     assert vars(machine) == before
 
@@ -1249,6 +1304,16 @@ def test_config_accepts_int_subclasses_other_than_bool():
     assert machine.claim(0, 4).task_count == 9
 
 
+def test_an_int_subclass_id_names_its_position():
+    machine = make_machine()
+    machine.register_user(_Int(0))
+    machine.register_user(1)
+    record = machine.demand(_Int(1), (3, 1), 1)
+    assert type(record.user) is _Int
+    assert machine.claim(_Int(1), 4).share == machine.balance_of(_Int(1)) == (9, 3)
+    assert machine.caller_snapshot(1) == machine.caller_snapshot(_Int(1))
+
+
 def test_config_rejects_a_zero_precision():
     with pytest.raises(ValueError, match="precision must be positive"):
         MachineConfig(1, 4, 0, ResourceVector([8]), precision=0)
@@ -1312,8 +1377,7 @@ def _count_walks(machine):
     """Swap every per-user container of ``machine`` for one that counts
     walks, and return the counter."""
     walks = collections.Counter()
-    counted_list, counted_dict = _walk_counted(list, walks), _walk_counted(dict, walks)
-    machine._users = counted_dict(machine._users)
+    counted_list = _walk_counted(list, walks)
     for name in ("_demand", "_recip", "_demand_epoch"):
         setattr(machine, name, [counted_list(c) for c in getattr(machine, name)])
     machine._balance = counted_list(machine._balance)
