@@ -171,11 +171,13 @@ class _Core:
 
     * M, a common denominator of every ratio d_ir / (w_ir * R_r): the lcm
       of the positive R_r * w_ir.numerator over the distinct weight
-      vectors w.  Unit weights, the default, are one vector that every
-      user shares; no per-user weight is built or hashed for them.
+      vectors w.  With unit weights, the default, M is the lcm of the
+      positive R_r.
     * q^w_r = w_r.denominator * (M // (R_r * w_r.numerator)), one scale
       vector per distinct w, and 0 where R_r = 0.  When every user has
-      the same w, its one q^w is repeated, not looked up per user.
+      the same w, its one q^w is repeated, not looked up per user.  With
+      unit weights one q, q_r = M // R_r, serves every user without
+      reading a weight.
     * The key x_i = max_r d_ir * q^w_r = s_i * M: user i's dominant share
       as an integer over M.
     * C = lcm(x_i) and c_i = C // x_i, an integer proportional to 1/s_i.
@@ -199,26 +201,29 @@ class _Core:
         weights: Sequence[WeightVector] | None = None,
     ) -> None:
         m = len(reserves)
-        if weights is None:  # unit weights: one vector that every user shares
-            unit = (1,) * m
-            qs, weights = {unit: None}, repeat(unit)
+        if weights is None:  # unit weights: M = lcm(R_r > 0), q_r = M // R_r
+            weights = repeat(None)  # dominant_share's default, unit weights
+            if demands and len(demands[0]) != m:
+                _raise_first_error(demands, reserves, weights)
+            lcm = math.lcm(*filter(None, reserves))
+            per_user = repeat([lcm // res if res else 0 for res in reserves])
         else:
             qs = dict.fromkeys(weights)  # q^w per distinct weight vector w
-        if any(len(w) != m for w in qs) or demands and len(demands[0]) != m:
-            _raise_first_error(demands, reserves, weights)
-        lcm = math.lcm(  # M
-            *(res * x.numerator for w in qs for res, x in zip(reserves, w) if res)
-        )
-        for w in qs:
-            qs[w] = [
-                x.denominator * (lcm // (res * x.numerator)) if res else 0
-                for res, x in zip(reserves, w)
-            ]
-        # x_i = max(map(mul, d_i, q^w_i)), with the loop over users in C; a
-        # single q^w is repeated, not looked up once per user.
-        per_user = (
-            repeat(*qs.values()) if len(qs) == 1 else map(qs.__getitem__, weights)
-        )
+            if any(len(w) != m for w in qs) or demands and len(demands[0]) != m:
+                _raise_first_error(demands, reserves, weights)
+            lcm = math.lcm(  # M
+                *(res * x.numerator for w in qs for res, x in zip(reserves, w) if res)
+            )
+            for w in qs:
+                qs[w] = [
+                    x.denominator * (lcm // (res * x.numerator)) if res else 0
+                    for res, x in zip(reserves, w)
+                ]
+            # A single q^w is repeated, not looked up once per user.
+            per_user = (
+                repeat(*qs.values()) if len(qs) == 1 else map(qs.__getitem__, weights)
+            )
+        # x_i = max(map(mul, d_i, q^w_i)), with the loop over users in C.
         keys = list(map(max, map(map, repeat(mul), demands, per_user)))
         columns = list(zip(*demands))
         if 0 in keys or 0 in reserves and any(

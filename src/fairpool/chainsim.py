@@ -396,7 +396,7 @@ def _execute(
     last = len(txs) - 1
     m = machine.config.resource_count
     zeros = (0,) * m
-    calls: dict[str, dict[int, int]] = {KIND_DEMAND: {}, KIND_CLAIM: {}}  # so far
+    calls: dict[str, list[int]] = {KIND_DEMAND: [], KIND_CLAIM: []}  # per user, so far
     ledger: list[tuple[int, ...]] = []  # each user's balance, from receipts
     transitions = machine.transitions
     predicted: tuple = ()  # both pools, as the block should leave them
@@ -416,6 +416,8 @@ def _execute(
                 machine.update_state(block)
                 machine.register_user(user)
                 ledger.append(zeros)
+                calls[KIND_DEMAND].append(0)
+                calls[KIND_CLAIM].append(0)
             elif kind == KIND_DEMAND or kind == KIND_CLAIM:
                 branch_events = 0
                 if kind == KIND_DEMAND:  # the record shares the schedule's tuple
@@ -423,8 +425,8 @@ def _execute(
                 else:
                     _, _, task_count, vector, clamped = machine.claim(user, block)
                     ledger[user] = tuple(map(add, ledger[user], vector))
-                per_user = calls[kind]
-                ordinal = per_user[user] = per_user.get(user, 0) + 1
+                ordinals = calls[kind]
+                ordinal = ordinals[user] = ordinals[user] + 1
                 cost_units = cost_model.cost(kind, m, branch_events, ordinal)
             else:
                 raise MachineError(f"unknown call kind {kind!r}")

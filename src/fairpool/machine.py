@@ -427,10 +427,13 @@ class AllocationMachine:
         S_r >= recip at the user's dominant resource r, so recip * k' is at
         most max_recip * P_r * p, which the transition checked, and
         max_recip * p is no larger: only the credited balance can overflow.
-        A seeded search finds counts one above exact ``pdrf`` at p <= 10
-        and none at p >= 100.  The division is inline, as in ``demand``:
-        ``fixed_floor_div`` is called only for an operand its check
-        rejects, so the claim raises what that function raises.
+        At p <= 10 counts run both ways from exact ``pdrf``: at p = 10,
+        demands (0, 1), (3, 2) against (2, 6) get (5, 0) for exact (4, 0),
+        and (0, 1), (3, 1) against (1, 7) get (4, 0) for exact (6, 0).  A
+        seeded search finds none above exact at p >= 100.  The division is
+        inline, as in ``demand``: ``fixed_floor_div`` is called only for an
+        operand its check rejects, so the claim raises what that function
+        raises.
         """
         if type(user) is not int or not 0 <= user < len(self._balance):
             self._check_user(user)

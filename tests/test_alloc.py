@@ -484,11 +484,22 @@ def test_weighted_pdrf_doubled_weight_doubles_ratio():
 
 def test_weighted_pdrf_unit_weights_reduce_on_random_instances():
     rng = random.Random(7)
-    for _ in range(300):
-        n = rng.randint(1, 8)
-        m = rng.randint(1, 4)
-        demands, reserves = _random_instance(rng, n, m)
-        weights = [WeightVector([1] * m) for _ in range(n)]
+    instances = [
+        _random_instance(rng, rng.randint(1, 8), rng.randint(1, 4))
+        for _ in range(300)
+    ]
+    # The differential stream's unweighted instances, some with a zero
+    # reserve nobody demands: the unweighted core's q_r = 0.
+    rng = random.Random(11)
+    for _ in range(600):
+        demands, reserves, weights = _differential_instance(
+            rng, rng.choice((1, 2, 3, 4, 5, 8))
+        )
+        if weights is None:
+            instances.append((demands, reserves))
+    assert sum(0 in reserves for _, reserves in instances) >= 50
+    for demands, reserves in instances:
+        weights = [WeightVector([1] * len(reserves))] * len(demands)
         assert pdrf_allocate(demands, reserves, weights) == (
             pdrf_allocate(demands, reserves)
         )

@@ -10,6 +10,7 @@ import pytest
 
 from fairpool import (
     AllocationMachine,
+    DemandSet,
     MachineConfig,
     MachineError,
     MachineOverflowError,
@@ -17,6 +18,7 @@ from fairpool import (
     accounting_gap,
     fixed_floor_div,
     fixed_point_reference,
+    pdrf_allocate,
 )
 from fairpool.machine import DEFAULT_PRECISION, INT_LIMIT
 
@@ -1236,6 +1238,35 @@ def test_claim_reciprocal_operand_bound(precision):
     assert machine.balance_of(1) == (tasks,)
     assert machine.reserve_pool(0) == ResourceVector([2**10 - tasks])
     assert not any(accounting_gap(machine))
+
+
+@pytest.mark.parametrize(
+    "demands, reserves, low, exact",
+    [
+        ([(0, 1), (3, 2)], (2, 6), (5, 0), (4, 0)),  # one above exact
+        ([(0, 1), (3, 1)], (1, 7), (4, 0), (6, 0)),  # two below exact
+    ],
+    ids=["above", "two-below"],
+)
+def test_low_precision_counts_run_above_and_below_exact_pdrf(
+    demands, reserves, low, exact
+):
+    # At p = 10 the floored reciprocals p * R_r // d_r are coarse enough to
+    # move a count either way from exact pdrf; at p = 100 and 10**6 both
+    # instances are exact.  The machine and fixed_point_reference agree.
+    assert pdrf_allocate(
+        DemandSet.from_vectors(demands), ResourceVector(reserves)
+    ).task_counts == exact
+    for precision, expected in ((10, low), (100, exact), (P, exact)):
+        machine = AllocationMachine(
+            MachineConfig(2, 4, 0, ResourceVector(reserves), precision)
+        )
+        for user, demand in enumerate(demands):
+            machine.register_user(user)
+            machine.demand(user, ResourceVector(demand), 0)
+        counts = tuple(machine.claim(user, 4).task_count for user in (0, 1))
+        outcome = fixed_point_reference(demands, reserves, precision)
+        assert counts == outcome.task_counts == expected, precision
 
 
 def test_transition_overflow_is_not_terminal():
