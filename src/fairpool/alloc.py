@@ -7,10 +7,11 @@ precomputed variant take optional weights; unit weights, the default,
 give the unweighted form.  Everything here is exact, so results are
 bit-reproducible and usable as ground truth for the fixed-point machine.
 Both multi-resource allocators and their comparison start from one integer
-core per instance: each dominant share s_i as an integer key x_i = s_i * M
-over one common denominator M, and from the keys the cycle multiples c_i
-and per-resource drains N_r.  They compare ratios by cross-multiplication
-and build a ``Fraction`` or a vector only for values they return;
+core per instance, where weights only scale the demand rows: each dominant
+share s_i as an integer key x_i = s_i * U * M (see _Core), and from the keys
+the cycle multiples c_i and per-resource drains N_r.  They compare ratios by
+cross-multiplication and build a ``Fraction`` or a vector only for values
+they return;
 progressive filling computes in ``Fraction`` throughout.
 Users are positions: user i is the i-th vector of the ``DemandSet`` and
 the i-th entry of every result.
@@ -70,10 +71,14 @@ def _as_fraction(value: Rational, what: str) -> Fraction:
     return f
 
 
+def _weight_vector(weights: Sequence[Rational]) -> WeightVector:
+    return weights if isinstance(weights, WeightVector) else WeightVector(weights)
+
+
 def progressive_filling(
     demands: Sequence[Rational],
     reserve: Rational,
-    weights: WeightVector | None = None,
+    weights: Sequence[Rational] | None = None,
 ) -> list[Fraction]:
     """Max-min fair split of a single divisible resource.
 
@@ -82,7 +87,7 @@ def progressive_filling(
     users whose maximum demand fits their share are paid in full and
     removed, and the residue is re-split.  When a round satisfies
     nobody, everyone takes exactly their share and the reserve is
-    exhausted.
+    exhausted.  Weights are built into a ``WeightVector`` after the checks.
     """
     weights = (1,) * len(demands) if weights is None else weights
     if len(weights) != len(demands):
@@ -91,6 +96,7 @@ def progressive_filling(
         )
     total = _as_fraction(reserve, "reserve")
     wants = [_as_fraction(d, "demand") for d in demands]
+    weights = _weight_vector(weights) if wants else ()  # no users, no weights
     allocs: list[Fraction] = [Fraction(0)] * len(wants)
     active = [i for i, d in enumerate(wants) if d > 0]
     while active and total > 0:
@@ -111,11 +117,12 @@ def progressive_filling(
 def dominant_share(
     demand: ResourceVector,
     reserves: ResourceVector,
-    weights: WeightVector | None = None,
+    weights: Sequence[Rational] | None = None,
 ) -> tuple[Fraction, int]:
     """Highest ratio d_r / (w_r * reserve_r) and the resource index attaining it.
 
-    ``weights`` holds one weight per resource and defaults to 1 each.
+    ``weights`` holds one weight per resource and defaults to 1 each; once
+    both lengths are checked, any but a ``WeightVector`` is built into one.
     Each ratio is kept as the integer pair (d_r * w_r.denominator,
     reserve_r * w_r.numerator) and compared by cross-multiplication; ties
     break toward the lowest resource index.  Components the user does not
@@ -127,6 +134,7 @@ def dominant_share(
         raise ValueError("need one weight per resource")
     if len(demand) != len(reserves):
         raise ValueError("demand and reserves must have the same resource count")
+    weights = _weight_vector(weights)
     # -1/1 is below every ratio, so the first demanded resource takes the lead.
     best_num, best_den, best_index = -1, 1, -1
     for r, (d, res, w) in enumerate(zip(demand, reserves, weights)):
@@ -169,17 +177,13 @@ class _Core:
 
     Besides the demand rows (the ``DemandSet`` itself) and columns:
 
-    * M, a common denominator of every ratio d_ir / (w_ir * R_r): the lcm
-      of the positive R_r * w_ir.numerator over the distinct weight
-      vectors w.  With unit weights, the default, M is the lcm of the
-      positive R_r.
-    * q^w_r = w_r.denominator * (M // (R_r * w_r.numerator)), one scale
-      vector per distinct w, and 0 where R_r = 0.  When every user has
-      the same w, its one q^w is repeated, not looked up per user.  With
-      unit weights one q, q_r = M // R_r, serves every user without
-      reading a weight.
-    * The key x_i = max_r d_ir * q^w_r = s_i * M: user i's dominant share
-      as an integer over M.
+    * Row i scaled by U / w_i, U the lcm of every weight's numerator:
+      e_ir = d_ir * w_ir.denominator * (U // w_ir.numerator).  With unit
+      weights, the default, U = 1 and e_i = d_i.  Only the keys read e.
+    * M, the lcm of the positive R_r, and q_r = M // R_r (0 where R_r = 0),
+      one q for every user.
+    * The key x_i = max_r e_ir * q_r = s_i * U * M.  Only ratios between
+      keys reach a result, so U changes none: C scales with it, c_i not.
     * C = lcm(x_i) and c_i = C // x_i, an integer proportional to 1/s_i.
     * N_r = sum_i c_i * d_ir, resource r's drain per cycle.
     * The binding pair (R_b, N_b), the smallest R_r / N_r over N_r > 0,
@@ -198,33 +202,29 @@ class _Core:
         self,
         demands: DemandSet,
         reserves: ResourceVector,
-        weights: Sequence[WeightVector] | None = None,
+        weights: Sequence[Sequence[Rational]] | None = None,
     ) -> None:
         m = len(reserves)
-        if weights is None:  # unit weights: M = lcm(R_r > 0), q_r = M // R_r
-            weights = repeat(None)  # dominant_share's default, unit weights
-            if demands and len(demands[0]) != m:
+        if weights is None:
+            rows, weights = demands, repeat(None)  # dominant_share's default
+        else:  # e_ir = d_ir * U / w_ir: U = lcm of every weight's numerator
+            if any(len(w) != m for w in weights):
                 _raise_first_error(demands, reserves, weights)
-            lcm = math.lcm(*filter(None, reserves))
-            per_user = repeat([lcm // res if res else 0 for res in reserves])
-        else:
-            qs = dict.fromkeys(weights)  # q^w per distinct weight vector w
-            if any(len(w) != m for w in qs) or demands and len(demands[0]) != m:
+            try:
+                weights = list(map(_weight_vector, weights))
+            except ValueError:  # a weight WeightVector rejects
                 _raise_first_error(demands, reserves, weights)
-            lcm = math.lcm(  # M
-                *(res * x.numerator for w in qs for res, x in zip(reserves, w) if res)
-            )
-            for w in qs:
-                qs[w] = [
-                    x.denominator * (lcm // (res * x.numerator)) if res else 0
-                    for res, x in zip(reserves, w)
-                ]
-            # A single q^w is repeated, not looked up once per user.
-            per_user = (
-                repeat(*qs.values()) if len(qs) == 1 else map(qs.__getitem__, weights)
-            )
-        # x_i = max(map(mul, d_i, q^w_i)), with the loop over users in C.
-        keys = list(map(max, map(map, repeat(mul), demands, per_user)))
+            u = math.lcm(*(x.numerator for w in weights for x in w))
+            rows = [
+                [d * x.denominator * (u // x.numerator) for d, x in zip(row, w)]
+                for row, w in zip(demands, weights)
+            ]
+        if demands and len(demands[0]) != m:
+            _raise_first_error(demands, reserves, weights)
+        lcm = math.lcm(*filter(None, reserves))  # M
+        q = [lcm // res if res else 0 for res in reserves]
+        # x_i = max(map(mul, e_i, q)), with the loop over users in C.
+        keys = list(map(max, map(map, repeat(mul), rows, repeat(q))))
         columns = list(zip(*demands))
         if 0 in keys or 0 in reserves and any(
             any(col) for res, col in zip(reserves, columns) if not res
@@ -330,7 +330,7 @@ def drf_allocate(demands: DemandSet, reserves: ResourceVector) -> AllocationResu
 def pdrf_allocate(
     demands: DemandSet,
     reserves: ResourceVector,
-    weights: Sequence[WeightVector] | None = None,
+    weights: Sequence[Sequence[Rational]] | None = None,
 ) -> AllocationResult:
     """Precomputed dominant-resource-fair allocation.
 
@@ -341,7 +341,7 @@ def pdrf_allocate(
 
     One cycle gives user i s*/s_i tasks, where s_i is its dominant share
     and s* the largest.  All of it is integer arithmetic on the core's
-    keys x_i = s_i * M (see _Core): with C = lcm(x_i), c_i = C // x_i is
+    keys x_i = s_i * U * M (see _Core): with C = lcm(x_i), c_i = C // x_i is
     an integer proportional to 1/s_i, and a cycle drains resource r in
     proportion to N_r = sum_i c_i * d_ir.  The binding resource minimises
     R_r / N_r (compared by cross-multiplication, skipping N_r = 0), user i

@@ -242,17 +242,12 @@ class AllocationMachine:
         return self._epoch, self._reserves, self._k_prime, self._balance[user]
 
     def _check_user(self, user: object) -> None:
-        """The slow path for an id not a plain int in ``0 <= id < n``: pass an
-        int subclass in range and raise for any other.  An id finds a user by
-        hash and equality, as in a dict: ``True`` and ``1.0`` do, ``-1`` not."""
-        try:
-            i = hash(user)
-        except TypeError:  # an unhashable id is not registered
-            i = -1
-        if not (0 <= i < len(self._balance) and i == user):
-            raise MachineError(f"user {user} is not registered") from None
+        """The slow path for an id not a plain int in ``0 <= id < n``: check it
+        as ``register_user`` does, and pass an int subclass in range."""
         if _not_integer(user):
             raise MachineError(f"user id must be an integer, got {user!r}") from None
+        if not 0 <= user < len(self._balance):
+            raise MachineError(f"user {user} is not registered") from None
 
     def register_user(self, user: int) -> None:
         """Register the next user: ids are registration positions, 0, 1,

@@ -107,7 +107,10 @@ class WeightVector(tuple):
     __slots__ = ()
 
     def __new__(cls, weights: Iterable[Rational]) -> "WeightVector":
-        w = tuple.__new__(cls, (Fraction(x) for x in weights))
+        try:
+            w = tuple.__new__(cls, map(Fraction, weights))
+        except (TypeError, ValueError, OverflowError) as exc:  # None, "x", nan, inf
+            raise ValueError(f"weights must be rational: {exc}") from None
         if not w:
             raise ValueError("weight vector must have at least one component")
         for x in w:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -512,6 +513,75 @@ def test_weighted_pdrf_weight_count_mismatch():
             ResourceVector([5, 5]),
             [WeightVector([1, 1])],
         )
+
+
+# Weights that are not a WeightVector are built into one where they enter,
+# so a weight WeightVector rejects raises its ValueError in every function.
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (0, "weights must be positive, got 0"),
+        (-1, "weights must be positive, got -1"),
+        (float("nan"), "weights must be rational: "),
+        (float("inf"), "weights must be rational: "),
+        (None, "weights must be rational: "),
+    ],
+    ids=["zero", "negative", "nan", "inf", "none"],
+)
+def test_a_rejected_weight_raises_where_it_enters(bad, message):
+    demands = DemandSet.from_vectors([[1, 2], [2, 1]])
+    reserves = ResourceVector([10, 10])
+    calls = [
+        lambda: pdrf_allocate(demands, reserves, [(1, bad), (1, 1)]),
+        lambda: pdrf_allocate(demands, reserves, [(1, 1), (bad, 1)]),
+        lambda: dominant_share(demands[0], reserves, (1, bad)),
+        lambda: progressive_filling([1, 2], 10, (1, bad)),
+    ]
+    for call in calls:
+        assert _raised(call).startswith(message)
+    # An earlier user's error still comes first, as computing each share would.
+    zero = ResourceVector([0, 10])
+    first = _raised(lambda: pdrf_allocate(demands, zero, [(1, 1), (1, bad)]))
+    assert first == _ZERO.format(0)
+
+
+def test_a_float_weight_gives_its_fractions_result():
+    demands = DemandSet.from_vectors([[1, 2], [2, 1]])
+    reserves = ResourceVector([10, 10])
+    for weights in [(1, 0.5), (0.1, 2.5), (3.0, 1)]:
+        exact = tuple(map(Fraction, weights))
+        assert pdrf_allocate(demands, reserves, [weights, (1, 1)]) == (
+            pdrf_allocate(demands, reserves, [WeightVector(exact), (1, 1)])
+        )
+        assert dominant_share(demands[0], reserves, weights) == (
+            dominant_share(demands[0], reserves, exact)
+        )
+        filled = progressive_filling([3, 4], 5, weights)
+        assert filled == progressive_filling([3, 4], 5, exact)
+        assert all(type(x) is Fraction for x in filled)
+    # No users need no weight: the empty sequence is not built into one.
+    assert progressive_filling([], 10, ()) == []
+
+
+def test_pdrf_matches_fraction_oracle_with_distinct_weights_at_n300():
+    # Every user has its own weight vector, so U, the lcm of all 1,200
+    # weight numerators, runs to hundreds of bits; the differential
+    # stream stops at n = 8 and three shared vectors.
+    rng = random.Random(300)
+    n, m = 300, 4
+    demands = DemandSet.from_vectors(
+        [[rng.randint(1, 10) for _ in range(m)] for _ in range(n)]
+    )
+    reserves = ResourceVector([rng.randint(10**5, 10**6) for _ in range(m)])
+    weights = [
+        WeightVector(Fraction(rng.randint(1, 97), rng.randint(1, 31)) for _ in range(m))
+        for _ in range(n)
+    ]
+    assert len(set(weights)) == n
+    u = math.lcm(*(x.numerator for w in weights for x in w))
+    assert u.bit_length() > 100
+    _assert_matches_oracle(demands, reserves, weights)
+    assert sum(pdrf_allocate(demands, reserves, weights).task_counts) > n
 
 
 # --- loop vs precomputed -------------------------------------------------

@@ -1357,7 +1357,7 @@ def test_replay_names_the_block_of_an_unknown_call_kind():
     "k, field, value, block, message",
     [
         (0, "user", [0], 1, "user id must be an integer, got [0]"),
-        (2, "user", [0], 3, "user [0] is not registered"),
+        (2, "user", [0], 3, "user id must be an integer, got [0]"),
         (2, "kind", ["demand"], 3, "unknown call kind ['demand']"),
         (2, "block", "3", None, "block must be an integer, got '3'"),
         (2, "block", None, None, "block must be an integer, got None"),

@@ -1137,26 +1137,34 @@ _USER_CALLS = {
 }
 
 
+_NOT_REGISTERED = "user {!s} is not registered"
+_NOT_INTEGER = "user id must be an integer, got {!r}"
+
+
 # Users 0 and 1 are registered.  -1 must not read the last user, 2 is the
-# next position, 2**64 hashes as 8; "0" and [0] are not numbers at all.
+# next position, 2**64 hashes as 8; "0" and [0] are not integers, so they
+# fail the id rule register_user applies before any range check.
 @pytest.mark.parametrize(
-    "call, user",
+    "call, user, message",
     [
-        pytest.param(call, user, id=call if label is None else f"{call}-{label}")
-        for user, label in [
-            (7, None), (-1, "minus-one"), (2, "next"), (2**64, "2**64"),
-            ("0", "string"), ([0], "list"),
+        pytest.param(
+            call, user, message, id=call if label is None else f"{call}-{label}"
+        )
+        for user, label, message in [
+            (7, None, _NOT_REGISTERED), (-1, "minus-one", _NOT_REGISTERED),
+            (2, "next", _NOT_REGISTERED), (2**64, "2**64", _NOT_REGISTERED),
+            ("0", "string", _NOT_INTEGER), ([0], "list", _NOT_INTEGER),
         ]
         for call in _USER_CALLS
     ],
 )
-def test_unregistered_user_error(call, user):
+def test_unregistered_user_error(call, user, message):
     machine = run_worked_epoch()
     before = vars(copy.deepcopy(machine))
     with pytest.raises(MachineError) as raised:
         _USER_CALLS[call](machine, user)
     assert type(raised.value) is MachineError
-    assert str(raised.value) == f"user {user} is not registered"
+    assert str(raised.value) == message.format(user)
     assert raised.value.__cause__ is None and raised.value.__suppress_context__
     assert vars(machine) == before
 
