@@ -290,7 +290,9 @@ class AllocationMachine:
         the state as it was, the epoch and the last block seen included.
 
         A block that is not an int raises.  One in the current epoch at or
-        past the last block seen needs no other check, so it returns at once.
+        past the last block seen needs no other check, so it returns at once;
+        ``demand`` and ``claim`` repeat this test in line and call here for
+        every other block.
         """
         if type(block) is not int and _not_integer(block):
             raise MachineError(f"block must be an integer, got {block!r}")
@@ -341,6 +343,11 @@ class AllocationMachine:
         function is called only for an operand the check rejects, so it
         raises the same error, for the same resource, as calling it every
         time.
+
+        A block inside the current epoch, at or past the last block seen,
+        is checked in line (``update_state``'s early return, without its
+        call); every other block goes through ``update_state``, so the
+        block rule and its messages are that method's.
         """
         if not isinstance(vector, ResourceVector):
             if vector is None:
@@ -352,7 +359,12 @@ class AllocationMachine:
                 raise MachineError(str(exc)) from None
         if type(user) is not int or not 0 <= user < len(self._balance):
             self._check_user(user)
-        self.update_state(block)
+        # update_state's early return, repeated in line: a plain int block in
+        # the current epoch, at or past the last block seen, is only stored.
+        if type(block) is int and self._last_block <= block < self._epoch_end:
+            self._last_block = block
+        else:
+            self.update_state(block)
         e = self._epoch
         s = (e + 1) % 2
         if self._demand_epoch[s][user] == e:
@@ -397,12 +409,12 @@ class AllocationMachine:
         if self._reset_epoch == e:
             # Later demands of the epoch add to its sums; the minimum
             # reciprocal is the largest dominant share.
-            sds = list(map(add, self._sds[s], map(recip.__mul__, vector)))
+            sds = [t + recip * d for t, d in zip(self._sds[s], vector)]
             if self._max_recip[s] < recip:
                 max_recip = self._max_recip[s]
         else:
             # The first demand of the epoch overwrites last round's sums.
-            sds = list(map(recip.__mul__, vector))
+            sds = [recip * d for d in vector]
         if max(sds) > INT_LIMIT:  # each sum bounds its non-negative terms
             _checked(max(sds))
         self._sds[s] = sds
@@ -428,11 +440,16 @@ class AllocationMachine:
         seeded search finds none above exact at p >= 100.  The division is
         inline, as in ``demand``: ``fixed_floor_div`` is called only for an
         operand its check rejects, so the claim raises what that function
-        raises.
+        raises.  The block is checked as in ``demand``: in line inside the
+        current epoch, through ``update_state`` otherwise.
         """
         if type(user) is not int or not 0 <= user < len(self._balance):
             self._check_user(user)
-        self.update_state(block)
+        # update_state's early return, repeated in line as in ``demand``.
+        if type(block) is int and self._last_block <= block < self._epoch_end:
+            self._last_block = block
+        else:
+            self.update_state(block)
         e = self._epoch
         s = e % 2
         # Only the other parity's stamp is read, so a demand made earlier
@@ -452,7 +469,7 @@ class AllocationMachine:
         else:
             task_count = fixed_floor_div(scaled, scale)
         pool = self._reserves[s]
-        share = tuple(map(task_count.__mul__, self._demand[s][user]))
+        share = tuple([task_count * d for d in self._demand[s][user]])
         if max(share) > INT_LIMIT:
             _checked(max(share))
         clamped = any(map(gt, share, pool))

@@ -97,19 +97,27 @@ class DemandSet(tuple):
         return f"DemandSet({list(self)})"
 
 
+def _fraction(value: Rational) -> Fraction:
+    # ``Fraction`` parses text ("1/2", " 3 "), which is not a weight.
+    if isinstance(value, str):
+        raise TypeError(f"got the string {value!r}")
+    return Fraction(value)
+
+
 class WeightVector(tuple):
     """Strictly positive rational weights, one per resource or one per user.
 
-    A tuple of ``Fraction`` values; ``+``, ``*`` and ``<`` are tuple
-    operations, as for ``ResourceVector``.
+    A tuple of ``Fraction`` values, each built from a number (an int, a
+    ``Fraction`` or a finite float), never from text; ``+``, ``*`` and
+    ``<`` are tuple operations, as for ``ResourceVector``.
     """
 
     __slots__ = ()
 
     def __new__(cls, weights: Iterable[Rational]) -> "WeightVector":
         try:
-            w = tuple.__new__(cls, map(Fraction, weights))
-        except (TypeError, ValueError, OverflowError) as exc:  # None, "x", nan, inf
+            w = tuple.__new__(cls, map(_fraction, weights))
+        except (TypeError, ValueError, OverflowError) as exc:  # None, "1", nan, inf
             raise ValueError(f"weights must be rational: {exc}") from None
         if not w:
             raise ValueError("weight vector must have at least one component")

@@ -525,8 +525,9 @@ def test_weighted_pdrf_weight_count_mismatch():
         (float("nan"), "weights must be rational: "),
         (float("inf"), "weights must be rational: "),
         (None, "weights must be rational: "),
+        ("1/2", "weights must be rational: got the string '1/2'"),  # Fraction parses it
     ],
-    ids=["zero", "negative", "nan", "inf", "none"],
+    ids=["zero", "negative", "nan", "inf", "none", "string"],
 )
 def test_a_rejected_weight_raises_where_it_enters(bad, message):
     demands = DemandSet.from_vectors([[1, 2], [2, 1]])

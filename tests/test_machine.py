@@ -283,6 +283,47 @@ def test_update_state_retries_an_overflowing_transition():
     assert machine.epoch == 3
 
 
+class _Block(int):
+    """An int subclass: ``update_state`` takes it, the in-line check does not."""
+
+
+def _outcome(call):
+    try:
+        return "returned", call()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+# make_machine(offset=10): epoch 2 spans blocks 14 .. 17; the last block
+# seen is 15.
+@pytest.mark.parametrize(
+    "block",
+    [15, 17, 18, 22, 14, 9, True, _Block(16), 5.0, "5", None],
+    ids=["same", "epoch-last", "next-epoch", "two-ahead", "back", "before-offset",
+         "true", "int-subclass", "float", "str", "none"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda machine, block: machine.demand(1, ResourceVector([1, 2]), block),
+        lambda machine, block: machine.claim(0, block),
+    ],
+    ids=["demand", "claim"],
+)
+def test_demand_and_claim_treat_a_block_as_update_state_does(call, block):
+    # ``demand`` and ``claim`` repeat update_state's early return in line;
+    # each must act as update_state(block) followed by the same call.
+    machine = make_machine(offset=10)
+    machine.register_user(0)
+    machine.register_user(1)
+    machine.demand(0, ResourceVector([3, 1]), 10)
+    machine.update_state(15)
+    reference = copy.deepcopy(machine)
+    expected = _outcome(lambda: (reference.update_state(block), call(reference, block))[1])
+    assert _outcome(lambda: call(machine, block)) == expected
+    assert vars(machine) == vars(reference)
+
+
 # --- demand -----------------------------------------------------------------
 
 

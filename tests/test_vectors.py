@@ -102,6 +102,14 @@ def test_weight_vector_validation():
         WeightVector([1, -2])
 
 
+@pytest.mark.parametrize("text", ["1/2", " 3 ", "2", "0.5"])
+def test_weight_vector_rejects_text(text):
+    # Fraction would parse each of these; a weight must be a number.
+    with pytest.raises(ValueError) as error:
+        WeightVector([1, text])
+    assert str(error.value) == f"weights must be rational: got the string {text!r}"
+
+
 # --- vectors are validated tuples ------------------------------------------------
 
 _VECTORS = [
