@@ -337,8 +337,8 @@ def _execute(
     ``update_cost``, the cost of the epoch transition the call executed,
     so nothing about a block is kept anywhere else.  A call's cost
     ordinal counts that user's calls of that kind so far; a
-    transition's is the machine's transition count, since every run
-    starts from a fresh machine.
+    transition's is the machine's transition count.  The machine must be
+    fresh: both callers build it with ``_make_machine``.
 
     The machine checks each demand's vector, so a missing, non-iterable
     or invalid one raises ``SimulationError`` at its block, as does a
@@ -357,12 +357,14 @@ def _execute(
 
     - the caller's balance equals its ledger entry, which catches a
       wrong credit;
-    - the pools and the injected total are as predicted: a claim takes
-      exactly its receipt's share from the pool claims drain (parity
-      ``epoch % 2``) and must not leave it negative; nothing else moves
-      a unit, and only a transition changes the injected total.  So a
-      unit that leaves, enters or moves between the pools raises at
-      its block, as does a changed injected total.  A pair equal to the
+    - the pools and the injected total are as predicted, from a fresh
+      machine's: a transition adds one epoch reserve to the injected
+      total and to the pool at parity ``1 - epoch % 2``, then a claim
+      takes exactly its receipt's share from the pool claims drain
+      (parity ``epoch % 2``) and must not leave it negative; nothing
+      else moves a unit.  So a unit that leaves, enters or moves between
+      the pools raises at its block, as does a wrong injected total, on
+      the first block and on transitions too.  A pair equal to the
       prediction is made of tuples, which cannot change, so it becomes
       the next prediction and a block that replaces neither is checked
       by identity.  Any other pair is compared as tuples by value, so
@@ -370,15 +372,12 @@ def _execute(
       else the block raises naming a negative pool, else the gap the
       ledger leaves (O(n), on this path only), else both pairs.
 
-    The first block and each transition have no prediction: no pool may
-    be negative, and the first block's pools and ledger must add up to
-    the injected total.  Each transition and the last block recount,
-    O(n): every balance in ``snapshot()`` must equal the ledger's, and
-    ``accounting_gap`` must be zero, so the pools and the ledger add up
-    there too.  A non-caller's balance changed outside any call, even
-    driven negative, is seen only there or at that user's next call;
-    a full recount on every block would see it at the next block, at
-    O(n) per block.
+    Each transition and the last block also recount, O(n): every
+    balance in ``snapshot()`` must equal the ledger's, and
+    ``accounting_gap`` must be zero.  A non-caller's balance changed
+    outside any call, even driven negative, is seen only there or at
+    that user's next call; a full recount on every block would see it
+    at the next block, at O(n) per block.
 
     A record keeps the epoch, both pools and the cycle count from that
     ``caller_snapshot``, but no balance.  The pools are the machine's
@@ -396,11 +395,12 @@ def _execute(
     last = len(txs) - 1
     m = machine.config.resource_count
     zeros = (0,) * m
+    reserve = tuple(machine.config.epoch_reserve)
     calls: dict[str, list[int]] = {KIND_DEMAND: [], KIND_CLAIM: []}  # per user, so far
     ledger: list[tuple[int, ...]] = []  # each user's balance, from receipts
     transitions = machine.transitions
-    predicted: tuple = ()  # both pools, as the block should leave them
-    total: tuple = ()  # the injected total, as the block should leave it
+    predicted: tuple = (reserve, zeros)  # both pools, as the block should leave them
+    total: tuple = reserve  # the injected total, as the block should leave it
     for index, tx in enumerate(txs):
         try:
             block, kind, user, vector = tx
@@ -438,24 +438,24 @@ def _execute(
             raise _error_at(index, block, str(exc)) from exc
         epoch, reserves, cycle_count, balance = machine.caller_snapshot(user)
         injected = machine.total_injected()
-        if update_cost is not None or not index:  # nothing to predict from
-            predicted, total = _pools(block, reserves), tuple(injected)
-            if not index:  # a transition's recount below checks the total
-                _check_gap(block, _ledger_gap(predicted, total, ledger))
-        else:
-            if kind == KIND_CLAIM:  # its share leaves the pool claims drain
-                s = epoch % 2
-                drained = tuple(map(sub, predicted[s], vector))
-                predicted = (predicted[0], drained) if s else (drained, predicted[1])
-            if reserves is not predicted or injected is not total:
-                if (
-                    reserves != predicted
-                    or injected != total
-                    or kind == KIND_CLAIM and min(drained) < 0
-                ):
-                    _check_prediction(block, reserves, injected, predicted, total, ledger)
-                else:  # equal to plain tuples, so tuples themselves
-                    predicted, total = reserves, injected
+        if update_cost is not None:  # one epoch reserve refills the demand pool
+            r = 1 - epoch % 2
+            refill = tuple(map(add, predicted[r], reserve))
+            predicted = (predicted[0], refill) if r else (refill, predicted[1])
+            total = tuple(map(add, total, reserve))
+        if kind == KIND_CLAIM:  # its share leaves the pool claims drain
+            s = epoch % 2
+            drained = tuple(map(sub, predicted[s], vector))
+            predicted = (predicted[0], drained) if s else (drained, predicted[1])
+        if reserves is not predicted or injected is not total:
+            if (
+                reserves != predicted
+                or injected != total
+                or kind == KIND_CLAIM and min(drained) < 0
+            ):
+                _check_prediction(block, reserves, injected, predicted, total, ledger)
+            else:  # equal to plain tuples, so tuples themselves
+                predicted, total = reserves, injected
         expected = ledger[user]
         if balance != expected:
             raise _balance_error(block, user, balance, expected)
@@ -493,23 +493,6 @@ def _malformed_error(index: int, tx: object) -> SimulationError:
         )
 
 
-def _pools(block: int, reserves: tuple) -> tuple:
-    """Both pools as tuples; raises ``SimulationError`` at ``block`` if
-    either holds a negative quantity."""
-    pools = tuple(map(tuple, reserves))
-    if min(pools[0] + pools[1]) < 0:
-        raise SimulationError(
-            block, f"conservation identity violated: a pool is negative: {reserves}"
-        )
-    return pools
-
-
-def _ledger_gap(pools: tuple, injected: tuple, ledger: list) -> tuple[int, ...]:
-    """Injected units less both pools and every ledger balance, O(n)."""
-    held = map(sum, zip(*pools, *ledger))
-    return tuple(map(sub, injected, held))
-
-
 def _check_prediction(
     block: int, reserves: tuple, injected: tuple, predicted: tuple, total: tuple,
     ledger: list,
@@ -518,10 +501,15 @@ def _check_prediction(
     whatever sequences hold them.  Otherwise raise ``SimulationError`` at
     ``block`` naming a negative pool, else the gap the ledger leaves,
     else, for units moved between the pools, both pairs."""
-    pools = _pools(block, reserves)
+    pools = tuple(map(tuple, reserves))
+    if min(pools[0] + pools[1]) < 0:
+        raise SimulationError(
+            block, f"conservation identity violated: a pool is negative: {reserves}"
+        )
     injected = tuple(injected)
     if pools != predicted or injected != total:
-        _check_gap(block, _ledger_gap(pools, injected, ledger))
+        held = map(sum, zip(*pools, *ledger))  # O(n)
+        _check_gap(block, tuple(map(sub, injected, held)))
         raise SimulationError(
             block,
             f"conservation identity violated: pools {pools} and injected total "

@@ -629,6 +629,10 @@ def _grow_injected(machine, caller):
         pytest.param("demand", 22, _grow_injected, id="injected-grown-in-demand"),
         pytest.param("claim", 11, _move_between_pools, id="pool-moved-in-claim"),
         pytest.param("demand", 22, _move_between_pools, id="pool-moved-in-demand"),
+        pytest.param("claim", 9, _move_between_pools, id="pool-moved-in-transition"),
+        pytest.param(
+            "claim", 17, _move_between_pools, id="pool-moved-in-second-transition"
+        ),
     ],
 )
 def test_fault_in_a_call_raises_at_that_block(monkeypatch, method, at_block, corrupt):
@@ -640,9 +644,9 @@ def test_fault_in_a_call_raises_at_that_block(monkeypatch, method, at_block, cor
 
 
 def test_first_block_is_checked_against_the_ledger(monkeypatch):
-    # Nothing predicts the first block's pools: the registration at
-    # block 1 takes a unit from a pool, and block 1 raises, not the
-    # recount at the first transition.
+    # The first block's pools are predicted from a fresh machine's: the
+    # registration at block 1 takes a unit from a pool, and block 1
+    # raises, not the recount at the first transition.
     original = AllocationMachine.register_user
 
     def faulty(self, user):
@@ -670,15 +674,16 @@ def test_negative_pool_stops_run_and_replay_at_that_block(monkeypatch):
     assert result.diverged_at == 30
 
 
-def test_claim_paid_from_the_demand_pool_raises_at_its_block(monkeypatch):
-    # The claim at block 11 credits its share but takes it from the pool
-    # demands are stored against: every total still balances.
+@pytest.mark.parametrize("at_block", [11, 9], ids=["mid-epoch", "transition"])
+def test_claim_paid_from_the_demand_pool_raises_at_its_block(monkeypatch, at_block):
+    # The claim at ``at_block`` credits its share but takes it from the
+    # pool demands are stored against: every total still balances.
     trace = run_simulation(FAULT_CONFIG)
     original = AllocationMachine.claim
 
     def faulty(self, user, block):
         receipt = original(self, user, block)
-        if block == 11:
+        if block == at_block:
             assert any(receipt.share)
             drained, demanded = self.epoch % 2, self.demand_pool_parity()
             pools = [list(pool) for pool in self._reserves]
@@ -690,9 +695,101 @@ def test_claim_paid_from_the_demand_pool_raises_at_its_block(monkeypatch):
     monkeypatch.setattr(AllocationMachine, "claim", faulty)
     with pytest.raises(SimulationError, match="conservation identity violated") as info:
         run_simulation(FAULT_CONFIG)
-    assert info.value.block == 11
+    assert info.value.block == at_block
     result = replay(trace)
-    assert (result.ok, result.diverged_at, result.reason) == (False, 11, str(info.value))
+    assert (result.ok, result.diverged_at, result.reason) == (
+        False, at_block, str(info.value)
+    )
+
+
+def _misplace_refill(monkeypatch, transition):
+    """Make the ``transition``-th epoch transition put one unit of
+    resource 0 of its refill in the claim pool, not the demand pool."""
+    original = AllocationMachine.update_state
+
+    def faulty(self, block):
+        transitioned = original(self, block)
+        if transitioned and self.transitions == transition:
+            _move_between_pools(self, None)
+        return transitioned
+
+    monkeypatch.setattr(AllocationMachine, "update_state", faulty)
+
+
+def test_refill_landing_in_the_claim_pool_raises_at_its_block(monkeypatch):
+    # The second transition rides on the claim at block 17.
+    trace = run_simulation(FAULT_CONFIG)
+    _misplace_refill(monkeypatch, 2)
+    with pytest.raises(SimulationError, match="conservation identity violated") as info:
+        run_simulation(FAULT_CONFIG)
+    assert info.value.block == 17
+    result = replay(trace)
+    assert (result.ok, result.diverged_at, result.reason) == (False, 17, str(info.value))
+
+
+# 3 users, so epoch e spans blocks 6e-5 .. 6e.  Epochs 1 and 2 run as
+# ``build_schedule`` lays them out, epoch 3 is idle, and the three
+# demands of epoch 4 (blocks 22-24) are claimed at blocks 25-27 of
+# epoch 5.  The demand at block 22 runs one transition, from epoch 2 to
+# epoch 4.
+IDLE_CONFIG = SimConfig(users=3, resources=2, epochs=5, seed=3)
+IDLE_TXS = [
+    *build_schedule(dataclasses.replace(IDLE_CONFIG, epochs=2)),
+    *[(22 + user, KIND_DEMAND, user, (user + 1, 3 - user)) for user in range(3)],
+    *[(25 + user, KIND_CLAIM, user, None) for user in range(3)],
+]
+
+
+def test_idle_epoch_is_predicted_and_replays():
+    machine = _make_machine(IDLE_CONFIG)
+    records = tuple(_execute(machine, IDLE_TXS, DEFAULT_COST_MODEL))
+    transitions = [rec[0][0] for rec in records if rec[6] is not None]
+    assert transitions == [7, 22, 25]
+    assert [rec[1] for rec in records[-6:]] == [4, 4, 4, 5, 5, 5]
+    assert machine.total_injected() == IDLE_CONFIG.epoch_reserve.scale(1 + 3)
+    trace = dataclasses.replace(run_simulation(IDLE_CONFIG), records=records)
+    assert replay(trace)
+
+
+def test_refill_misplaced_across_an_idle_epoch_raises_at_its_block(monkeypatch):
+    _misplace_refill(monkeypatch, 2)
+    with pytest.raises(SimulationError, match="conservation identity violated") as info:
+        list(_execute(_make_machine(IDLE_CONFIG), IDLE_TXS, DEFAULT_COST_MODEL))
+    assert info.value.block == 22
+
+
+def _claims(records):
+    """How many claims each (epoch, user) made."""
+    return collections.Counter(
+        (rec.epoch, rec.tx.user) for rec in records if rec.tx.kind == KIND_CLAIM
+    )
+
+
+def test_calls_reordered_within_each_epoch_claim_the_same():
+    # Every epoch after the first runs its claims and demands in a
+    # shuffled order; blocks keep theirs, so a transition may ride on a
+    # demand.  Each user still claims once per epoch, and nothing clamps.
+    riders = collections.Counter()  # the kinds of the calls that transitioned
+    for seed in range(5):
+        config = SimConfig(users=12, resources=3, epochs=6, seed=seed)
+        txs = build_schedule(config)
+        span = config.epoch_span
+        rng = random.Random(seed)
+        shuffled = txs[:span]
+        for start in range(span, len(txs), span):
+            epoch_txs = txs[start:start + span]
+            calls = [tx[1:] for tx in epoch_txs]
+            rng.shuffle(calls)
+            shuffled += [(tx[0], *call) for tx, call in zip(epoch_txs, calls)]
+        records = [
+            _named(rec)
+            for rec in _execute(_make_machine(config), shuffled, DEFAULT_COST_MODEL)
+        ]
+        expected = run_simulation(config)
+        assert _claims(records) == _claims(map(_named, expected.records))
+        assert sum(rec.clamped for rec in records) == expected.clamp_count() == 0
+        riders.update(rec.tx.kind for rec in records if rec.update_cost is not None)
+    assert riders[KIND_DEMAND] > 0
 
 
 def test_claim_paying_past_its_pool_raises_at_its_block(monkeypatch):
