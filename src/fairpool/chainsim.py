@@ -87,6 +87,7 @@ class SimConfig:
 
     @property
     def epoch_span(self) -> int:
+        """Two blocks per user: one call per block, a demand and a claim each."""
         return 2 * self.users
 
     @property

@@ -38,7 +38,6 @@ record has all its fields.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from operator import add, gt, sub
 from typing import Iterable, NamedTuple
@@ -251,7 +250,9 @@ class AllocationMachine:
 
     def register_user(self, user: int) -> None:
         """Register the next user: ids are registration positions, 0, 1,
-        2, ..., so any other id raises, and changes nothing."""
+        2, ..., so any other id raises, and changes nothing.  The machine
+        caps no users per epoch: how many calls fit into an epoch depends
+        on the chain's blocks, which the harness's schedule sets."""
         if _not_integer(user):
             raise MachineError(f"user id must be an integer, got {user!r}")
         n = len(self._balance)
@@ -263,13 +264,6 @@ class AllocationMachine:
             column.append(self._zeros)
         for column in (*self._recip, *self._demand_epoch):
             column.append(0)
-        if 2 * (n + 1) > self._cfg.epoch_span:
-            warnings.warn(
-                f"epoch span {self._cfg.epoch_span} is shorter than two blocks "
-                f"per registered user ({n + 1} users); some users "
-                "may not fit a demand and a claim into one epoch",
-                stacklevel=2,
-            )
 
     def update_state(self, block: int) -> bool:
         """Advance the epoch for the given block number.
@@ -437,11 +431,13 @@ class AllocationMachine:
         At p <= 10 counts run both ways from exact ``pdrf``: at p = 10,
         demands (0, 1), (3, 2) against (2, 6) get (5, 0) for exact (4, 0),
         and (0, 1), (3, 1) against (1, 7) get (4, 0) for exact (6, 0).  A
-        seeded search finds none above exact at p >= 100.  The division is
-        inline, as in ``demand``: ``fixed_floor_div`` is called only for an
-        operand its check rejects, so the claim raises what that function
-        raises.  The block is checked as in ``demand``: in line inside the
-        current epoch, through ``update_state`` otherwise.
+        seeded search finds none above exact at p >= 100, nor does an
+        exhaustive one at p = 100 and 10**6 over every multiset of n <= 3
+        demands with components 0-3, m = 2, reserves 1-4 (tests/test_reference.py).
+        The division is inline, as in ``demand``: ``fixed_floor_div`` is
+        called only for an operand its check rejects, so the claim raises
+        what that function raises.  The block is checked as in ``demand``:
+        in line inside the current epoch, through ``update_state`` otherwise.
         """
         if type(user) is not int or not 0 <= user < len(self._balance):
             self._check_user(user)

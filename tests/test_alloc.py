@@ -276,6 +276,7 @@ def _scan_drf_loop(demands, shares, reserves):
 
 
 def _assert_matches_scan(demands, reserves):
+    """Check the loop against the scan oracle; return loop - pdrf per user."""
     vectors = demands
     shares = [dominant_share(d, reserves)[0] for d in vectors]
     tasks, remaining = _scan_drf_loop(vectors, shares, reserves)
@@ -287,6 +288,7 @@ def _assert_matches_scan(demands, reserves):
     pre = pdrf_allocate(demands, reserves).task_counts
     deltas = compare_pdrf_drf(demands, reserves).deltas
     assert deltas == tuple(a - b for a, b in zip(tasks, pre))
+    return deltas
 
 
 def test_drf_matches_scan_oracle_on_criterion_4_stream():

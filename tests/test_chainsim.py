@@ -759,16 +759,19 @@ def test_refill_misplaced_across_an_idle_epoch_raises_at_its_block(monkeypatch):
 
 
 def _claims(records):
-    """How many claims each (epoch, user) made."""
-    return collections.Counter(
-        (rec.epoch, rec.tx.user) for rec in records if rec.tx.kind == KIND_CLAIM
-    )
+    """Each (epoch, user)'s claims in block order, as (task count, share)."""
+    claims = collections.defaultdict(list)
+    for rec in records:
+        if rec.tx.kind == KIND_CLAIM:
+            claims[rec.epoch, rec.tx.user].append((rec.task_count, rec.vector))
+    return claims
 
 
 def test_calls_reordered_within_each_epoch_claim_the_same():
     # Every epoch after the first runs its claims and demands in a
     # shuffled order; blocks keep theirs, so a transition may ride on a
-    # demand.  Each user still claims once per epoch, and nothing clamps.
+    # demand.  Each user still claims once per epoch, each claim gets the
+    # task count and share of the unshuffled run, and nothing clamps.
     riders = collections.Counter()  # the kinds of the calls that transitioned
     for seed in range(5):
         config = SimConfig(users=12, resources=3, epochs=6, seed=seed)

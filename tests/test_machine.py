@@ -1,10 +1,12 @@
 import collections
 import copy
+import dataclasses
 import gc
 import math
 import random
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -19,6 +21,16 @@ from fairpool import (
     fixed_floor_div,
     fixed_point_reference,
     pdrf_allocate,
+)
+from fairpool.chainsim import (
+    DEFAULT_COST_MODEL,
+    KIND_REGISTER,
+    SimConfig,
+    _execute,
+    _make_machine,
+    build_schedule,
+    replay,
+    run_simulation,
 )
 from fairpool.machine import DEFAULT_PRECISION, INT_LIMIT
 
@@ -384,14 +396,32 @@ def test_demand_exceeding_scaled_reserve_rejected():
         machine.demand(0, ResourceVector([P + 1, 1]), 0)
 
 
-def test_register_guards_and_span_warning():
+def test_register_guards():
     machine = make_machine(es=4)
     machine.register_user(0)
     with pytest.raises(MachineError):
         machine.register_user(0)
     machine.register_user(1)
-    with pytest.warns(UserWarning):
-        machine.register_user(2)  # 3 users need 6 blocks, span is 4
+    machine.register_user(2)
+
+
+def test_registration_is_the_same_under_every_warnings_filter():
+    # The machine caps no users per epoch: how many calls an epoch holds is
+    # the harness's schedule, so more users than one call per block fits
+    # register and run as any others, with warnings raised as errors.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        machine = make_machine(es=4)
+        for user in range(5):
+            machine.register_user(user)
+        assert machine.balance_of(4) == (0, 0)
+        config = SimConfig(users=2, resources=2, epochs=3, seed=0)
+        txs = build_schedule(config)
+        txs.append((txs[-1][0] + 1, KIND_REGISTER, 2, None))
+        records = tuple(_execute(_make_machine(config), txs, DEFAULT_COST_MODEL))
+        assert [rec[0] for rec in records] == txs
+        trace = dataclasses.replace(run_simulation(config), records=records)
+        assert replay(trace)
 
 
 @pytest.mark.parametrize(
@@ -505,8 +535,7 @@ def test_claim_guards():
     machine = run_worked_epoch()
     with pytest.raises(MachineError):
         machine.claim(7, 4)  # unregistered
-    with pytest.warns(UserWarning):
-        machine.register_user(2)  # third user outruns the epoch span
+    machine.register_user(2)
     with pytest.raises(MachineError):
         machine.claim(2, 4)  # never demanded
     machine.claim(0, 4)
