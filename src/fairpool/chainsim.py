@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import json
 import random
-from itertools import chain, islice
 from dataclasses import asdict, dataclass, fields
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -365,13 +364,13 @@ def _execute(
       (parity ``epoch % 2``) and must not leave it negative; nothing
       else moves a unit.  So a unit that leaves, enters or moves between
       the pools raises at its block, as does a wrong injected total, on
-      the first block and on transitions too.  A pair equal to the
-      prediction is made of tuples, which cannot change, so it becomes
-      the next prediction and a block that replaces neither is checked
-      by identity.  Any other pair is compared as tuples by value, so
-      lists holding the predicted units pass, checked on every block;
-      else the block raises naming a negative pool, else the gap the
-      ledger leaves (O(n), on this path only), else both pairs.
+      the first block and on transitions too.  Pools and total are
+      compared as the machine returns them; only tuples equal the tuple
+      prediction, and a pair equal to it cannot change, so it becomes the
+      next prediction and a block that replaces neither is checked by
+      identity.  Any other pair, lists of the predicted units included,
+      raises at the block that installs it, naming a negative pool, else
+      the gap the ledger leaves (O(n), on this path only), else both pairs.
 
     Each transition and the last block also recount, O(n): every
     balance in ``snapshot()`` must equal the ledger's, and
@@ -498,24 +497,21 @@ def _check_prediction(
     block: int, reserves: tuple, injected: tuple, predicted: tuple, total: tuple,
     ledger: list,
 ) -> None:
-    """Pass pools and an injected total that hold the predicted units,
-    whatever sequences hold them.  Otherwise raise ``SimulationError`` at
-    ``block`` naming a negative pool, else the gap the ledger leaves,
-    else, for units moved between the pools, both pairs."""
-    pools = tuple(map(tuple, reserves))
-    if min(pools[0] + pools[1]) < 0:
+    """Raise ``SimulationError`` at ``block`` for pools and an injected total,
+    as the machine returns them, that are not the predicted tuples: naming a
+    negative pool, else the gap the ledger leaves, else both pairs, as for
+    units moved between the pools or held in anything but tuples."""
+    if min(map(min, reserves)) < 0:
         raise SimulationError(
             block, f"conservation identity violated: a pool is negative: {reserves}"
         )
-    injected = tuple(injected)
-    if pools != predicted or injected != total:
-        held = map(sum, zip(*pools, *ledger))  # O(n)
-        _check_gap(block, tuple(map(sub, injected, held)))
-        raise SimulationError(
-            block,
-            f"conservation identity violated: pools {pools} and injected total "
-            f"{injected}, predicted {predicted} and {tuple(total)}",
-        )
+    held = map(sum, zip(*reserves, *ledger))  # O(n)
+    _check_gap(block, tuple(map(sub, injected, held)))
+    raise SimulationError(
+        block,
+        f"conservation identity violated: pools {reserves} and injected total "
+        f"{tuple(injected)}, predicted {predicted} and {tuple(total)}",
+    )
 
 
 def _check_gap(block: int, gap: tuple[int, ...]) -> None:
@@ -538,11 +534,7 @@ def run_simulation(
     config: SimConfig, cost_model: CostModel = DEFAULT_COST_MODEL
 ) -> Trace:
     """Drive a full schedule and return the recorded trace."""
-    records = _execute(_make_machine(config), build_schedule(config), cost_model)
-    # Held in 1,024-record tuples, which the GC untracks, so no tracked
-    # container holds every record.
-    chunks = list(iter(lambda: tuple(islice(records, 1024)), ()))
-    records = tuple(chain.from_iterable(chunks))
+    records = tuple(_execute(_make_machine(config), build_schedule(config), cost_model))
     header = {
         "format": TRACE_FORMAT,
         "generator": GENERATOR_ID,

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from operator import add, gt, sub
 from typing import Iterable, NamedTuple
 
-from .vectors import ResourceVector, _not_integer, require_integers
+from .vectors import ResourceVector, _check_quantities, _not_integer, require_integers
 
 DEFAULT_PRECISION = 1_000_000
 
@@ -82,10 +82,7 @@ def fixed_floor_div(a: int, b: int) -> int:
         raise MachineError("division by zero")
     if a < 0 or b < 0:
         raise MachineError("fixed_floor_div operates on non-negative integers")
-    if a > INT_LIMIT or b > INT_LIMIT:
-        _checked(a)
-        _checked(b)
-    return a // b
+    return _checked(a) // _checked(b)
 
 
 @dataclass(frozen=True)
@@ -330,13 +327,13 @@ class AllocationMachine:
         """Register a demand vector for the next epoch's claim round.
 
         The vector is checked first, so a rejected one changes nothing: a
-        ``ResourceVector`` is kept as given; anything else is checked as
-        one, raising its message as ``MachineError``, and kept as an exact
-        tuple.  Each reciprocal candidate ``p * pool[r] // d`` is divided
-        inline after the operand check ``fixed_floor_div`` makes; that
-        function is called only for an operand the check rejects, so it
-        raises the same error, for the same resource, as calling it every
-        time.
+        ``ResourceVector`` is kept as given; anything else is made an exact
+        tuple and checked in place by ``ResourceVector``'s own rule, with
+        no vector built, raising its message as ``MachineError``.  Each
+        reciprocal candidate ``p * pool[r] // d`` is divided inline after
+        the operand check ``fixed_floor_div`` makes; that function is
+        called only for an operand the check rejects, so it raises the
+        same error, for the same resource, as calling it every time.
 
         A block inside the current epoch, at or past the last block seen,
         is checked in line (``update_state``'s early return, without its
@@ -348,7 +345,7 @@ class AllocationMachine:
                 raise MachineError("demand carries no vector")
             try:
                 vector = tuple(vector)
-                ResourceVector(vector)
+                _check_quantities(vector)
             except (TypeError, ValueError) as exc:  # not iterable, or invalid
                 raise MachineError(str(exc)) from None
         if type(user) is not int or not 0 <= user < len(self._balance):

@@ -27,6 +27,20 @@ def require_integers(owner: object, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_quantities(self: tuple, quantities: object = None) -> None:
+    """``ResourceVector.__init__``, which checks the tuple ``self`` and
+    ignores ``quantities``; the machine calls it on a plain demand tuple."""
+    if not self:
+        raise ValueError("resource vector must have at least one component")
+    for v in self:
+        # ``type(v) is int`` settles the common case; the full rule
+        # still admits int subclasses other than bool.
+        if type(v) is not int and _not_integer(v):
+            raise ValueError(f"resource quantity must be an integer, got {v!r}")
+        if v < 0:
+            raise ValueError(f"resource quantity must be non-negative, got {v}")
+
+
 class ResourceVector(tuple):
     """Immutable vector of non-negative integer resource quantities.
 
@@ -39,16 +53,7 @@ class ResourceVector(tuple):
 
     __slots__ = ()
 
-    def __init__(self, quantities: Iterable[int]) -> None:
-        if not self:
-            raise ValueError("resource vector must have at least one component")
-        for v in self:
-            # ``type(v) is int`` settles the common case; the full rule
-            # still admits int subclasses other than bool.
-            if type(v) is not int and _not_integer(v):
-                raise ValueError(f"resource quantity must be an integer, got {v!r}")
-            if v < 0:
-                raise ValueError(f"resource quantity must be non-negative, got {v}")
+    __init__ = _check_quantities
 
     @property
     def quantities(self) -> tuple[int, ...]:

@@ -38,6 +38,7 @@ from fairpool.chainsim import (
     read_cost_csv,
 )
 from fairpool.machine import ClaimReceipt, DemandRecord, MachineError
+from fairpool.vectors import _check_quantities
 from test_machine import _count_walks, _opcodes
 
 
@@ -821,10 +822,10 @@ def test_claim_paying_past_its_pool_raises_at_its_block(monkeypatch):
 
 
 def test_pools_changed_in_place_raise_at_that_block(monkeypatch):
-    # Block 21 swaps in list pools holding the same units, so nothing is
-    # wrong yet; block 22 takes a unit from one in place.  The pair is
-    # the same object at both blocks, but list pools are never trusted
-    # to be unchanged, so block 22 is checked.
+    # Block 21 swaps in list pools holding the same units; block 22 would
+    # take a unit from one in place.  Only tuples can equal the predicted
+    # pools, so list pools raise at block 21, which installs them, before
+    # an in-place change can hide behind an unchanged pair.
     def corrupt(machine, caller):
         if machine._last_block == 21:
             machine._reserves = tuple(map(list, machine._reserves))
@@ -842,12 +843,13 @@ def test_pools_changed_in_place_raise_at_that_block(monkeypatch):
     monkeypatch.setattr(AllocationMachine, "demand", faulty)
     with pytest.raises(SimulationError, match="conservation identity") as info:
         run_simulation(FAULT_CONFIG)
-    assert info.value.block == 22
+    assert info.value.block == 21
 
 
 def test_injected_total_changed_in_place_raises_at_that_block(monkeypatch):
-    # Block 21 swaps in a list holding the same total, which passes; it
-    # is checked on every block, so the unit block 22 adds in place shows.
+    # Block 21 swaps in a list holding the same total, and block 22 would
+    # add a unit to it in place.  Only a tuple can equal the predicted
+    # total, so the list raises at block 21, which installs it.
     original = AllocationMachine.demand
 
     def faulty(self, user, vector, block):
@@ -861,7 +863,7 @@ def test_injected_total_changed_in_place_raises_at_that_block(monkeypatch):
     monkeypatch.setattr(AllocationMachine, "demand", faulty)
     with pytest.raises(SimulationError, match="conservation identity") as info:
         run_simulation(FAULT_CONFIG)
-    assert info.value.block == 22
+    assert info.value.block == 21
 
 
 def _move_units(count):
@@ -1147,7 +1149,7 @@ def test_trace_file_format(tmp_path):
     trace = run_simulation(config)
     path = tmp_path / "trace.txt"
     write_trace_file(trace, str(path))
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# {")
     assert '"generator": "python-random-mt19937"' in lines[0]
     assert len(lines) == 1 + len(trace.records)
@@ -1184,7 +1186,7 @@ def test_cost_csv_round_trip(tmp_path):
     rows = read_cost_csv(str(path))
     assert rows == list(trace.costs)
     assert all(type(row) is tuple for row in rows + list(trace.costs))
-    header = path.read_text().splitlines()[0]
+    header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "call_kind,m,epoch,user,cost_units"
 
 
@@ -1270,20 +1272,27 @@ def test_one_update_state_call_per_block(monkeypatch):
 
 
 def test_one_vector_check_per_demand_and_none_per_claim(monkeypatch):
-    built = []
-    init = ResourceVector.__init__
+    checked, built = [], []
 
-    def counted(self, quantities):
-        built.append(tuple(self))
-        init(self, quantities)
+    def counted(into):
+        def call(self, quantities=None):
+            into.append(tuple(self))
+            _check_quantities(self, quantities)
 
-    monkeypatch.setattr(ResourceVector, "__init__", counted)
+        return call
+
+    # The machine checks a plain demand with the rule itself; every
+    # ResourceVector runs the same function as its __init__.
+    monkeypatch.setattr("fairpool.machine._check_quantities", counted(checked))
+    monkeypatch.setattr(ResourceVector, "__init__", counted(built))
     trace = run_simulation(SimConfig(users=20, resources=3, epochs=4, seed=1))
     kinds = collections.Counter(r[0][1] for r in trace.records)
     assert (kinds[KIND_DEMAND], kinds[KIND_CLAIM]) == (80, 60)
-    # One entry check per demand, one total_injected per transition (3)
-    # and the config's epoch reserve; claims return plain tuples.
-    assert len(built) == 80 + 3 + 1
+    # One check per demand, with no vector built; one total_injected per
+    # transition (3) and the config's epoch reserve; claims return plain
+    # tuples.
+    assert len(checked) == 80
+    assert len(built) == 3 + 1
 
 
 def _per_block_counts(n):
@@ -1589,7 +1598,7 @@ def test_a_user_id_equal_to_a_registered_int_is_rejected(k, block, user):
 )
 def test_read_cost_csv_rejects_a_wrong_header(tmp_path, text):
     path = tmp_path / "costs.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as info:
         read_cost_csv(str(path))
     assert str(info.value) == f"unexpected cost CSV columns in {path}"
@@ -1597,8 +1606,9 @@ def test_read_cost_csv_rejects_a_wrong_header(tmp_path, text):
 
 def test_read_cost_csv_skips_blank_lines_and_counts_them(tmp_path):
     path = tmp_path / "costs.csv"
-    path.write_text("call_kind,m,epoch,user,cost_units\n\nclaim,2,3,0,7\n\nclaim,x\n")
+    header = "call_kind,m,epoch,user,cost_units\n"
+    path.write_text(header + "\nclaim,2,3,0,7\n\nclaim,x\n", encoding="utf-8")
     with pytest.raises(ValueError, match="^line 5: expected 5 fields$"):
         read_cost_csv(str(path))
-    path.write_text("call_kind,m,epoch,user,cost_units\n\nclaim,2,3,0,7\n\n")
+    path.write_text(header + "\nclaim,2,3,0,7\n\n", encoding="utf-8")
     assert read_cost_csv(str(path)) == [CostRecord("claim", 2, 3, 0, 7)]

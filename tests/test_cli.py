@@ -68,7 +68,7 @@ def test_crosscheck_reports_full_match(tmp_path, capsys):
     assert code == EXIT_OK
     captured = capsys.readouterr().out
     assert "match rate 1.000000" in captured
-    summary = json.loads((out / "crosscheck.json").read_text())
+    summary = json.loads((out / "crosscheck.json").read_text(encoding="utf-8"))
     assert summary["match_rate"] == 1.0
     assert summary["clamp_events"] == 0
     assert summary["max_abs_fixed_minus_rational"] <= 1
@@ -103,7 +103,7 @@ def test_stats_writes_summary(tmp_path):
         "--out", str(out),
     )
     assert code == EXIT_OK
-    summary = json.loads((out / "stats.json").read_text())
+    summary = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert summary["user_samples"] == 800
     assert summary["reserve_mode"] == "shared"
     assert 0.0 <= summary["under_by_one"]["fraction"] <= 1.0
@@ -133,7 +133,7 @@ def test_stats_independent_reserve_mode(tmp_path):
         "--out", str(out),
     )
     assert code == EXIT_OK
-    summary = json.loads((out / "stats.json").read_text())
+    summary = json.loads((out / "stats.json").read_text(encoding="utf-8"))
     assert summary["reserve_mode"] == "independent"
 
 
@@ -161,7 +161,7 @@ def test_costfit_round_trip_recovers_defaults(tmp_path, capsys):
     out = tmp_path / "out"
     config = tmp_path / "config.json"
     # branch surcharge off so demand costs are exactly affine in m
-    config.write_text(json.dumps({"coefficients": {"branch_unit": 0}}))
+    config.write_text(json.dumps({"coefficients": {"branch_unit": 0}}), encoding="utf-8")
     code = run_cli(
         "run",
         "--users", "3",
@@ -180,7 +180,7 @@ def test_costfit_round_trip_recovers_defaults(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     for kind, m in (("demand", 2199), ("claim", 1980), ("update_state", 2653)):
         assert f"{kind}: largest m with fitted cost <= 30000000: {m}" in lines
-    fits = json.loads((out / "costfit.json").read_text())
+    fits = json.loads((out / "costfit.json").read_text(encoding="utf-8"))
     assert fits["claim"]["slope"] == 15130.0
     assert fits["claim"]["intercept"] == 36486.0
     assert fits["claim"]["r_squared"] == 1.0
@@ -228,7 +228,7 @@ def test_costfit_recovers_every_override_through_the_warm_up(tmp_path, capsys):
     assert code == EXIT_OK
     assert run_cli("costfit", str(out / "costs.csv"), "--out", str(out)) == EXIT_OK
     capsys.readouterr()
-    fits = json.loads((out / "costfit.json").read_text())
+    fits = json.loads((out / "costfit.json").read_text(encoding="utf-8"))
     assert sorted(fits) == ["claim", "demand", "update_state"]
     for kind, fit in fits.items():
         assert list(fit) == ["slope", "intercept", "r_squared"]  # one fit per kind
@@ -264,7 +264,8 @@ def test_costfit_gas_limit_largest_m(tmp_path, capsys, limit, demand, claim):
         "claim,1,3,0,50", "claim,2,3,0,50",
         "update_state,1,3,0,30", "update_state,2,3,0,20",
     ]
-    path.write_text("call_kind,m,epoch,user,cost_units\n" + "\n".join(rows) + "\n")
+    text = "call_kind,m,epoch,user,cost_units\n" + "\n".join(rows) + "\n"
+    path.write_text(text, encoding="utf-8")
     assert run_cli("costfit", str(path), "--gas-limit", limit) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[1::2] == [
@@ -277,7 +278,7 @@ def test_costfit_gas_limit_largest_m(tmp_path, capsys, limit, demand, claim):
 @pytest.mark.parametrize("limit", ["0", "-5", "1.5"])
 def test_costfit_gas_limit_must_be_a_positive_integer(tmp_path, capsys, limit):
     path = tmp_path / "costs.csv"
-    path.write_text("call_kind,m,epoch,user,cost_units\nclaim,1,3,0,50\n")
+    path.write_text("call_kind,m,epoch,user,cost_units\nclaim,1,3,0,50\n", encoding="utf-8")
     assert run_cli("costfit", str(path), "--gas-limit", limit) == EXIT_USAGE
     assert "--gas-limit: expected a positive integer" in capsys.readouterr().err
 
@@ -296,7 +297,7 @@ def test_costfit_missing_file():
 )
 def test_costfit_malformed_row_is_one_error_line(tmp_path, capsys, row, message):
     path = tmp_path / "costs.csv"
-    path.write_text(f"call_kind,m,epoch,user,cost_units\n{row}\n")
+    path.write_text(f"call_kind,m,epoch,user,cost_units\n{row}\n", encoding="utf-8")
     assert run_cli("costfit", str(path)) == EXIT_USAGE
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
@@ -307,7 +308,8 @@ def test_config_file_with_flag_override(tmp_path):
     out = tmp_path / "out"
     config = tmp_path / "config.json"
     config.write_text(
-        json.dumps({"users": 2, "epochs": 2, "resources": 4, "out": str(out)})
+        json.dumps({"users": 2, "epochs": 2, "resources": 4, "out": str(out)}),
+        encoding="utf-8",
     )
     code = run_cli("run", "--config", str(config), "--resources", "3")
     assert code == EXIT_OK
@@ -316,19 +318,19 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_config_file_unknown_key(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"userz": 2}))
+    config.write_text(json.dumps({"userz": 2}), encoding="utf-8")
     assert run_cli("run", "--config", str(config)) == EXIT_USAGE
 
 
 def test_config_file_invalid_json(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text("{broken")
+    config.write_text("{broken", encoding="utf-8")
     assert run_cli("run", "--config", str(config)) == EXIT_USAGE
 
 
 def test_unwritable_output_path(tmp_path, capsys):
     blocker = tmp_path / "not-a-dir"
-    blocker.write_text("file in the way")
+    blocker.write_text("file in the way", encoding="utf-8")
     code = run_cli(
         "run", "--users", "1", "--epochs", "1", "--out", str(blocker / "sub")
     )
@@ -360,7 +362,7 @@ def _outputs(tmp_path, name, command, skip, extra, config=None):
             argv += ["--" + key, value]
     if config is not None:
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config), encoding="utf-8")
         argv += ["--config", str(path)]
     assert run_cli(*argv, *extra) == EXIT_OK
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -434,7 +436,7 @@ def test_bad_settings_exit_1_without_traceback(tmp_path, capsys, argv, config):
     extra = ["--out", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config), encoding="utf-8")
         extra += ["--config", str(path)]
     assert run_cli(*argv, *extra) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -445,13 +447,14 @@ def test_bad_settings_exit_1_without_traceback(tmp_path, capsys, argv, config):
 def test_flag_overrides_config_boolean(tmp_path):
     out = tmp_path / "out"
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"independent_reserves": True}))
+    config.write_text(json.dumps({"independent_reserves": True}), encoding="utf-8")
     code = run_cli(
         "stats", "--trials", "5", "--config", str(config),
         "--no-independent-reserves", "--out", str(out),
     )
     assert code == EXIT_OK
-    assert json.loads((out / "stats.json").read_text())["reserve_mode"] == "shared"
+    summary = json.loads((out / "stats.json").read_text(encoding="utf-8"))
+    assert summary["reserve_mode"] == "shared"
 
 
 # --- streamed cost CSV and exit 2 ---------------------------------------------
@@ -574,7 +577,7 @@ def test_demand_range_that_is_not_numeric_exits_1(tmp_path, capsys):
 def test_config_file_that_cannot_be_used_exits_1(tmp_path, capsys, content, message):
     config = tmp_path / "config.json"
     if content is not None:
-        config.write_text(content)
+        config.write_text(content, encoding="utf-8")
     code = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith(message)

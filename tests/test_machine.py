@@ -32,7 +32,7 @@ from fairpool.chainsim import (
     replay,
     run_simulation,
 )
-from fairpool.machine import DEFAULT_PRECISION, INT_LIMIT
+from fairpool.machine import DEFAULT_PRECISION, INT_LIMIT, _checked
 
 P = 1_000_000
 
@@ -66,6 +66,22 @@ def test_fixed_floor_div_guards():
         fixed_floor_div(INT_LIMIT + 1, 2)
 
 
+def test_fixed_floor_div_of_zero():
+    assert fixed_floor_div(0, 7) == 0
+
+
+def test_128_bit_limit_admits_its_own_value():
+    # 2**128 - 1 fits, and 2**128 is the first value that overflows.
+    assert _checked(INT_LIMIT) == INT_LIMIT
+    with pytest.raises(MachineOverflowError):
+        _checked(INT_LIMIT + 1)
+    assert fixed_floor_div(INT_LIMIT, 1) == INT_LIMIT
+    assert fixed_floor_div(1, INT_LIMIT) == 0
+    for a, b in ((INT_LIMIT + 1, 1), (1, INT_LIMIT + 1)):
+        with pytest.raises(MachineOverflowError, match=f"value {INT_LIMIT + 1} "):
+            fixed_floor_div(a, b)
+
+
 # --- init -------------------------------------------------------------------
 
 
@@ -92,11 +108,11 @@ def test_init_zero_reserve_is_inert_but_valid():
 
 
 def test_init_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="resource_count must be at least 1"):
         MachineConfig(0, 2, 0, ResourceVector([1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epoch_span must be at least 1"):
         MachineConfig(1, 0, 0, ResourceVector([1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epoch_reserve length must equal resource_count"):
         MachineConfig(2, 2, 0, ResourceVector([1]))
 
 
@@ -1448,7 +1464,8 @@ def test_claim_share_overflow_leaves_state_unchanged():
 
 
 def _opcodes(call):
-    """Bytecodes run by ``call()`` and every Python frame it enters."""
+    """Bytecodes run by ``call()`` and every Python frame it enters.  The
+    trace function set before, such as a coverage tracer's, is restored."""
     count = 0
 
     def trace(frame, event, arg):
@@ -1457,12 +1474,26 @@ def _opcodes(call):
         count += event == "opcode"
         return trace
 
+    before = sys.gettrace()
     sys.settrace(trace)
     try:
         call()
     finally:
-        sys.settrace(None)
+        sys.settrace(before)
     return count
+
+
+def test_opcode_counts_restore_the_trace_function_set_before():
+    def dummy(frame, event, arg):
+        return None
+
+    before = sys.gettrace()
+    sys.settrace(dummy)
+    try:
+        assert _opcodes(lambda: None) > 0
+        assert sys.gettrace() is dummy
+    finally:
+        sys.settrace(before)
 
 
 def _walk_counted(base, walks):
