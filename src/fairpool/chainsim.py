@@ -71,7 +71,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         require_integers(
             self, "users", "resources", "epochs", "demand_low", "demand_high",
-            "per_user_reserve",
+            "per_user_reserve", "seed",
         )
         if self.users < 1 or self.resources < 1 or self.epochs < 1:
             raise ValueError("users, resources and epochs must be at least 1")

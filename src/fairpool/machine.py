@@ -14,19 +14,19 @@ operand of ``fixed_floor_div``, which checks both (``demand`` and
 where it is formed, a vector of non-negative values through its largest
 component.
 
-State, laid out as a contract stores it.  Per parity (index 0 or 1): the
-pool claims drain (``_reserves``, an immutable pair of tuples, replaced
-whole by a claim or a refill), the per-resource sum of demand times
-reciprocal share (``_sds``), and the minimum stored reciprocal, i.e. the
-largest dominant share among last epoch's demanders (``_max_recip``).
-Per user, one list per field, indexed by the user's id (its registration
-position): per parity the demand vector, its reciprocal (nonzero until a
-claim clears it) and its epoch (0 for none yet), then the balance.  Demands
-and balances are immutable tuples; every user shares one zeros tuple until
-it first demands or claims.  No pool, balance or claimed share is copied out.
-
-The cycle count is a single scalar recomputed at every epoch transition
-for the pool claims are about to drain.
+State, laid out as a contract stores it.  Per parity (index 0 or 1), the
+pool (``_reserves``, an immutable pair of tuples, replaced whole by a
+claim or a refill).  Once: the open epoch's per-resource sum of demand
+times reciprocal share (``_sds``) and minimum stored reciprocal, i.e. its
+largest dominant share (``_max_recip``), and the claimed epoch's minimum
+(``_claim_max_recip``) and cycle count k'.  A transition hands the
+minimum to the claims and restarts the sums at 0 and the minimum at
+``INT_LIMIT + 1``, above every storable reciprocal.  Per user, one list
+per field, indexed by the user's id (its registration position): per
+parity the demand vector, its reciprocal (nonzero until a claim clears
+it) and its epoch (0 for none yet), then the balance.  Demands and
+balances are immutable tuples; every user shares one zeros tuple until it
+first demands or claims.  No pool, balance or claimed share is copied out.
 
 The records ``demand`` and ``claim`` return are built with
 ``tuple.__new__``, which skips the NamedTuple's Python-level constructor,
@@ -94,8 +94,8 @@ class MachineConfig:
     holds when it is used, leftovers carried across refills included.
     Every user demanding resource r stores a reciprocal of at most
     ``precision * P_r``, so the cycle-count numerator
-    ``max_recip * P_r * precision`` is at most ``precision**2 * P_r**2``
-    and the scaled demand sum ``sds_r`` at most ``n * precision * P_r``
+    ``_max_recip * P_r * precision`` is at most ``precision**2 * P_r**2``
+    and the scaled demand sum ``_sds[r]`` at most ``n * precision * P_r``
     for n users demanding r.  So at the default precision a pool stays
     below about 2**44 units (``isqrt(INT_LIMIT) // precision``) and
     n * P_r < 2**108, whatever m.  Once its transition has succeeded, a
@@ -103,7 +103,7 @@ class MachineConfig:
     ``claim`` argues both and compares its counts with exact ``pdrf``.
     An overflowing transition changes nothing, and only calls in its own
     epoch raise: a later epoch transitions with a cycle count of 0, since
-    nobody demanded in the epoch before it.
+    the open sums are then older than the epoch just ended.
     """
 
     resource_count: int
@@ -163,15 +163,15 @@ class AllocationMachine:
         m = config.resource_count
         # Parity 0 is the demand-target pool of epoch 1.
         self._reserves = (tuple(config.epoch_reserve), (0,) * m)
-        self._sds: list[list[int]] = [[0] * m, [0] * m]
-        self._max_recip: list[int] = [0, 0]
+        self._sds: list[int] = [0] * m
+        self._max_recip = INT_LIMIT + 1
+        self._claim_max_recip = 0  # read only after a transition sets it
         self._k_prime = 0
         self._epoch = 1
         self._last_block = config.offset
         # First block of the next epoch; stored only when a transition
         # commits, so it always belongs to ``_epoch``.
         self._epoch_end = config.offset + config.epoch_span
-        self._reset_epoch = 0
         self._demand: list[list[tuple[int, ...]]] = [[], []]
         self._recip: list[list[int]] = [[], []]
         self._demand_epoch: list[list[int]] = [[], []]
@@ -267,7 +267,8 @@ class AllocationMachine:
 
         On a transition: replenish the pool that will take the new
         epoch's demands, and recompute the cycle count for the pool the
-        new epoch's claims will drain.  Returns True iff a transition
+        new epoch's claims will drain, from the open sums if they are the
+        ended epoch's and as 0 if not.  Returns True iff a transition
         executed; calling again at the same block is a no-op.  Blocks
         never go back: a block below the last one seen raises.
 
@@ -307,12 +308,16 @@ class AllocationMachine:
         _checked(max(refill))
         # Only the epoch just ended has claims; an undemanded resource is no bound.
         k_prime = 0
-        if self._reset_epoch == epoch - 1:
-            top, pool, p = self._max_recip[s], self._reserves[s], cfg.precision
+        if self._epoch == epoch - 1:
+            top, pool, p = self._max_recip, self._reserves[s], cfg.precision
             k_prime = min(
-                fixed_floor_div(top * pool[r] * p, total)
-                for r, total in enumerate(self._sds[s]) if total
+                (fixed_floor_div(top * pool[r] * p, total)
+                 for r, total in enumerate(self._sds) if total),
+                default=0,
             )
+        self._claim_max_recip = self._max_recip
+        self._sds = [0] * cfg.resource_count
+        self._max_recip = INT_LIMIT + 1
         self._epoch = epoch
         self._epoch_end = cfg.offset + epoch * cfg.epoch_span
         self._transitions += 1
@@ -326,10 +331,12 @@ class AllocationMachine:
     def demand(self, user: int, vector: Iterable[int], block: int) -> DemandRecord:
         """Register a demand vector for the next epoch's claim round.
 
-        The vector is checked first, so a rejected one changes nothing: a
-        ``ResourceVector`` is kept as given; anything else is made an exact
-        tuple and checked in place by ``ResourceVector``'s own rule, with
-        no vector built, raising its message as ``MachineError``.  Each
+        The vector and its length are checked first, so a rejected one
+        changes nothing: a ``ResourceVector`` is kept as given; anything
+        else is made an exact tuple and checked in place by
+        ``ResourceVector``'s own rule, with no vector built, raising its
+        message as ``MachineError``.  A guard after the block stores no
+        part of the demand, but a transition the block ran stays.  Each
         reciprocal candidate ``p * pool[r] // d`` is divided inline after
         the operand check ``fixed_floor_div`` makes; that function is
         called only for an operand the check rejects, so it raises the
@@ -348,6 +355,12 @@ class AllocationMachine:
                 _check_quantities(vector)
             except (TypeError, ValueError) as exc:  # not iterable, or invalid
                 raise MachineError(str(exc)) from None
+        cfg = self._cfg
+        if len(vector) != cfg.resource_count:
+            raise MachineError(
+                f"demand has {len(vector)} components, machine has "
+                f"{cfg.resource_count} resources"
+            )
         if type(user) is not int or not 0 <= user < len(self._balance):
             self._check_user(user)
         # update_state's early return, repeated in line: a plain int block in
@@ -360,16 +373,10 @@ class AllocationMachine:
         s = (e + 1) % 2
         if self._demand_epoch[s][user] == e:
             raise MachineError(f"user {user} already demanded in epoch {e}")
-        cfg = self._cfg
-        if len(vector) != cfg.resource_count:
-            raise MachineError(
-                f"demand has {len(vector)} components, machine has "
-                f"{cfg.resource_count} resources"
-            )
         pool = self._reserves[s]
         p = cfg.precision
-        recip: int | None = None
-        updates = 0
+        recip = INT_LIMIT + 1  # above every candidate, so the first replaces it
+        updates = -1  # and counts as no update
         for r, d in enumerate(vector):
             if d == 0:
                 continue
@@ -382,12 +389,10 @@ class AllocationMachine:
                 candidate = scaled // d
             else:
                 candidate = fixed_floor_div(scaled, d)
-            if recip is None:
-                recip = candidate
-            elif candidate < recip:
+            if candidate < recip:
                 recip = candidate
                 updates += 1
-        if recip is None:
+        if recip > INT_LIMIT:
             raise MachineError("demand must have a positive component")
         if recip == 0:
             raise MachineError(
@@ -396,21 +401,12 @@ class AllocationMachine:
             )
         # Every new value is computed and checked before any is stored, so
         # a MachineOverflowError leaves the state as it was.
-        max_recip = recip
-        if self._reset_epoch == e:
-            # Later demands of the epoch add to its sums; the minimum
-            # reciprocal is the largest dominant share.
-            sds = [t + recip * d for t, d in zip(self._sds[s], vector)]
-            if self._max_recip[s] < recip:
-                max_recip = self._max_recip[s]
-        else:
-            # The first demand of the epoch overwrites last round's sums.
-            sds = [recip * d for d in vector]
+        sds = [t + recip * d for t, d in zip(self._sds, vector)]
         if max(sds) > INT_LIMIT:  # each sum bounds its non-negative terms
             _checked(max(sds))
-        self._sds[s] = sds
-        self._max_recip[s] = max_recip
-        self._reset_epoch = e
+        self._sds = sds
+        if recip < self._max_recip:  # the minimum is the largest dominant share
+            self._max_recip = recip
         self._demand[s][user] = vector
         self._recip[s][user] = recip
         self._demand_epoch[s][user] = e
@@ -419,16 +415,19 @@ class AllocationMachine:
     def claim(self, user: int, block: int) -> ClaimReceipt:
         """Pay out the user's previous-epoch demand and clear its reciprocal.
 
-        One floored division: tasks = recip * k' // (max_recip * p).  The
-        clamp is only a guard: k' <= max_recip * P_r * p / S_r for every
-        demanded r, so the epoch's shares sum to at most P_r.  Headroom:
-        S_r >= recip at the user's dominant resource r, so recip * k' is at
-        most max_recip * P_r * p, which the transition checked, and
+        One floored division: tasks = recip * k' // (max_recip * p), for
+        the claimed epoch's minimum reciprocal max_recip, which its
+        transition handed over (``_claim_max_recip``).  The clamp is only
+        a guard: k' <= max_recip * P_r * p / S_r for every demanded r, so
+        the epoch's shares sum to at most P_r.  Headroom: S_r >= recip at
+        the user's dominant resource r, so recip * k' is at most
+        max_recip * P_r * p, which the transition checked, and
         max_recip * p is no larger: only the credited balance can overflow.
         At p <= 10 counts run both ways from exact ``pdrf``: at p = 10,
         demands (0, 1), (3, 2) against (2, 6) get (5, 0) for exact (4, 0),
         and (0, 1), (3, 1) against (1, 7) get (4, 0) for exact (6, 0).  A
-        seeded search finds none above exact at p >= 100, nor does an
+        seeded search over demand components 1-10 finds none above exact
+        at p >= 100 (ROADMAP item 21 has wider ranges), nor does an
         exhaustive one at p = 100 and 10**6 over every multiset of n <= 3
         demands with components 0-3, m = 2, reserves 1-4 (tests/test_reference.py).
         The division is inline, as in ``demand``: ``fixed_floor_div`` is
@@ -455,7 +454,7 @@ class AllocationMachine:
         recip = self._recip[s][user]
         if recip == 0:
             raise MachineError(f"user {user} already claimed in epoch {e}")
-        scale = self._max_recip[s] * self._cfg.precision
+        scale = self._claim_max_recip * self._cfg.precision
         scaled = recip * self._k_prime
         if 0 <= scaled <= INT_LIMIT and 0 < scale <= INT_LIMIT:
             task_count = scaled // scale

@@ -1429,6 +1429,13 @@ def test_replay_names_the_block_of_a_transaction_of_the_wrong_arity(fields):
         ("demand_low", 1.0),
         ("demand_high", 3.5),
         ("per_user_reserve", "150"),
+        # A seed of None would draw a new schedule on every run, which the
+        # trace header, recording "seed": null, could not rebuild.
+        ("seed", None),
+        ("seed", 1.5),
+        ("seed", "7"),
+        ("seed", b"x"),
+        ("seed", True),
     ],
 )
 def test_sim_config_rejects_a_setting_that_is_not_an_integer(field, value):

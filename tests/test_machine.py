@@ -66,6 +66,17 @@ def test_fixed_floor_div_guards():
         fixed_floor_div(INT_LIMIT + 1, 2)
 
 
+def test_a_reciprocal_at_the_128_bit_limit_is_stored():
+    # p * pool // d is exactly 2**128 - 1 here; a demand's running minimum
+    # starts above every storable reciprocal, so this one is its first.
+    machine = AllocationMachine(
+        MachineConfig(1, 4, 0, ResourceVector([INT_LIMIT]), precision=1)
+    )
+    machine.register_user(0)
+    record = machine.demand(0, (1,), 0)
+    assert (record.recip_share, record.min_updates) == (INT_LIMIT, 0)
+
+
 def test_fixed_floor_div_of_zero():
     assert fixed_floor_div(0, 7) == 0
 
@@ -203,6 +214,27 @@ def test_transition_after_an_epoch_without_demands_reads_no_old_sums():
     assert machine.cycle_count == 0
     with pytest.raises(MachineError, match="no demand registered in epoch 3"):
         machine.claim(0, 12)
+
+
+def test_an_epoch_skipped_after_demands_pays_nothing():
+    # Epoch 2's sums are still open when the next call lands on epoch 4's
+    # first block, but nobody demanded in epoch 3, so epoch 4 pays nothing
+    # and epoch 5's cycle count comes from epoch 4's demands alone.  (A skip
+    # from epoch 1 to 3 would show no stale read: the pool epoch 3's claims
+    # drain has never been filled.)
+    machine = run_worked_epoch()
+    machine.claim(0, 4)
+    machine.demand(0, (2, 1), 5)
+    assert machine.update_state(12) and machine.epoch == 4
+    assert machine.cycle_count == 0
+    with pytest.raises(MachineError, match="no demand registered in epoch 3"):
+        machine.claim(0, 12)
+    pool = machine.reserve_pool(machine.demand_pool_parity())
+    machine.demand(1, (3, 1), 13)
+    assert machine.update_state(16)
+    expected = fixed_point_reference([(3, 1)], pool)
+    assert machine.cycle_count == expected.cycle_count
+    assert machine.claim(1, 16).task_count == expected.task_counts[0]
 
 
 def test_update_state_rejects_blocks_before_offset():
@@ -572,7 +604,10 @@ def _claim_and_next_demand(demand_first):
     receipt = machine.claim(0, 5 if demand_first else 4)
     if not demand_first:
         machine.demand(0, ResourceVector([2, 1]), 5)
-    return receipt, machine.snapshot(), machine._sds, machine._max_recip
+    return (
+        receipt, machine.snapshot(), machine._sds, machine._max_recip,
+        machine._claim_max_recip,
+    )
 
 
 def test_claim_and_next_demand_in_either_order():
@@ -718,9 +753,9 @@ def test_snapshot_fields():
 
 
 def _state(machine, user):
-    """Every field a call can write: the snapshot, the sums and minima, and
-    each of the user's fields (both parities' demand, reciprocal and
-    stamp, and the balance)."""
+    """Every field a call can write: the snapshot, the open epoch's sums
+    and minimum, the claimed epoch's minimum, and each of the user's
+    fields (both parities' demand, reciprocal and stamp, and the balance)."""
     per_parity = [
         (machine._demand[s][user], machine._recip[s][user],
          machine._demand_epoch[s][user])
@@ -728,8 +763,9 @@ def _state(machine, user):
     ]
     return (
         machine.snapshot(),
-        copy.deepcopy(machine._sds),
-        list(machine._max_recip),
+        list(machine._sds),
+        machine._max_recip,
+        machine._claim_max_recip,
         per_parity,
         machine._balance[user],
     )
@@ -797,7 +833,7 @@ def test_a_second_claim_in_the_epoch_raises_and_changes_nothing():
     machine = run_worked_epoch()
     machine.claim(0, 4)
     before = _state(machine, 0)
-    assert before[3][0] == ((1, 4), 0, 1)  # parity 0: demand, cleared reciprocal, stamp
+    assert before[4][0] == ((1, 4), 0, 1)  # parity 0: demand, cleared reciprocal, stamp
     with pytest.raises(MachineError) as raised:
         machine.claim(0, 5)
     assert str(raised.value) == "user 0 already claimed in epoch 2"
@@ -960,7 +996,7 @@ def _copy_state(machine):
     """A copy of the machine that shares only immutable values.
 
     Lists are copied, and so are the lists they hold (the per-parity
-    sums and user fields).  Any other value is shared, so it must be
+    user fields).  Any other value is shared, so it must be
     hashable: an int, a tuple such as the pair of pools, the frozen
     config or a vector.
     """
@@ -1203,10 +1239,10 @@ def test_claim_raises_what_fixed_floor_div_raises_first(recip, k_prime, max_reci
     if k_prime is not None:
         machine._k_prime = k_prime
     if max_recip is not None:
-        machine._max_recip[0] = max_recip
+        machine._claim_max_recip = max_recip
     with pytest.raises(MachineError) as expected:
         fixed_floor_div(
-            machine._recip[0][0] * machine._k_prime, machine._max_recip[0] * P
+            machine._recip[0][0] * machine._k_prime, machine._claim_max_recip * P
         )
     before = _state(machine, 0)
     with pytest.raises(type(expected.value)) as got:
@@ -1277,6 +1313,28 @@ def test_demand_checks_its_vector_before_anything_else(vector, user):
     assert str(got.value) == message
     assert vars(machine) == before
     assert machine.transitions == 0
+
+
+@pytest.mark.parametrize(
+    "vector", [(1, 2, 3), ResourceVector([1, 2, 3]), (4,)],
+    ids=["long", "long-vector", "short"],
+)
+@pytest.mark.parametrize("user", [1, 7], ids=["registered", "unregistered"])
+def test_a_demand_of_the_wrong_length_changes_nothing(vector, user):
+    # Block 4 starts epoch 2, so a length checked after the block would
+    # leave that transition behind.
+    machine = make_machine()
+    machine.register_user(0)
+    machine.register_user(1)
+    machine.demand(0, (1, 4), 1)
+    before = vars(copy.deepcopy(machine))
+    with pytest.raises(MachineError) as got:
+        machine.demand(user, vector, 4)
+    assert str(got.value) == (
+        f"demand has {len(vector)} components, machine has 2 resources"
+    )
+    assert vars(machine) == before
+    assert (machine.epoch, machine.transitions, machine.cycle_count) == (1, 0, 0)
 
 
 def test_a_list_demand_changed_after_the_call_leaves_the_claims_alone():
@@ -1451,7 +1509,7 @@ def test_claim_share_overflow_leaves_state_unchanged():
     assert machine.update_state(4)  # into epoch 2, whose claims read parity 0
     # Scaled count 2**64 * 2**63 // 1 = 2**127 fits; its share 4 * 2**127
     # does not.
-    machine._max_recip[0] = 1
+    machine._claim_max_recip = 1
     machine._recip[0][0] = 2**64
     machine._k_prime = 2**63
     before = machine.snapshot()
