@@ -27,7 +27,7 @@ from itertools import repeat
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .vectors import DemandSet, Rational, ResourceVector, WeightVector
+from .vectors import DemandSet, Rational, ResourceVector, WeightVector, _fraction
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,10 @@ _new = tuple.__new__
 
 
 def _as_fraction(value: Rational, what: str) -> Fraction:
-    f = Fraction(value)
+    try:
+        f = _fraction(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # None, "1", nan, inf
+        raise ValueError(f"{what} must be rational: {exc}") from None
     if f < 0:
         raise ValueError(f"{what} must be non-negative, got {value}")
     return f
@@ -82,35 +85,33 @@ def progressive_filling(
 ) -> list[Fraction]:
     """Max-min fair split of a single divisible resource.
 
-    Each round offers every unsatisfied user a share of what is left in
-    proportion to its weight (1 per user when ``weights`` is omitted);
-    users whose maximum demand fits their share are paid in full and
-    removed, and the residue is re-split.  When a round satisfies
-    nobody, everyone takes exactly their share and the reserve is
-    exhausted.  Weights are built into a ``WeightVector`` after the checks.
+    Water-filling in one sorted pass: users with a positive demand go in
+    order of demand per unit of weight (1 per user when ``weights`` is
+    omitted).  Each is paid in full while ``want * W_left <= left * w``;
+    from the first that is not, each user takes ``left * w / W_left``.
+    The max-min split is unique, so ties may go in any order.  Weights
+    are built into a ``WeightVector`` after the checks.
     """
     weights = (1,) * len(demands) if weights is None else weights
     if len(weights) != len(demands):
         raise ValueError(
             f"need one weight per user: {len(weights)} weights, {len(demands)} users"
         )
-    total = _as_fraction(reserve, "reserve")
+    left = _as_fraction(reserve, "reserve")
     wants = [_as_fraction(d, "demand") for d in demands]
     weights = _weight_vector(weights) if wants else ()  # no users, no weights
     allocs: list[Fraction] = [Fraction(0)] * len(wants)
-    active = [i for i, d in enumerate(wants) if d > 0]
-    while active and total > 0:
-        weight_sum = sum(weights[i] for i in active)
-        shares = {i: total * weights[i] / weight_sum for i in active}
-        satisfied = [i for i in active if wants[i] <= shares[i]]
-        if not satisfied:
-            for i in active:
-                allocs[i] = shares[i]
-            return allocs
-        for i in satisfied:
-            allocs[i] = wants[i]
-            total -= wants[i]
-        active = [i for i in active if i not in satisfied]
+    order = [i for i, d in enumerate(wants) if d > 0]
+    order.sort(key=lambda i: wants[i] / weights[i])
+    weight_left = sum(weights[i] for i in order)
+    for k, i in enumerate(order):
+        if wants[i] * weight_left > left * weights[i]:
+            for j in order[k:]:
+                allocs[j] = left * weights[j] / weight_left
+            break
+        allocs[i] = wants[i]
+        left -= wants[i]
+        weight_left -= weights[i]
     return allocs
 
 

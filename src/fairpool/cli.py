@@ -246,6 +246,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_json(out: str, name: str, payload: dict) -> None:
+    """Write ``payload`` as indented JSON to ``out``/``name`` and say so."""
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+    print(f"wrote {path}")
+
+
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     total_claims = 0
     total_epochs = 0
@@ -282,15 +291,12 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
         },
         "max_abs_fixed_minus_rational": max(map(abs, delta_counts), default=0),
     }
-    path = os.path.join(args.out, "crosscheck.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
     print(
         f"checked {total_claims} claims over {total_epochs} epochs: "
         f"match rate 1.000000, clamp events {clamp_events}"
     )
     print(f"fixed-vs-rational deltas: {summary['fixed_minus_rational_histogram']}")
-    print(f"wrote {path}")
+    _write_json(args.out, "crosscheck.json", summary)
     return EXIT_OK
 
 
@@ -353,10 +359,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "under_by_more": under_more,
         "delta_histogram": {str(k): v for k, v in sorted(tally.items())},
     }
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "stats.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
     print(
         f"{args.trials} instances, {total} user samples: "
         f"under-by-one {summary['under_by_one']['fraction']:.4f} "
@@ -364,7 +366,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         f"over {summary['over']['fraction']:.6f}, "
         f"under by 2+ {under_more}"
     )
-    print(f"wrote {path}")
+    _write_json(args.out, "stats.json", summary)
     return EXIT_OK
 
 
@@ -419,11 +421,7 @@ def cmd_costfit(args: argparse.Namespace) -> int:
             "r_squared": float(fit.r_squared),
         }
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "costfit.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {path}")
+        _write_json(args.out, "costfit.json", payload)
     return EXIT_OK
 
 

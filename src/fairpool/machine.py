@@ -80,7 +80,7 @@ def fixed_floor_div(a: int, b: int) -> int:
     """
     if b == 0:
         raise MachineError("division by zero")
-    if a < 0 or b < 0:
+    if _not_integer(a) or _not_integer(b) or a < 0 or b < 0:
         raise MachineError("fixed_floor_div operates on non-negative integers")
     return _checked(a) // _checked(b)
 

@@ -33,7 +33,10 @@ def fixed_point_reference(
 
     ``demand_vectors`` are the demands registered in one epoch,
     ``reserves`` the demand-pool contents they were registered against.
+    ``precision`` must be an int >= 1 (not a bool), as for ``MachineConfig``.
     """
+    if not isinstance(precision, int) or isinstance(precision, bool) or precision < 1:
+        raise ValueError(f"precision must be an integer >= 1, got {precision!r}")
     if not demand_vectors:
         raise ValueError("need at least one demand vector")
     m = len(reserves)

@@ -87,6 +87,96 @@ def test_weighted_equals_plain_on_random_instances():
         )
 
 
+# Amounts follow the rule weights follow: a number, never text.
+@pytest.mark.parametrize(
+    "bad", ["3", " 1/2 ", None, float("nan"), float("inf")],
+    ids=["text", "padded-fraction-text", "none", "nan", "inf"],
+)
+def test_a_rejected_amount_raises_value_error(bad):
+    assert _raised(lambda: progressive_filling([1, bad], 5)).startswith(
+        "demand must be rational: "
+    )
+    assert _raised(lambda: progressive_filling([1, 2], bad)).startswith(
+        "reserve must be rational: "
+    )
+
+
+def _filling_by_rounds(demands, reserve, weights=None):
+    """The round loop progressive filling ran before its sorted pass, as
+    an oracle: each round offers every unsatisfied user its weight's
+    share of what is left and pays in full those whose demand fits it.
+    Returns the allocations and the number of rounds."""
+    n = len(demands)
+    weights = [Fraction(1)] * n if weights is None else list(map(Fraction, weights))
+    total = Fraction(reserve)
+    wants = [Fraction(d) for d in demands]
+    allocs = [Fraction(0)] * n
+    active = [i for i, d in enumerate(wants) if d > 0]
+    rounds = 0
+    while active and total > 0:
+        rounds += 1
+        weight_sum = sum(weights[i] for i in active)
+        shares = {i: total * weights[i] / weight_sum for i in active}
+        satisfied = [i for i in active if wants[i] <= shares[i]]
+        if not satisfied:
+            for i in active:
+                allocs[i] = shares[i]
+            return allocs, rounds
+        for i in satisfied:
+            allocs[i] = wants[i]
+            total -= wants[i]
+        active = [i for i in active if i not in satisfied]
+    return allocs, rounds
+
+
+def _assert_filling_matches_rounds(demands, reserve, weights=None):
+    got = progressive_filling(demands, reserve, weights)
+    want, rounds = _filling_by_rounds(demands, reserve, weights)
+    assert got == want, (demands, reserve, weights)
+    assert all(type(x) is Fraction for x in got), (demands, reserve, weights)
+    return rounds
+
+
+def _amount(rng, high):
+    """0, an int in 1..high or a Fraction, a third of the time each."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(1, high)
+    return Fraction(rng.randint(1, 4 * high), rng.randint(1, 6))
+
+
+def test_sorted_pass_matches_rounds_on_a_seeded_stream():
+    # Small integers make many equal ratios, so ties are well covered.
+    rng = random.Random(7)
+    for _ in range(20_000):
+        n = rng.randint(0, 7)
+        demands = [_amount(rng, 20) for _ in range(n)]
+        weights = None if rng.randrange(2) else [
+            Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)
+        ]
+        _assert_filling_matches_rounds(demands, _amount(rng, 80), weights)
+
+
+@pytest.mark.parametrize("n", [5, 30, 120])
+def test_sorted_pass_matches_rounds_when_each_round_pays_one_user(n):
+    # Reserve n, unit weights.  User k wants L_k - e_k, where L_k is the
+    # level once k - 1 users are paid, e_1 = 1/2 and e_(k+1) = e_k / (2(n - k)).
+    # Then L_(k+1) = L_k + e_k / (n - k), so user k + 1 wants more than L_k:
+    # round k pays user k alone, and the loop runs n rounds.
+    left, eps, wants = Fraction(n), Fraction(1, 2), []
+    for k in range(1, n + 1):
+        wants.append(left / (n - k + 1) - eps)
+        left -= wants[-1]
+        if k < n:
+            eps /= 2 * (n - k)
+    # Reversed, so the sorted pass has to order the users itself.
+    demands = wants[::-1]
+    assert _assert_filling_matches_rounds(demands, n) == n
+    assert progressive_filling(demands, n) == demands
+
+
 # --- dominant shares -----------------------------------------------------
 
 

@@ -66,6 +66,16 @@ def test_fixed_floor_div_guards():
         fixed_floor_div(INT_LIMIT + 1, 2)
 
 
+def test_fixed_floor_div_takes_integers_only():
+    for a, b in [(7.5, 2), (7, 2.0), (True, 1), (7, True)]:
+        with pytest.raises(MachineError, match="operates on non-negative integers"):
+            fixed_floor_div(a, b)
+    # A zero divisor is still reported as such, whatever its type.
+    for b in (0, 0.0):
+        with pytest.raises(MachineError, match="division by zero"):
+            fixed_floor_div(1, b)
+
+
 def test_a_reciprocal_at_the_128_bit_limit_is_stored():
     # p * pool // d is exactly 2**128 - 1 here; a demand's running minimum
     # starts above every storable reciprocal, so this one is its first.

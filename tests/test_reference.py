@@ -36,6 +36,14 @@ def test_reference_input_validation():
         fixed_point_reference([[1, 1]], [5, 0])
 
 
+@pytest.mark.parametrize("precision", [-3, 0, 1.5, True, "10"])
+def test_reference_rejects_a_precision_the_machine_rejects(precision):
+    with pytest.raises(ValueError, match="precision must be an integer >= 1"):
+        reference_task_counts({0: (1, 2), 1: (2, 1)}, (10, 10), precision=precision)
+    with pytest.raises(ValueError):
+        MachineConfig(2, 4, 0, ResourceVector([10, 10]), precision=precision)
+
+
 def test_reference_task_counts_keyed_by_user():
     counts = reference_task_counts({7: [1, 4], 3: [3, 1]}, [9, 18])
     assert counts == {7: 3, 3: 2}
