@@ -27,6 +27,7 @@ import csv
 import json
 import random
 from dataclasses import asdict, dataclass, fields
+from itertools import islice
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -653,29 +654,45 @@ def crosscheck_trace(trace: Trace) -> CrosscheckReport:
     )
 
 
+_TRACE_CHUNK = 1024
+
+
 def write_trace_file(trace: Trace, path: str) -> None:
-    """Line-per-block text export with a JSON header line."""
+    """Line-per-block text export with a JSON header line.
+
+    Records are formatted ``_TRACE_CHUNK`` at a time, one ``write`` per
+    chunk, so the text held at once stays bounded at any trace length.
+    """
     vec_format = ",".join(["%d"] * trace.header["config"]["resources"])
+    records = iter(trace.records)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(trace.header, sort_keys=True) + "\n")
-        fh.writelines(
+        while chunk := [
             "%d %d %s %d %s %d %d\n" % (
                 block, epoch, kind, user, vec_format % vector if vector else "-",
                 cost_units, clamped,
             )
             for (block, kind, user, _), epoch, vector, _, clamped, cost_units, _, _, _
-            in trace.records
-        )
+            in islice(records, _TRACE_CHUNK)
+        ]:
+            fh.write("".join(chunk))
 
 
 COST_CSV_COLUMNS = CostRecord._fields
 
 
 def write_cost_csv(records: Iterable[tuple], path: str) -> None:
+    """Write ``records`` under a ``COST_CSV_COLUMNS`` header, as
+    ``csv.writer`` would.
+
+    Each row must be a tuple with the ``CostRecord`` layout: five fields,
+    none needing CSV quoting (a call kind and four numbers).  Each field
+    is written with ``%s``; a row of another length raises TypeError.
+    The rows are streamed, so ``records`` may be a generator.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COST_CSV_COLUMNS)
-        writer.writerows(records)
+        fh.write(",".join(COST_CSV_COLUMNS) + "\r\n")
+        fh.writelines(map("%s,%s,%s,%s,%s\r\n".__mod__, records))
 
 
 def read_cost_csv(path: str) -> list[tuple]:
@@ -695,6 +712,8 @@ def read_cost_csv(path: str) -> list[tuple]:
                     f"{len(COST_CSV_COLUMNS)} fields"
                 )
             kind, *numbers = row
+            if kind not in _SETUP:  # the kinds that carry a cost
+                raise ValueError(f"line {reader.line_num}: unknown call kind {kind!r}")
             try:
                 out.append((kind, *map(int, numbers)))
             except ValueError as exc:

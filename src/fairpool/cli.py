@@ -9,6 +9,7 @@ import os
 import random
 import sys
 from collections import Counter
+from contextlib import suppress
 from typing import Iterator, Sequence
 
 from .alloc import compare_pdrf_drf
@@ -237,8 +238,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     try:
         write_cost_csv(costs(), csv_path)
-    except SimulationError as exc:
-        os.remove(csv_path)  # a failed run leaves no cost file
+    except BaseException as exc:
+        with suppress(FileNotFoundError):
+            os.remove(csv_path)  # a failed run leaves no cost file
+        if not isinstance(exc, SimulationError):
+            raise
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     print(f"wrote {csv_path} ({sum(rows_per_trace)} cost records)")

@@ -1,8 +1,10 @@
 import collections
 import copy
+import csv
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import operator
 import random
@@ -1190,6 +1192,74 @@ def test_cost_csv_round_trip(tmp_path):
     assert header == "call_kind,m,epoch,user,cost_units"
 
 
+def _old_cost_csv_bytes(rows):
+    """``csv.writer``'s bytes for the cost CSV, for comparison."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(chainsim.COST_CSV_COLUMNS)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "m, model",
+    [(1, DEFAULT_COST_MODEL), (3, DEFAULT_COST_MODEL), (8, DEFAULT_COST_MODEL),
+     (3, SETUP_COST_MODEL)],
+    ids=["m1", "m3", "m8", "m3-setup"],
+)
+def test_cost_csv_matches_csv_writer(tmp_path, m, model):
+    trace = run_simulation(SimConfig(users=4, resources=m, epochs=4, seed=23), model)
+    path = tmp_path / "costs.csv"
+    write_cost_csv(trace.costs, str(path))
+    assert path.read_bytes() == _old_cost_csv_bytes(trace.costs)
+
+
+def test_cost_csv_of_a_streamed_sweep_matches_csv_writer(tmp_path):
+    # As ``fairpool run --sweep 2,3`` streams them: each trace's rows in turn.
+    traces = [
+        run_simulation(SimConfig(users=3, resources=m, epochs=4, seed=5), SETUP_COST_MODEL)
+        for m in (2, 3)
+    ]
+    rows = tuple(row for trace in traces for row in trace.costs)
+    streamed, kept = tmp_path / "streamed.csv", tmp_path / "kept.csv"
+    write_cost_csv((row for trace in traces for row in trace.costs), str(streamed))
+    write_cost_csv(rows, str(kept))
+    assert streamed.read_bytes() == kept.read_bytes() == _old_cost_csv_bytes(rows)
+
+
+def test_cost_csv_writes_odd_but_valid_fields_as_csv_writer_does(tmp_path):
+    rows = [
+        ("claim", -1, 0, -7, -(10**40)),
+        ("demand", 10**60, 2**127, 0, 1),
+        ("update_state", True, False, 1, 0),
+        ("claim", 2.5, -0.0, 1e100, float("inf")),
+        CostRecord("demand", 5, 3, 0, 7),
+    ]
+    path = tmp_path / "costs.csv"
+    write_cost_csv(rows, str(path))
+    assert path.read_bytes() == _old_cost_csv_bytes(rows)
+
+
+@pytest.mark.parametrize(
+    "row", [("claim", 5, 3, 0), ("claim", 5, 3, 0, 7, 1)], ids=["four", "six"]
+)
+def test_cost_csv_rejects_a_row_of_the_wrong_length(tmp_path, row):
+    with pytest.raises(TypeError):
+        write_cost_csv([("claim", 5, 3, 0, 7), row], str(tmp_path / "costs.csv"))
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+def test_trace_file_lines_match_str_join_at_chunk_edges(tmp_path, count):
+    trace = run_simulation(SimConfig(users=100, resources=3, epochs=11, seed=3))
+    trace = dataclasses.replace(trace, records=trace.records[:count])
+    path = tmp_path / "trace.txt"
+    write_trace_file(trace, str(path))
+    header, *lines = path.read_bytes().decode("utf-8").splitlines(keepends=True)
+    assert header == "# " + json.dumps(trace.header, sort_keys=True) + "\n"
+    assert len(lines) == count
+    assert lines == list(_old_trace_lines(trace))
+
+
 # --- crosscheck -----------------------------------------------------------------
 
 
@@ -1619,3 +1689,13 @@ def test_read_cost_csv_skips_blank_lines_and_counts_them(tmp_path):
         read_cost_csv(str(path))
     path.write_text(header + "\nclaim,2,3,0,7\n\n", encoding="utf-8")
     assert read_cost_csv(str(path)) == [CostRecord("claim", 2, 3, 0, 7)]
+
+
+@pytest.mark.parametrize("kind", ["clam", "register", "Claim", ""])
+def test_read_cost_csv_rejects_an_unknown_call_kind(tmp_path, kind):
+    path = tmp_path / "costs.csv"
+    header = "call_kind,m,epoch,user,cost_units\n"
+    path.write_text(header + f"claim,2,3,0,7\n{kind},5,3,0,7\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_cost_csv(str(path))
+    assert str(info.value) == f"line 3: unknown call kind {kind!r}"

@@ -525,6 +525,27 @@ def test_simulation_error_exits_2_without_summary(
     assert (out / "trace_m3_trial0.txt").exists() == (command == "run")
 
 
+def test_a_failed_trace_write_leaves_no_cost_csv(tmp_path, capsys, monkeypatch):
+    # The first trace is written; the second fails as a full disk would.
+    original = cli.write_trace_file
+    written = []
+
+    def write_or_fail(trace, path):
+        if written:
+            raise OSError(28, "No space left on device")
+        written.append(path)
+        original(trace, path)
+
+    monkeypatch.setattr(cli, "write_trace_file", write_or_fail)
+    out = tmp_path / "out"
+    argv = ["--users", "3", "--epochs", "3", "--sweep", "2,3", "--out", str(out)]
+    assert run_cli("run", *argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "cannot write output: [Errno 28] No space left on device\n"
+    assert not (out / "costs.csv").exists()
+    assert written == [str(out / "trace_m2_trial0.txt")]
+
+
 def test_crosscheck_mismatch_exits_2_without_summary(tmp_path, capsys, monkeypatch):
     original = chainsim.reference_task_counts
     monkeypatch.setattr(
