@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import random
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
@@ -662,20 +663,27 @@ def write_trace_file(trace: Trace, path: str) -> None:
 
     Records are formatted ``_TRACE_CHUNK`` at a time, one ``write`` per
     chunk, so the text held at once stays bounded at any trace length.
+    A write that fails part-way removes the file and re-raises, so no
+    truncated trace is left behind.
     """
     vec_format = ",".join(["%d"] * trace.header["config"]["resources"])
     records = iter(trace.records)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(trace.header, sort_keys=True) + "\n")
-        while chunk := [
-            "%d %d %s %d %s %d %d\n" % (
-                block, epoch, kind, user, vec_format % vector if vector else "-",
-                cost_units, clamped,
-            )
-            for (block, kind, user, _), epoch, vector, _, clamped, cost_units, _, _, _
-            in islice(records, _TRACE_CHUNK)
-        ]:
-            fh.write("".join(chunk))
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write("# " + json.dumps(trace.header, sort_keys=True) + "\n")
+            while chunk := [
+                "%d %d %s %d %s %d %d\n" % (
+                    block, epoch, kind, user, vec_format % vector if vector else "-",
+                    cost_units, clamped,
+                )
+                for (block, kind, user, _), epoch, vector, _, clamped, cost_units, _, _, _
+                in islice(records, _TRACE_CHUNK)
+            ]:
+                fh.write("".join(chunk))
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 COST_CSV_COLUMNS = CostRecord._fields

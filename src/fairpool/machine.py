@@ -12,7 +12,8 @@ intermediate must fit in 128 bits, and each is checked once: as an
 operand of ``fixed_floor_div``, which checks both (``demand`` and
 ``claim`` make the same check inline and call it only to raise), or
 where it is formed, a vector of non-negative values through its largest
-component.
+component.  A claim's share is checked only when it is clamped; the pool
+bounds an unclamped one (``claim`` argues it).
 
 State, laid out as a contract stores it.  Per parity (index 0 or 1), the
 pool (``_reserves``, an immutable pair of tuples, replaced whole by a
@@ -39,7 +40,7 @@ record has all its fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, gt, sub
+from operator import add, sub
 from typing import Iterable, NamedTuple
 
 from .vectors import ResourceVector, _check_quantities, _not_integer, require_integers
@@ -346,6 +347,10 @@ class AllocationMachine:
         is checked in line (``update_state``'s early return, without its
         call); every other block goes through ``update_state``, so the
         block rule and its messages are that method's.
+
+        The scaled sums are built on a copy of ``_sds``, adding
+        ``recip * d`` only for a non-zero component d, and the copy is
+        stored only once its largest sum has passed the 128-bit check.
         """
         if not isinstance(vector, ResourceVector):
             if vector is None:
@@ -401,7 +406,10 @@ class AllocationMachine:
             )
         # Every new value is computed and checked before any is stored, so
         # a MachineOverflowError leaves the state as it was.
-        sds = [t + recip * d for t, d in zip(self._sds, vector)]
+        sds = self._sds.copy()
+        for r, d in enumerate(vector):
+            if d:
+                sds[r] += recip * d
         if max(sds) > INT_LIMIT:  # each sum bounds its non-negative terms
             _checked(max(sds))
         self._sds = sds
@@ -434,6 +442,16 @@ class AllocationMachine:
         called only for an operand its check rejects, so the claim raises
         what that function raises.  The block is checked as in ``demand``:
         in line inside the current epoch, through ``update_state`` otherwise.
+
+        The pool the share leaves is computed first, and the clamp reads
+        off it: the share exceeds the pool somewhere iff some component
+        left is negative.  Only a clamped share is checked against the
+        128-bit bound, before the clamp.  An unclamped share needs no
+        check of its own: it is at most the pool, and for each resource r
+        the user demanded, its ``demand`` checked p * P_r <= 2**128 - 1
+        against this same pool, which only claims have lowered since;
+        every other component is 0.  A pool set above the bound by hand
+        is still caught, as the credited balance is at least the share.
         """
         if type(user) is not int or not 0 <= user < len(self._balance):
             self._check_user(user)
@@ -462,16 +480,17 @@ class AllocationMachine:
             task_count = fixed_floor_div(scaled, scale)
         pool = self._reserves[s]
         share = tuple([task_count * d for d in self._demand[s][user]])
-        if max(share) > INT_LIMIT:
-            _checked(max(share))
-        clamped = any(map(gt, share, pool))
+        left = tuple(map(sub, pool, share))
+        clamped = min(left) < 0
         if clamped:
+            _checked(max(share))
             share = tuple(map(min, share, pool))
+            left = tuple(map(sub, pool, share))
         # Checked before any unit moves, so an overflow changes nothing.
         credited = tuple(map(add, self._balance[user], share))
         if max(credited) > INT_LIMIT:
             _checked(max(credited))
-        left, keep = tuple(map(sub, pool, share)), self._reserves[1 - s]
+        keep = self._reserves[1 - s]
         self._reserves = (left, keep) if s == 0 else (keep, left)
         self._balance[user] = credited
         self._recip[s][user] = 0

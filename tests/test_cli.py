@@ -546,6 +546,43 @@ def test_a_failed_trace_write_leaves_no_cost_csv(tmp_path, capsys, monkeypatch):
     assert written == [str(out / "trace_m2_trial0.txt")]
 
 
+def test_a_trace_write_failing_part_way_leaves_no_partial_trace(
+    tmp_path, capsys, monkeypatch
+):
+    # The second trace is cut short after its header line and half a
+    # chunk, as a file-size limit would cut it.
+    out = tmp_path / "out"
+    cut = str(out / "trace_m3_trial0.txt")
+
+    class CutShort:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 2:
+                self.fh.write(text[: len(text) // 2])
+                raise OSError(27, "File too large")
+            return self.fh.write(text)
+
+    def open_cut_short(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return CutShort(fh) if path == cut else fh
+
+    monkeypatch.setattr(chainsim, "open", open_cut_short, raising=False)
+    argv = ["--users", "3", "--epochs", "3", "--sweep", "2,3", "--out", str(out)]
+    assert run_cli("run", *argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "cannot write output: [Errno 27] File too large\n"
+    assert sorted(p.name for p in out.iterdir()) == ["trace_m2_trial0.txt"]
+
+
 def test_crosscheck_mismatch_exits_2_without_summary(tmp_path, capsys, monkeypatch):
     original = chainsim.reference_task_counts
     monkeypatch.setattr(

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import gc
 import math
+import operator
 import random
 import sys
 import tracemalloc
@@ -32,7 +33,13 @@ from fairpool.chainsim import (
     replay,
     run_simulation,
 )
-from fairpool.machine import DEFAULT_PRECISION, INT_LIMIT, _checked
+from fairpool.machine import (
+    DEFAULT_PRECISION,
+    INT_LIMIT,
+    ClaimReceipt,
+    DemandRecord,
+    _checked,
+)
 
 P = 1_000_000
 
@@ -1526,6 +1533,225 @@ def test_claim_share_overflow_leaves_state_unchanged():
     with pytest.raises(MachineOverflowError):
         machine.claim(0, 5)
     assert machine.snapshot() == before
+
+
+# --- the sums and the payout against pass-per-step oracles ----------------------
+
+
+def _oracle_demand(machine, user, vector, block):
+    """``demand`` with its sums built as one comprehension over every
+    component, zeros included.  The guards before the sums are left out:
+    the cases below pass them all."""
+    machine.update_state(block)
+    e = machine.epoch
+    s = (e + 1) % 2
+    pool, p = machine._reserves[s], machine.config.precision
+    recip, updates = INT_LIMIT + 1, -1
+    for r, d in enumerate(vector):
+        if d and p * pool[r] // d < recip:
+            recip, updates = p * pool[r] // d, updates + 1
+    sds = [t + recip * d for t, d in zip(machine._sds, vector)]
+    if max(sds) > INT_LIMIT:
+        _checked(max(sds))
+    machine._sds = sds
+    machine._max_recip = min(machine._max_recip, recip)
+    machine._demand[s][user] = vector
+    machine._recip[s][user] = recip
+    machine._demand_epoch[s][user] = e
+    return DemandRecord(user, e, vector, recip, updates)
+
+
+def _oracle_claim(machine, user, block):
+    """``claim`` with its payout in one pass per step: the share's 128-bit
+    check, the clamp test, the clamp, the credit and the pool left.  The
+    guards before the payout are left out: the cases below pass them all."""
+    machine.update_state(block)
+    e = machine.epoch
+    s = e % 2
+    scale = machine._claim_max_recip * machine.config.precision
+    task_count = machine._recip[s][user] * machine._k_prime // scale
+    pool = machine._reserves[s]
+    share = tuple(task_count * d for d in machine._demand[s][user])
+    if max(share) > INT_LIMIT:
+        _checked(max(share))
+    clamped = any(map(operator.gt, share, pool))
+    if clamped:
+        share = tuple(map(min, share, pool))
+    credited = tuple(map(operator.add, machine._balance[user], share))
+    if max(credited) > INT_LIMIT:
+        _checked(max(credited))
+    left, keep = tuple(map(operator.sub, pool, share)), machine._reserves[1 - s]
+    machine._reserves = (left, keep) if s == 0 else (keep, left)
+    machine._balance[user] = credited
+    machine._recip[s][user] = 0
+    return ClaimReceipt(user, e, task_count, share, clamped)
+
+
+_ORACLES = {AllocationMachine.demand: _oracle_demand, AllocationMachine.claim: _oracle_claim}
+
+
+def _agrees_with_oracle(machine, call, user, *args):
+    """Run ``call`` on ``machine`` and its oracle on a copy: the receipt or
+    the error's class and message, and every field the call can write,
+    must be equal.  Returns the outcome."""
+    twin = _copy_state(machine)
+    expected = _outcome(lambda: _ORACLES[call](twin, user, *args))
+    got = _outcome(lambda: call(machine, user, *args))
+    assert got == expected
+    assert _state(machine, user) == _state(twin, user)
+    return got
+
+
+def _worked_claim_pool(pool):
+    """The worked epoch, transitioned, with the claim pool set by hand;
+    user 0's share is 3 tasks of [1, 4]: [3, 12]."""
+    machine = run_worked_epoch()
+    machine.update_state(4)
+    machine._reserves = (pool, machine._reserves[1])
+    return machine
+
+
+@pytest.mark.parametrize(
+    "pool, clamped",
+    [
+        ((3, 12), False),  # exactly the share: the pool is left empty
+        ((4, 12), False),
+        ((9, 18), False),
+        ((2, 12), True),  # short in one resource
+        ((3, 11), True),
+        ((2, 5), True),  # short in both
+        ((0, 0), True),
+        ((-1, 18), True),  # driven negative by a fault
+        ((3, -2), True),
+    ],
+)
+def test_claim_payout_agrees_with_its_oracle(pool, clamped):
+    machine = _worked_claim_pool(pool)
+    machine._balance[0] = (5, 7)
+    _, receipt = _agrees_with_oracle(machine, AllocationMachine.claim, 0, 4)
+    assert receipt.clamped == clamped
+
+
+@pytest.mark.parametrize(
+    "pool, balance",
+    [
+        ((INT_LIMIT, 12), (0, 0)),  # the pool at the bound, the share fits
+        ((INT_LIMIT, 12), (INT_LIMIT - 3, INT_LIMIT - 12)),  # credited at the bound
+        ((INT_LIMIT, 12), (INT_LIMIT - 2, 0)),  # credited one past it
+        ((2, 12), (INT_LIMIT - 2, INT_LIMIT - 12)),  # clamped, credited at the bound
+        ((2, 12), (INT_LIMIT - 1, 0)),  # clamped, credited one past it
+    ],
+)
+def test_claim_near_the_128_bit_bound_agrees_with_its_oracle(pool, balance):
+    machine = _worked_claim_pool(pool)
+    machine._balance[0] = balance
+    _agrees_with_oracle(machine, AllocationMachine.claim, 0, 4)
+
+
+def _hand_set_share(pool, k_prime):
+    """At p = 1, user 0's share set by hand to 2**64 * k' tasks of [1, 4],
+    to be claimed at block 4 from ``pool``."""
+    machine = AllocationMachine(MachineConfig(2, 4, 0, ResourceVector([9, 18]), precision=1))
+    machine.register_user(0)
+    machine.demand(0, ResourceVector([1, 4]), 0)
+    machine.update_state(4)
+    machine._reserves = (pool, machine._reserves[1])
+    machine._claim_max_recip, machine._recip[0][0], machine._k_prime = 1, 2**64, k_prime
+    return machine
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [(INT_LIMIT, INT_LIMIT), (2, 5), (0, 2**129)],
+    ids=["at-the-bound", "lower", "above-the-bound"],
+)
+@pytest.mark.parametrize("k_prime", [2**61, 2**62], ids=["fits", "overflows"])
+def test_an_overflowing_share_agrees_with_its_oracle(pool, k_prime):
+    # At k' = 2**62 the share's resource 1, 2**128, passes the bound; at
+    # 2**61 it fits.  Every pool but the first clamps the share in
+    # resource 0 or 1, and a clamped claim checks the share first.
+    machine = _hand_set_share(pool, k_prime)
+    outcome = _agrees_with_oracle(machine, AllocationMachine.claim, 0, 4)
+    assert outcome[0] is (MachineOverflowError if k_prime == 2**62 else "returned")
+
+
+def test_a_pool_set_above_the_bound_still_makes_an_overflowing_claim_raise():
+    # Unclamped, the share [2**126, 2**128] is never checked on its own;
+    # the credited balance still bounds it, so the claim raises and
+    # changes nothing.
+    machine = _hand_set_share((2**130, 2**130), 2**62)
+    machine._balance[0] = (1, 1)
+    before = _state(machine, 0)
+    with pytest.raises(MachineOverflowError):
+        machine.claim(0, 4)
+    assert _state(machine, 0) == before
+
+
+@pytest.mark.parametrize(
+    "second, overflows",
+    [((1, 0), True), ((0, 1), False), ((1, 1), True), ((0, 2), False)],
+)
+def test_demand_sums_near_the_128_bit_bound_agree_with_their_oracle(second, overflows):
+    # At p = 1 a pool of 2**127 gives a demand of 1 the reciprocal 2**127,
+    # so two such demands on one resource sum to 2**128.
+    machine = AllocationMachine(MachineConfig(2, 4, 0, ResourceVector([2**127] * 2), 1))
+    machine.register_user(0)
+    machine.register_user(1)
+    _agrees_with_oracle(machine, AllocationMachine.demand, 0, (1, 0), 0)
+    outcome = _agrees_with_oracle(machine, AllocationMachine.demand, 1, second, 1)
+    assert (outcome[0] is MachineOverflowError) == overflows
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_calls_at_64_resources_agree_with_the_oracles(seed):
+    # Demands with 1 to 64 non-zero components, claimed from the pool as
+    # the epoch left it or as set by hand: lowered, equal to the share,
+    # or driven negative.
+    rng = random.Random(seed)
+    m, n = 64, 10
+    machine = AllocationMachine(
+        MachineConfig(m, 2 * n, 0, ResourceVector([rng.randint(10, 10**6) for _ in range(m)]))
+    )
+    for user in range(n):
+        machine.register_user(user)
+    clamps = collections.Counter()
+    for e in range(1, 5):
+        base = (e - 1) * 2 * n
+        if e > 1:
+            for user in range(n):
+                machine.update_state(base + user)
+                s = machine.epoch % 2
+                pool = list(machine._reserves[s])
+                how = rng.choice(("as left", "lowered", "share", "negative"))
+                if how == "lowered":
+                    for r in rng.sample(range(m), 3):
+                        pool[r] //= 2
+                elif how == "share":
+                    tasks = machine._recip[s][user] * machine._k_prime // (
+                        machine._claim_max_recip * P
+                    )
+                    pool = [tasks * d for d in machine._demand[s][user]]
+                elif how == "negative":
+                    pool[rng.randrange(m)] = -1
+                keep = machine._reserves[1 - s]
+                machine._reserves = (tuple(pool), keep) if s == 0 else (keep, tuple(pool))
+                _, receipt = _agrees_with_oracle(
+                    machine, AllocationMachine.claim, user, base + user
+                )
+                clamps[receipt.clamped] += 1
+                if how in ("share", "negative"):
+                    assert receipt.clamped == (how == "negative")
+        if e < 4:
+            for user in range(n):
+                k = rng.choice((1, 2, 5, m))
+                vector = [0] * m
+                for r in rng.sample(range(m), k):
+                    vector[r] = rng.randint(1, 10)
+                vector = rng.choice((tuple, ResourceVector))(vector)
+                _agrees_with_oracle(
+                    machine, AllocationMachine.demand, user, vector, base + n + user
+                )
+    assert clamps[True] > 0 and clamps[False] > 0
 
 
 # --- O(m) per call, counted -----------------------------------------------------
