@@ -27,10 +27,11 @@ import csv
 import json
 import os
 import random
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 # Not called here, but perfbench's tracer replaces ``pdrf_allocate`` by
 # name in this module as well as in ``alloc``.
@@ -658,32 +659,40 @@ def crosscheck_trace(trace: Trace) -> CrosscheckReport:
 _TRACE_CHUNK = 1024
 
 
+@contextmanager
+def _whole_or_none(path: str, newline: str | None = None) -> Iterator[IO[str]]:
+    """Open ``path`` for writing as UTF-8 text; if the body raises, remove
+    the file and re-raise, so a failed write leaves no partial file."""
+    fh = open(path, "w", encoding="utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(path)
+        raise
+
+
 def write_trace_file(trace: Trace, path: str) -> None:
     """Line-per-block text export with a JSON header line.
 
     Records are formatted ``_TRACE_CHUNK`` at a time, one ``write`` per
     chunk, so the text held at once stays bounded at any trace length.
-    A write that fails part-way removes the file and re-raises, so no
-    truncated trace is left behind.
+    A write that fails part-way leaves no file (``_whole_or_none``).
     """
     vec_format = ",".join(["%d"] * trace.header["config"]["resources"])
     records = iter(trace.records)
-    fh = open(path, "w", encoding="utf-8")
-    try:
-        with fh:
-            fh.write("# " + json.dumps(trace.header, sort_keys=True) + "\n")
-            while chunk := [
-                "%d %d %s %d %s %d %d\n" % (
-                    block, epoch, kind, user, vec_format % vector if vector else "-",
-                    cost_units, clamped,
-                )
-                for (block, kind, user, _), epoch, vector, _, clamped, cost_units, _, _, _
-                in islice(records, _TRACE_CHUNK)
-            ]:
-                fh.write("".join(chunk))
-    except BaseException:
-        os.remove(path)
-        raise
+    with _whole_or_none(path) as fh:
+        fh.write("# " + json.dumps(trace.header, sort_keys=True) + "\n")
+        while chunk := [
+            "%d %d %s %d %s %d %d\n" % (
+                block, epoch, kind, user, vec_format % vector if vector else "-",
+                cost_units, clamped,
+            )
+            for (block, kind, user, _), epoch, vector, _, clamped, cost_units, _, _, _
+            in islice(records, _TRACE_CHUNK)
+        ]:
+            fh.write("".join(chunk))
 
 
 COST_CSV_COLUMNS = CostRecord._fields
@@ -696,9 +705,10 @@ def write_cost_csv(records: Iterable[tuple], path: str) -> None:
     Each row must be a tuple with the ``CostRecord`` layout: five fields,
     none needing CSV quoting (a call kind and four numbers).  Each field
     is written with ``%s``; a row of another length raises TypeError.
-    The rows are streamed, so ``records`` may be a generator.
+    The rows are streamed, so ``records`` may be a generator; if it
+    raises, or a write fails, no file is left (``_whole_or_none``).
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _whole_or_none(path, newline="") as fh:
         fh.write(",".join(COST_CSV_COLUMNS) + "\r\n")
         fh.writelines(map("%s,%s,%s,%s,%s\r\n".__mod__, records))
 

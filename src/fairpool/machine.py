@@ -349,7 +349,7 @@ class AllocationMachine:
         block rule and its messages are that method's.
 
         The scaled sums are built on a copy of ``_sds``, adding
-        ``recip * d`` only for a non-zero component d, and the copy is
+        ``recip * d`` for every component in place, and the copy is
         stored only once its largest sum has passed the 128-bit check.
         """
         if not isinstance(vector, ResourceVector):
@@ -408,8 +408,7 @@ class AllocationMachine:
         # a MachineOverflowError leaves the state as it was.
         sds = self._sds.copy()
         for r, d in enumerate(vector):
-            if d:
-                sds[r] += recip * d
+            sds[r] += recip * d
         if max(sds) > INT_LIMIT:  # each sum bounds its non-negative terms
             _checked(max(sds))
         self._sds = sds

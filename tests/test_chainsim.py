@@ -1248,6 +1248,22 @@ def test_cost_csv_rejects_a_row_of_the_wrong_length(tmp_path, row):
         write_cost_csv([("claim", 5, 3, 0, 7), row], str(tmp_path / "costs.csv"))
 
 
+@pytest.mark.parametrize("bad", ["raises", "short row"])
+def test_a_cost_csv_write_failing_part_way_leaves_no_file(tmp_path, bad):
+    # The rows are streamed: two are written before the third fails.
+    def rows():
+        yield ("claim", 5, 3, 0, 7)
+        yield ("demand", 6, 2, 1, 9)
+        if bad == "raises":
+            raise RuntimeError("no third row")
+        yield ("claim", 5, 3, 0)
+
+    path = tmp_path / "costs.csv"
+    with pytest.raises(RuntimeError if bad == "raises" else TypeError):
+        write_cost_csv(rows(), str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
 def test_trace_file_lines_match_str_join_at_chunk_edges(tmp_path, count):
     trace = run_simulation(SimConfig(users=100, resources=3, epochs=11, seed=3))
