@@ -185,6 +185,8 @@ class _Core:
       one q for every user.
     * The key x_i = max_r e_ir * q_r = s_i * U * M.  Only ratios between
       keys reach a result, so U changes none: C scales with it, c_i not.
+      One shared reserve R gives M = R and q_r = 1, so each key is the
+      row's largest component, read off with no lcm or products.
     * C = lcm(x_i) and c_i = C // x_i, an integer proportional to 1/s_i.
     * N_r = sum_i c_i * d_ir, resource r's drain per cycle.
     * The binding pair (R_b, N_b), the smallest R_r / N_r over N_r > 0,
@@ -222,10 +224,13 @@ class _Core:
             ]
         if demands and len(demands[0]) != m:
             _raise_first_error(demands, reserves, weights)
-        lcm = math.lcm(*filter(None, reserves))  # M
-        q = [lcm // res if res else 0 for res in reserves]
-        # x_i = max(map(mul, e_i, q)), with the loop over users in C.
-        keys = list(map(max, map(map, repeat(mul), rows, repeat(q))))
+        if reserves[0] and reserves.count(reserves[0]) == m:  # M = R, every q_r = 1
+            keys = list(map(max, rows))
+        else:
+            lcm = math.lcm(*filter(None, reserves))  # M
+            q = [lcm // res if res else 0 for res in reserves]
+            # x_i = max(map(mul, e_i, q)), with the loop over users in C.
+            keys = list(map(max, map(map, repeat(mul), rows, repeat(q))))
         columns = list(zip(*demands))
         if 0 in keys or 0 in reserves and any(
             any(col) for res, col in zip(reserves, columns) if not res

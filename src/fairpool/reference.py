@@ -24,6 +24,19 @@ class FixedPointOutcome:
     task_counts: tuple[int, ...]
 
 
+def _require_quantities(values: Sequence[int], user: int | None = None) -> None:
+    """Raise ValueError for the first component of ``values``, the reserves
+    or ``user``'s demand, that is not a non-negative int; int subclasses
+    other than bool pass."""
+    for r, v in enumerate(values):
+        integer = type(v) is int or isinstance(v, int) and not isinstance(v, bool)
+        if not integer or v < 0:
+            what = "reserve" if user is None else f"user {user}'s demand"
+            raise ValueError(
+                f"{what} for resource {r} must be a non-negative integer, got {v!r}"
+            )
+
+
 def fixed_point_reference(
     demand_vectors: Sequence[Sequence[int]],
     reserves: Sequence[int],
@@ -34,16 +47,20 @@ def fixed_point_reference(
     ``demand_vectors`` are the demands registered in one epoch,
     ``reserves`` the demand-pool contents they were registered against.
     ``precision`` must be an int >= 1 (not a bool), as for ``MachineConfig``.
+    Every demand and reserve component must be a non-negative int (not a
+    bool), as the machine requires; user i is the i-th demand vector.
     """
     if not isinstance(precision, int) or isinstance(precision, bool) or precision < 1:
         raise ValueError(f"precision must be an integer >= 1, got {precision!r}")
     if not demand_vectors:
         raise ValueError("need at least one demand vector")
     m = len(reserves)
+    _require_quantities(reserves)
     recips: list[int] = []
-    for vec in demand_vectors:
+    for user, vec in enumerate(demand_vectors):
         if len(vec) != m:
             raise ValueError("demand vector length must match reserves")
+        _require_quantities(vec, user)
         best = None
         for d, r in zip(vec, reserves):
             if d == 0:

@@ -973,6 +973,114 @@ def test_integer_keys_match_dominant_share_and_oracles(m_values, count):
         _assert_core_matches_oracles(*_differential_instance(rng, m))
 
 
+# --- shared-reserve keys against the general formula -----------------------
+#
+# One reserve R shared by every resource gives M = R and q_r = 1, so the
+# core reads each key off as the row's largest component and computes no
+# lcm of the reserves.  A test-local copy of the general formula checks
+# every integer the core keeps, on both paths.
+
+
+def _general_core(demands, reserves, weights=None):
+    """The core's integers by the lcm/q formula, which holds for any reserves."""
+    rows = demands
+    if weights is not None:
+        u = math.lcm(*(x.numerator for w in weights for x in w))
+        rows = [
+            [d * x.denominator * (u // x.numerator) for d, x in zip(row, w)]
+            for row, w in zip(demands, weights)
+        ]
+    lcm = math.lcm(*filter(None, reserves))
+    q = [lcm // res if res else 0 for res in reserves]
+    keys = [max(e * q_r for e, q_r in zip(row, q)) for row in rows]
+    scale = math.lcm(*keys)
+    scales = [scale // x for x in keys]
+    drains = [
+        sum(c * d[r] for c, d in zip(scales, demands)) for r in range(len(reserves))
+    ]
+    b = min(
+        (r for r, drain in enumerate(drains) if drain),
+        key=lambda r: Fraction(reserves[r], drains[r]),
+    )  # ties go to the lowest resource, as in the core
+    hi = reserves[b] * scale // drains[b]
+    tasks = [hi // x for x in keys]
+    remaining = [
+        res - sum(t * d[r] for t, d in zip(tasks, demands))
+        for r, res in enumerate(reserves)
+    ]
+    return {
+        "keys": keys, "scale": scale, "drains": drains,
+        "bound": (reserves[b], drains[b]), "hi": hi, "tasks": tasks,
+        "remaining": remaining,
+    }
+
+
+def _shared_reserve_stream(name):
+    """(demands, reserves, weights) triples: every reserve vector shared,
+    except on the general-path stream, where none is."""
+    if name == "criterion-4":
+        rng = random.Random(0)
+        for _ in range(2000):
+            demands = DemandSet.from_vectors(
+                [[rng.randint(1, 10) for _ in range(4)] for _ in range(10)]
+            )
+            yield demands, ResourceVector((rng.randint(100, 1000),) * 4), None
+        return
+    if name == "general-path":  # a zero among equal reserves
+        demands = DemandSet.from_vectors([[1, 0, 2], [3, 0, 1]])
+        yield demands, ResourceVector((5, 0, 5)), None
+    count, m_values = {
+        "fractional-weights": (2000, (2, 3, 4, 5)),
+        "m-1": (2000, (1,)),
+        "m-64": (40, (64,)),
+        "general-path": (2000, (2, 3, 4, 5)),
+    }[name]
+    rng = random.Random(41)
+    for _ in range(count):
+        m = rng.choice(m_values)
+        demands, reserves, weights = _differential_instance(rng, m)
+        if name == "fractional-weights" and weights is None:
+            continue
+        if name != "general-path":
+            reserves = ResourceVector((rng.randint(1, 3000),) * m)
+        elif len(set(reserves)) == 1:
+            continue
+        yield demands, reserves, weights
+
+
+@pytest.mark.parametrize(
+    "stream", ["criterion-4", "fractional-weights", "m-1", "m-64", "general-path"]
+)
+def test_shared_reserve_keys_match_the_general_formula(stream, monkeypatch):
+    lcm_calls = []
+
+    class CountedMath:
+        @staticmethod
+        def lcm(*args):
+            lcm_calls.append(args)
+            return math.lcm(*args)
+
+    monkeypatch.setattr(alloc, "math", CountedMath)
+    instances = weighted = 0
+    for demands, reserves, weights in _shared_reserve_stream(stream):
+        expected = _general_core(demands, reserves, weights)
+        lcm_calls.clear()
+        core = alloc._Core(demands, reserves, weights)
+        assert {name: getattr(core, name) for name in expected} == expected
+        # C, plus U with weights, plus M off the shared-reserve path.
+        shared = stream != "general-path"
+        assert len(lcm_calls) == 1 + (weights is not None) + (not shared)
+        instances += 1
+        weighted += weights is not None
+    assert instances >= 40
+    if stream == "criterion-4":
+        assert weighted == 0
+    elif stream == "fractional-weights":
+        assert weighted == instances
+    else:
+        assert 0 < weighted < instances
+
+
 def _raised(call):
     with pytest.raises(ValueError) as error:
         call()
@@ -1002,6 +1110,9 @@ _ZERO = "positive demand against a zero reserve for resource {}"
          "need one weight per resource"),
         ([[1, 2], [2, 1]], [5, 5, 5], [[1, 1, 1], [1, 1, 1]],
          "demand and reserves must have the same resource count"),
+        # A zero reserve, shared or not, keeps the general path and its error.
+        ([[1, 2, 3]], [0, 0, 0], None, _ZERO.format(0)),
+        ([[1, 0, 1], [1, 2, 1]], [5, 0, 5], [[1, 1, 1], [2, 1, 1]], _ZERO.format(1)),
     ],
     ids=[
         "two-zero-reserves-first-user", "two-zero-reserves-lowest-resource",
@@ -1009,7 +1120,8 @@ _ZERO = "positive demand against a zero reserve for resource {}"
         "short-weight-vector-before-later-zero-reserve",
         "earlier-zero-reserve-before-short-weight-vector",
         "resource-count", "weights-before-resource-count",
-        "resource-count-with-weights",
+        "resource-count-with-weights", "all-zero-reserves",
+        "zero-among-equal-reserves",
     ],
 )
 def test_core_raises_the_first_users_error(rows, reserves, weights, message):

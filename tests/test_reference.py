@@ -36,6 +36,44 @@ def test_reference_input_validation():
         fixed_point_reference([[1, 1]], [5, 0])
 
 
+_BAD = "{} for resource {} must be a non-negative integer, got {!r}"
+
+
+@pytest.mark.parametrize(
+    "demands, reserves, message",
+    [
+        ([(-1, 2)], (5, 5), _BAD.format("user 0's demand", 0, -1)),
+        ([(1, 2)], (5, -5), _BAD.format("reserve", 1, -5)),
+        ([(1, 2), (1.5, 2)], (5, 5), _BAD.format("user 1's demand", 0, 1.5)),
+        ([(1, True)], (5, 5), _BAD.format("user 0's demand", 1, True)),
+        ([(1, 2)], (5.0, 5), _BAD.format("reserve", 0, 5.0)),
+        ([(1, 2)], (5, True), _BAD.format("reserve", 1, True)),
+    ],
+    ids=[
+        "negative-demand", "negative-reserve", "float-demand", "bool-demand",
+        "float-reserve", "bool-reserve",
+    ],
+)
+def test_reference_rejects_a_quantity_the_machine_rejects(demands, reserves, message):
+    # Unchecked, (-1, 2) against (5, 5) gave task_counts (-5,), a reserve
+    # of (5, -5) gave (-3,), and (1.5, 2) gave float scaled_sums.
+    with pytest.raises(ValueError) as error:
+        fixed_point_reference(demands, reserves)
+    assert str(error.value) == message
+    # The machine's pools and demands are checked as ResourceVectors.
+    with pytest.raises(ValueError):
+        ResourceVector(reserves if message.startswith("reserve") else demands[-1])
+
+
+def test_reference_accepts_an_int_subclass_the_machine_accepts():
+    class Count(int):
+        pass
+
+    assert fixed_point_reference([(Count(1), 4), (3, 1)], (9, Count(18))) == (
+        fixed_point_reference([(1, 4), (3, 1)], (9, 18))
+    )
+
+
 @pytest.mark.parametrize("precision", [-3, 0, 1.5, True, "10"])
 def test_reference_rejects_a_precision_the_machine_rejects(precision):
     with pytest.raises(ValueError, match="precision must be an integer >= 1"):
