@@ -29,8 +29,8 @@ import os
 import random
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
-from itertools import islice
-from operator import add, sub
+from itertools import groupby, islice
+from operator import add, itemgetter, sub
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 # Not called here, but perfbench's tracer replaces ``pdrf_allocate`` by
@@ -603,50 +603,50 @@ class CrosscheckReport:
 def crosscheck_trace(trace: Trace) -> CrosscheckReport:
     """Recompute every claim from the recorded demands and compare.
 
-    For each epoch, the demand set and the demand-pool reserves recorded
-    in the trace are fed to the batch fixed-point reference (must match
-    the machine's task counts exactly) and to the exact-rational
-    precomputed allocator (reported as deltas).  Both read the recorded
-    tuples as they are: every demand passed the machine's entry check,
-    and a pool is what the machine held, so no vector is rebuilt.
+    The records are walked once, an epoch at a time (an epoch's records
+    are contiguous), holding only the epoch before's demands and pool.
+    Each epoch's claims are checked in user order against the epoch
+    directly before, and skipped if it recorded no demand, so mismatches
+    come in (epoch, user) order.  Its demand set and the pool of its
+    first demand block are fed to the batch fixed-point reference (must
+    match the machine's task counts exactly) and to the exact-rational
+    precomputed allocator (reported as deltas).  Both read the recorded tuples as
+    they are: every demand passed the machine's entry check, and a pool
+    is what the machine held, so no vector is rebuilt.
     """
-    demands_by_epoch: dict[int, dict[int, tuple[int, ...]]] = {}
-    pool_by_epoch: dict[int, tuple[int, ...]] = {}
-    claims_by_epoch: dict[int, dict[int, int]] = {}
-    for (_, kind, user, _), epoch, vector, task_count, _, _, _, reserves, _ in (
-        trace.records
-    ):
-        if kind == KIND_DEMAND:
-            assert vector is not None
-            demands_by_epoch.setdefault(epoch, {})[user] = vector
-            # The epoch's first demand block records the pool it was read from.
-            pool_by_epoch.setdefault(epoch, reserves[(epoch + 1) % 2])
-        elif kind == KIND_CLAIM:
-            assert task_count is not None
-            claims_by_epoch.setdefault(epoch, {})[user] = task_count
-
     epochs_checked = 0
     claims_checked = 0
     matches = 0
     mismatches: list[tuple[int, int, int, int]] = []
     delta_counts: dict[int, int] = {}
-    for epoch, claims in sorted(claims_by_epoch.items()):
-        demands = demands_by_epoch.get(epoch - 1)
-        if not demands:
-            continue
-        pool = pool_by_epoch[epoch - 1]
-        expected = reference_task_counts(demands, pool)
-        rational = pdrf_task_counts(list(demands.values()), pool)
-        rational_by_user = dict(zip(demands, rational))
-        epochs_checked += 1
-        for user, machine_tasks in sorted(claims.items()):
-            claims_checked += 1
-            if machine_tasks == expected[user]:
-                matches += 1
-            elif len(mismatches) < 10:
-                mismatches.append((epoch, user, machine_tasks, expected[user]))
-            delta = expected[user] - rational_by_user[user]
-            delta_counts[delta] = delta_counts.get(delta, 0) + 1
+    before_epoch, before_demands, before_pool = -1, {}, ()
+    for epoch, records in groupby(trace.records, itemgetter(1)):
+        demands: dict[int, tuple[int, ...]] = {}
+        pool: tuple[int, ...] = ()
+        claims: dict[int, int] = {}
+        for (_, kind, user, _), _, vector, task_count, _, _, _, reserves, _ in records:
+            if kind == KIND_DEMAND:
+                assert vector is not None
+                if not demands:  # the pool the epoch's demands were read from
+                    pool = reserves[(epoch + 1) % 2]
+                demands[user] = vector
+            elif kind == KIND_CLAIM:
+                assert task_count is not None
+                claims[user] = task_count
+        if claims and before_demands and before_epoch == epoch - 1:
+            expected = reference_task_counts(before_demands, before_pool)
+            rational = pdrf_task_counts(list(before_demands.values()), before_pool)
+            rational_by_user = dict(zip(before_demands, rational))
+            epochs_checked += 1
+            for user, machine_tasks in sorted(claims.items()):
+                claims_checked += 1
+                if machine_tasks == expected[user]:
+                    matches += 1
+                elif len(mismatches) < 10:
+                    mismatches.append((epoch, user, machine_tasks, expected[user]))
+                delta = expected[user] - rational_by_user[user]
+                delta_counts[delta] = delta_counts.get(delta, 0) + 1
+        before_epoch, before_demands, before_pool = epoch, demands, pool
     return CrosscheckReport(
         epochs_checked=epochs_checked,
         claims_checked=claims_checked,

@@ -36,7 +36,7 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
 # A config-file list for one of these flags is joined into the flag's text.
-_SEPARATORS = {"demand_range": ":", "reserve_range": ":", "sweep": ","}
+_SEPARATORS = {"demand_range": ":", "reserve_range": ":", "resources": ","}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,10 +65,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_sweep(text: str) -> list[int]:
+def _parse_counts(text: str) -> list[int]:
     values = [_positive_int(part) for part in text.split(",")]
     if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError("sweep values must be distinct")
+        raise argparse.ArgumentTypeError("resource counts must be distinct")
     return values
 
 
@@ -100,9 +100,6 @@ def build_parser() -> _Parser:
     for cmd in (run, cross, stats):
         cmd.add_argument("--users", type=_positive_int, default=10, help="user count")
         cmd.add_argument(
-            "--resources", type=_positive_int, default=2, help="resource type count"
-        )
-        cmd.add_argument(
             "--demand-range",
             type=_parse_range,
             default=(1, 10),
@@ -119,6 +116,10 @@ def build_parser() -> _Parser:
         cmd.add_argument("--out", metavar="DIR", default="out", help="output directory")
     for cmd in (run, cross):
         cmd.add_argument(
+            "--resources", type=_parse_counts, default=[2], metavar="M1,M2,...",
+            help="resource type count, or distinct counts run in order",
+        )
+        cmd.add_argument(
             "--epochs", type=_positive_int, default=11, help="epochs to simulate"
         )
         cmd.add_argument(
@@ -127,18 +128,15 @@ def build_parser() -> _Parser:
             default=150,
             help="replenished units per user per resource per epoch",
         )
-        cmd.add_argument(
-            "--sweep",
-            type=_parse_sweep,
-            metavar="M1,M2,...",
-            help="resource counts to sweep (overrides --resources)",
-        )
     run.add_argument(
         "--coefficients",
         type=_parse_cost_model,
         default=DEFAULT_COST_MODEL,
         metavar="JSON",
         help='cost-model overrides, e.g. \'{"branch_unit": 0, "claim": [1, 2]}\'',
+    )
+    stats.add_argument(
+        "--resources", type=_positive_int, default=2, help="resource type count"
     )
     stats.add_argument(
         "--reserve-range",
@@ -170,7 +168,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     """The config file's settings as flags of the same subcommand, for the
     flags' own parsers to check.  Keys are flag names with ``_`` for ``-``.
     ``true``/``false`` become ``--flag``/``--no-flag``; a list for a range
-    or a sweep is joined with that flag's separator; other lists and
+    or resource counts is joined with that flag's separator; other lists and
     objects pass as JSON text, strings and numbers as the flag's text."""
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -199,7 +197,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
 
 
 def _run_all(args: argparse.Namespace, model: CostModel):
-    """Check every run's settings on the sweep/trial grid and create the
+    """Check every run's settings on the resource/trial grid and create the
     output directory; the returned iterator yields (m, trial, trace)."""
     low, high = args.demand_range
     grid = [
@@ -212,7 +210,7 @@ def _run_all(args: argparse.Namespace, model: CostModel):
             per_user_reserve=args.per_user_reserve,
             seed=args.seed + trial,
         ))
-        for m in args.sweep or [args.resources]
+        for m in args.resources
         for trial in range(args.trials)
     ]
     os.makedirs(args.out, exist_ok=True)

@@ -33,6 +33,7 @@ from fairpool.chainsim import (
     KIND_UPDATE,
     BlockTx,
     CostRecord,
+    CrosscheckReport,
     TraceRecord,
     _execute,
     _make_machine,
@@ -752,6 +753,9 @@ def test_idle_epoch_is_predicted_and_replays():
     assert machine.total_injected() == IDLE_CONFIG.epoch_reserve.scale(1 + 3)
     trace = dataclasses.replace(run_simulation(IDLE_CONFIG), records=records)
     assert replay(trace)
+    # Epoch 2's demands are never claimed; epoch 5's claims are checked
+    # against epoch 4's demands, across idle epoch 3.
+    assert crosscheck_trace(trace) == CrosscheckReport(2, 6, 6, (), {0: 6})
 
 
 def test_refill_misplaced_across_an_idle_epoch_raises_at_its_block(monkeypatch):
@@ -774,7 +778,9 @@ def test_calls_reordered_within_each_epoch_claim_the_same():
     # Every epoch after the first runs its claims and demands in a
     # shuffled order; blocks keep theirs, so a transition may ride on a
     # demand.  Each user still claims once per epoch, each claim gets the
-    # task count and share of the unshuffled run, and nothing clamps.
+    # task count and share of the unshuffled run, and nothing clamps.  The
+    # crosscheck reads the same report, also where an epoch's own demands
+    # come before its claims.
     riders = collections.Counter()  # the kinds of the calls that transitioned
     for seed in range(5):
         config = SimConfig(users=12, resources=3, epochs=6, seed=seed)
@@ -793,6 +799,8 @@ def test_calls_reordered_within_each_epoch_claim_the_same():
         ]
         expected = run_simulation(config)
         assert _claims(records) == _claims(map(_named, expected.records))
+        shuffled_trace = dataclasses.replace(expected, records=tuple(records))
+        assert crosscheck_trace(shuffled_trace) == crosscheck_trace(expected)
         assert sum(rec.clamped for rec in records) == expected.clamp_count() == 0
         riders.update(rec.tx.kind for rec in records if rec.update_cost is not None)
     assert riders[KIND_DEMAND] > 0
@@ -1215,7 +1223,7 @@ def test_cost_csv_matches_csv_writer(tmp_path, m, model):
 
 
 def test_cost_csv_of_a_streamed_sweep_matches_csv_writer(tmp_path):
-    # As ``fairpool run --sweep 2,3`` streams them: each trace's rows in turn.
+    # As ``fairpool run --resources 2,3`` streams them: each trace's rows in turn.
     traces = [
         run_simulation(SimConfig(users=3, resources=m, epochs=4, seed=5), SETUP_COST_MODEL)
         for m in (2, 3)
@@ -1320,6 +1328,12 @@ def test_crosscheck_skips_claims_without_recorded_demands():
     assert report.claims_checked == full.claims_checked - skipped == 20
     assert report.matches == full.matches - skipped
     assert report.match_rate == 1.0
+    # With every record of epoch 3 dropped, epoch 4's claims are skipped
+    # too, not checked against epoch 2's demands.
+    gap = tuple(r for r in trace.records if r[1] != 3)
+    report = crosscheck_trace(dataclasses.replace(trace, records=gap))
+    assert (report.epochs_checked, report.claims_checked) == (3, 15)
+    assert report.matches == 15
 
 
 def test_crosscheck_without_claims_matches_trivially():

@@ -34,7 +34,7 @@ def test_run_sweep_times_trials(tmp_path):
         "run",
         "--users", "2",
         "--epochs", "2",
-        "--sweep", "2,5,10",
+        "--resources", "2,5,10",
         "--trials", "3",
         "--out", str(out),
     )
@@ -86,7 +86,7 @@ def test_each_trace_is_dropped_before_the_next_run(tmp_path, monkeypatch, comman
         return trace
 
     monkeypatch.setattr(cli, "run_simulation", tracked)
-    argv = ["--users", "3", "--epochs", "3", "--sweep", "2,3", "--trials", "2"]
+    argv = ["--users", "3", "--epochs", "3", "--resources", "2,3", "--trials", "2"]
     assert run_cli(command, *argv, "--out", str(tmp_path / "out")) == EXIT_OK
     assert len(traces) == 4
 
@@ -166,7 +166,7 @@ def test_costfit_round_trip_recovers_defaults(tmp_path, capsys):
         "run",
         "--users", "3",
         "--epochs", "6",
-        "--sweep", "2,5,10",
+        "--resources", "2,5,10",
         "--config", str(config),
         "--out", str(out),
     )
@@ -196,7 +196,7 @@ def test_costfit_fits_updates_from_epoch_3(tmp_path, capsys):
     # three-epoch run's epoch-3 updates are stabilized records.
     out = tmp_path / "out"
     code = run_cli(
-        "run", "--users", "3", "--epochs", "3", "--sweep", "2,3", "--out", str(out)
+        "run", "--users", "3", "--epochs", "3", "--resources", "2,3", "--out", str(out)
     )
     assert code == EXIT_OK
     capsys.readouterr()
@@ -221,7 +221,7 @@ def test_costfit_recovers_every_override_through_the_warm_up(tmp_path, capsys):
         "run",
         "--users", "3",
         "--epochs", "5",
-        "--sweep", "2,5,10",
+        "--resources", "2,5,10",
         "--coefficients", json.dumps(coefficients),
         "--out", str(out),
     )
@@ -379,7 +379,7 @@ def _outputs(tmp_path, name, command, skip, extra, config=None):
         ("run", "per_user_reserve", ["--per-user-reserve", "40"], 40),
         ("run", "seed", ["--seed", "7"], 7),
         ("run", "trials", ["--trials", "2"], 2),
-        ("run", "sweep", ["--sweep", "2,3"], [2, 3]),
+        ("run", "resources", ["--resources", "2,3"], [2, 3]),
         (
             "run",
             "coefficients",
@@ -387,7 +387,7 @@ def _outputs(tmp_path, name, command, skip, extra, config=None):
             {"claim": [1, 2]},
         ),
         ("crosscheck", "users", ["--users", "3"], 3),
-        ("crosscheck", "sweep", ["--sweep", "1,3"], "1,3"),
+        ("crosscheck", "resources", ["--resources", "1,3"], "1,3"),
         ("stats", "resources", ["--resources", "3"], 3),
         ("stats", "demand_range", ["--demand-range", "2:5"], [2, 5]),
         ("stats", "trials", ["--trials", "30"], 30),
@@ -407,7 +407,7 @@ def test_flag_and_config_give_identical_outputs(
 @pytest.mark.parametrize(
     "argv, config",
     [
-        (["run"], {"sweep": [3, 3]}),
+        (["run"], {"resources": [3, 3]}),
         (["stats"], {"independent_reserves": "false"}),
         (["run"], {"users": 2.9}),
         (["run"], {"coefficients": {"claim": 5}}),
@@ -416,11 +416,11 @@ def test_flag_and_config_give_identical_outputs(
         (["crosscheck"], {"coefficients": {}}),
         (["run"], {"reserve_range": [1, 2]}),
         (["run"], {"config": "other.json"}),
-        (["run", "--sweep", "3,3"], None),
+        (["run", "--resources", "3,3"], None),
         (["run", "--users", "2.9"], None),
         (["run", "--coefficients", '{"claim": 5}'], None),
         (["crosscheck", "--coefficients", "{}"], None),
-        (["stats", "--sweep", "2,5", "--epochs", "99"], None),
+        (["stats", "--epochs", "99"], None),
         (["stats", "--users", "0"], None),
         (["stats", "--per-user-reserve", "5"], None),
         (["stats", "--demand-range", "0:1"], None),
@@ -430,6 +430,9 @@ def test_flag_and_config_give_identical_outputs(
         (["stats"], {"demand_range": [0, 2]}),
         (["run", "--per-user-reserve", "0"], None),
         (["crosscheck"], {"per_user_reserve": 0}),
+        (["run", "--sweep", "2,3"], None),
+        (["stats", "--resources", "2,5"], None),
+        (["run"], {"sweep": [2, 3]}),
     ],
 )
 def test_bad_settings_exit_1_without_traceback(tmp_path, capsys, argv, config):
@@ -462,13 +465,13 @@ def test_flag_overrides_config_boolean(tmp_path):
 
 def test_run_streams_the_same_cost_csv(tmp_path, capsys):
     # sha256 of the costs.csv written when every trace's rows were kept
-    # until the sweep ended.
+    # until the last run ended.
     out = tmp_path / "out"
     code = run_cli(
         "run",
         "--users", "3",
         "--epochs", "4",
-        "--sweep", "2,3",
+        "--resources", "2,3",
         "--trials", "2",
         "--seed", "5",
         "--coefficients",
@@ -506,7 +509,7 @@ def _credit_claimer_at(monkeypatch, at_block, resources):
 
 
 # 4 users, 4 epochs: block 11 is user 2's first claim.
-_FAULT_ARGS = ["--users", "4", "--epochs", "4", "--seed", "15", "--sweep", "3,2"]
+_FAULT_ARGS = ["--users", "4", "--epochs", "4", "--seed", "15", "--resources", "3,2"]
 
 
 @pytest.mark.parametrize(
@@ -538,7 +541,7 @@ def test_a_failed_trace_write_leaves_no_cost_csv(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "write_trace_file", write_or_fail)
     out = tmp_path / "out"
-    argv = ["--users", "3", "--epochs", "3", "--sweep", "2,3", "--out", str(out)]
+    argv = ["--users", "3", "--epochs", "3", "--resources", "2,3", "--out", str(out)]
     assert run_cli("run", *argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == "cannot write output: [Errno 28] No space left on device\n"
@@ -576,7 +579,7 @@ def test_a_trace_write_failing_part_way_leaves_no_partial_trace(
         return CutShort(fh) if path == cut else fh
 
     monkeypatch.setattr(chainsim, "open", open_cut_short, raising=False)
-    argv = ["--users", "3", "--epochs", "3", "--sweep", "2,3", "--out", str(out)]
+    argv = ["--users", "3", "--epochs", "3", "--resources", "2,3", "--out", str(out)]
     assert run_cli("run", *argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == "cannot write output: [Errno 27] File too large\n"
@@ -602,7 +605,7 @@ def test_crosscheck_mismatch_exits_2_without_summary(tmp_path, capsys, monkeypat
 def test_crosscheck_json_golden_digest(tmp_path):
     # 90 epochs and 900 claims, histogram {-1: 4, 0: 896}.
     out = tmp_path / "out"
-    argv = ["--users", "10", "--sweep", "2,5,10", "--trials", "3"]
+    argv = ["--users", "10", "--resources", "2,5,10", "--trials", "3"]
     assert run_cli("crosscheck", *argv, "--out", str(out)) == EXIT_OK
     assert hashlib.sha256((out / "crosscheck.json").read_bytes()).hexdigest() == (
         "2e05d6093b0982390e402e44c351ed3387fb9d3788d4123f1529c5cb8ce3d13f"
